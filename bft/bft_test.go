@@ -130,7 +130,12 @@ func TestPublicAPIByzantineBehavior(t *testing.T) {
 
 // TestInvokeContextCancellation: an in-flight Invoke against an
 // unreachable cluster returns promptly with ctx.Err(), and the client
-// stays usable afterwards.
+// stays usable afterwards. Cancelling abandons the wait, not the operation,
+// so the abandoned operation is one whose effect is distinguishable from
+// the operations the test counts (a register write next to counter
+// increments), and the deadline sits in the middle of a gap in the retry
+// schedule (transmissions at 0, 50 and 150 ms) so that expiry never races
+// a retransmission.
 func TestInvokeContextCancellation(t *testing.T) {
 	cluster := bft.NewCluster(bft.Options{Replicas: 4, Seed: 5,
 		RetryTimeout: 50 * time.Millisecond, MaxRetries: 1000}, kv.Factory)
@@ -147,10 +152,10 @@ func TestInvokeContextCancellation(t *testing.T) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(ctxb(), 150*time.Millisecond)
+	ctx, cancel := context.WithTimeout(ctxb(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := client.Invoke(ctx, kv.Incr())
+	_, err := client.Invoke(ctx, kv.SetReg(7, 99))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -167,6 +172,15 @@ func TestInvokeContextCancellation(t *testing.T) {
 	}
 	if got := kv.DecodeU64(res); got != 2 {
 		t.Fatalf("counter after heal: %d", got)
+	}
+	// The abandoned write either never ran or ran whole; nothing else may
+	// have touched the register.
+	res, err = client.Invoke(ctxb(), kv.GetReg(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := kv.DecodeU64(res); got != 0 && got != 99 {
+		t.Fatalf("register 7 after an abandoned SetReg(7, 99): %d", got)
 	}
 }
 

@@ -71,6 +71,11 @@ func (c *Client) ID() int { return c.id }
 // and read-only ones). It retransmits on timeout with exponential backoff
 // and returns promptly with ctx.Err() if ctx is cancelled mid-flight; the
 // client stays usable afterwards.
+//
+// Cancelling abandons the wait, not the operation: a request that already
+// left this client may still be ordered and executed (exactly once) after
+// Invoke has returned ctx.Err(), just as with any RPC whose reply is lost.
+// Callers that cancel must treat the operation's outcome as unknown.
 func (c *Client) Invoke(ctx context.Context, op []byte, opts ...InvokeOption) ([]byte, error) {
 	return c.InvokeContext(ctx, op, foldInvokeOpts(opts).readOnly)
 }

@@ -8,11 +8,16 @@
 // substitute SHA-256, truncated HMAC-SHA-256 and Ed25519 from the Go standard
 // library. The property the protocol depends on — MACs being orders of
 // magnitude cheaper than signatures, digests in between — is preserved.
+//
+// That property is only worth having if a MAC costs what its compressions
+// cost. Hash states are therefore never allocated per call: digests and tags
+// run on pooled scratch states, and the key store keeps, next to every
+// session key, the two HMAC key-block states derived when the key was
+// installed (mac.go), so a tag is two state restores plus the payload.
 package crypto
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -44,52 +49,67 @@ func (d Digest) String() string { return fmt.Sprintf("%x", d[:4]) }
 
 // DigestOf hashes the concatenation of the given byte slices.
 func DigestOf(parts ...[]byte) Digest {
-	h := sha256.New()
+	if len(parts) == 1 {
+		return sha256.Sum256(parts[0])
+	}
+	h := NewHasher()
 	for _, p := range parts {
 		h.Write(p)
 	}
+	return h.Sum()
+}
+
+// Hasher streams bytes into one digest on a pooled hash state, for callers
+// whose input is not already a list of slices. Sum ends its life.
+type Hasher struct{ s *hashScratch }
+
+// NewHasher returns an empty Hasher.
+func NewHasher() Hasher {
+	s := getScratch()
+	s.h.Reset()
+	return Hasher{s}
+}
+
+// Write absorbs p.
+func (h Hasher) Write(p []byte) { h.s.h.Write(p) }
+
+// WriteDigest absorbs d. (Passing d[:] to Write would move d to the heap:
+// the bytes reach the hash through an interface.)
+func (h Hasher) WriteDigest(d Digest) {
+	h.s.sum = d
+	h.s.h.Write(h.s.sum[:])
+}
+
+// Sum returns the digest and releases the state; h must not be used again.
+func (h Hasher) Sum() Digest {
 	var d Digest
-	h.Sum(d[:0])
+	copy(d[:], h.s.h.Sum(h.s.sum[:0]))
+	hashPool.Put(h.s)
 	return d
 }
 
 // DigestOfU64 hashes a sequence of uint64 values followed by byte slices.
 // It is used where the digest must cover fixed header fields.
 func DigestOfU64(nums []uint64, parts ...[]byte) Digest {
-	h := sha256.New()
-	var buf [8]byte
+	h := NewHasher()
+	buf := h.s.pad[:8]
 	for _, n := range nums {
-		binary.LittleEndian.PutUint64(buf[:], n)
-		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf, n)
+		h.Write(buf)
 	}
 	for _, p := range parts {
 		h.Write(p)
 	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	return h.Sum()
 }
 
 // MAC is a truncated message authentication tag for one sender/receiver pair.
 type MAC [MACSize]byte
 
-// ComputeMAC computes the MAC of payload under key.
-func ComputeMAC(key []byte, payload []byte) MAC {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(payload)
-	var sum [sha256.Size]byte
-	mac.Sum(sum[:0])
-	var m MAC
-	copy(m[:], sum[:MACSize])
-	return m
-}
-
-// VerifyMAC reports whether m is a valid MAC of payload under key.
-func VerifyMAC(key []byte, payload []byte, m MAC) bool {
-	want := ComputeMAC(key, payload)
-	// Constant time is unnecessary in the simulation but cheap.
-	return hmac.Equal(want[:], m[:])
-}
+// SmallGroup is the largest group size for which the hot paths keep an
+// authenticator's MACs in fixed inline storage (a decoded trailer, a sealer's
+// stack frame) instead of a per-message slice; every group we run fits.
+const SmallGroup = 8
 
 // Authenticator is a vector of MACs, one per replica, attached to messages
 // that are multicast to the whole replica group (Section 3.2.1). Entry i is

@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -8,47 +9,27 @@ import (
 // keySnapshot is one immutable generation of a KeyStore's session-key tables.
 // Readers grab the current snapshot with a single atomic load and work on it
 // without locks; writers build a new snapshot under KeyStore.mu and publish
-// it atomically (copy-on-write).
+// it atomically (copy-on-write). An entry is a key, its epoch and its
+// precomputed MAC states in one immutable object, so whatever generation a
+// reader sees, the three belong together.
 type keySnapshot struct {
-	// inKeys[p] authenticates messages p sends to us; we chose it.
-	inKeys map[uint32][]byte
-	// inEpoch[p] is the epoch of inKeys[p] (bumped when we refresh).
-	inEpoch map[uint32]uint32
-	// outKeys[p] authenticates messages we send to p; p chose it.
-	outKeys  map[uint32][]byte
-	outEpoch map[uint32]uint32
+	// in[p] authenticates messages p sends to us; we chose it, and its
+	// epoch is bumped when we refresh.
+	in map[uint32]*sessionKey
+	// out[p] authenticates messages we send to p; p chose it.
+	out map[uint32]*sessionKey
 }
 
 func newKeySnapshot() *keySnapshot {
 	return &keySnapshot{
-		inKeys:   make(map[uint32][]byte),
-		inEpoch:  make(map[uint32]uint32),
-		outKeys:  make(map[uint32][]byte),
-		outEpoch: make(map[uint32]uint32),
+		in:  make(map[uint32]*sessionKey),
+		out: make(map[uint32]*sessionKey),
 	}
 }
 
-// clone deep-copies the tables (keys themselves are never mutated in place).
+// clone copies the tables (entries themselves are never mutated in place).
 func (s *keySnapshot) clone() *keySnapshot {
-	c := &keySnapshot{
-		inKeys:   make(map[uint32][]byte, len(s.inKeys)),
-		inEpoch:  make(map[uint32]uint32, len(s.inEpoch)),
-		outKeys:  make(map[uint32][]byte, len(s.outKeys)),
-		outEpoch: make(map[uint32]uint32, len(s.outEpoch)),
-	}
-	for k, v := range s.inKeys {
-		c.inKeys[k] = v
-	}
-	for k, v := range s.inEpoch {
-		c.inEpoch[k] = v
-	}
-	for k, v := range s.outKeys {
-		c.outKeys[k] = v
-	}
-	for k, v := range s.outEpoch {
-		c.outEpoch[k] = v
-	}
-	return c
+	return &keySnapshot{in: maps.Clone(s.in), out: maps.Clone(s.out)}
 }
 
 // KeyStore holds the symmetric session keys one principal shares with every
@@ -115,17 +96,15 @@ func (ks *KeyStore) Generation() uint64 { return ks.gen.Load() }
 // generation counter.
 func (ks *KeyStore) InstallInitial(peer uint32) {
 	ks.mutate(func(s *keySnapshot) bool {
-		_, haveIn := s.inKeys[peer]
-		_, haveOut := s.outKeys[peer]
+		_, haveIn := s.in[peer]
+		_, haveOut := s.out[peer]
 		if !haveIn {
 			// Key for peer->self traffic (chosen, conceptually, by self).
-			s.inKeys[peer] = DeriveKey("session", uint64(peer), uint64(ks.self))
-			s.inEpoch[peer] = 0
+			s.in[peer] = newSessionKey(DeriveKey("session", uint64(peer), uint64(ks.self)), 0)
 		}
 		if !haveOut {
 			// Key for self->peer traffic (chosen by peer).
-			s.outKeys[peer] = DeriveKey("session", uint64(ks.self), uint64(peer))
-			s.outEpoch[peer] = 0
+			s.out[peer] = newSessionKey(DeriveKey("session", uint64(ks.self), uint64(peer)), 0)
 		}
 		return !haveIn || !haveOut
 	})
@@ -135,56 +114,63 @@ func (ks *KeyStore) InstallInitial(peer uint32) {
 // it so it can be shipped to peer in a new-key message. epoch must be the
 // sender's new epoch number.
 func (ks *KeyStore) RefreshIn(peer uint32, epoch uint32, seed uint64) []byte {
-	k := DeriveKey("refresh", uint64(peer), uint64(ks.self), uint64(epoch), seed)
+	k := newSessionKey(DeriveKey("refresh", uint64(peer), uint64(ks.self), uint64(epoch), seed), epoch)
 	ks.mutate(func(s *keySnapshot) bool {
-		s.inKeys[peer] = k
-		s.inEpoch[peer] = epoch
+		s.in[peer] = k
 		return true
 	})
-	return k
+	return k.key
 }
 
 // SetOut installs the key peer announced for self->peer traffic.
 func (ks *KeyStore) SetOut(peer uint32, key []byte, epoch uint32) {
+	k := newSessionKey(key, epoch)
 	ks.mutate(func(s *keySnapshot) bool {
-		s.outKeys[peer] = key
-		s.outEpoch[peer] = epoch
+		s.out[peer] = k
 		return true
 	})
 }
 
 // OutKey returns the key and epoch for sending to peer.
 func (ks *KeyStore) OutKey(peer uint32) ([]byte, uint32) {
-	s := ks.snap.Load()
-	return s.outKeys[peer], s.outEpoch[peer]
+	return ks.snap.Load().out[peer].keyEpoch()
 }
 
 // InKey returns the key and epoch expected on traffic from peer.
 func (ks *KeyStore) InKey(peer uint32) ([]byte, uint32) {
-	s := ks.snap.Load()
-	return s.inKeys[peer], s.inEpoch[peer]
+	return ks.snap.Load().in[peer].keyEpoch()
 }
 
 // MakeAuthenticator computes the vector of MACs for a payload multicast by
 // self to principals [0, n). Entry self is left zero.
 func (ks *KeyStore) MakeAuthenticator(n int, payload []byte) Authenticator {
+	return ks.AppendAuthenticator(nil, n, payload)
+}
+
+// AppendAuthenticator is MakeAuthenticator with caller-supplied storage: the
+// vector is appended to macs[:0] (reallocated only if its capacity is below
+// n), so a sealer that encodes the trailer straight into a wire buffer can
+// keep the vector on its stack.
+func (ks *KeyStore) AppendAuthenticator(macs []MAC, n int, payload []byte) Authenticator {
 	s := ks.snap.Load()
-	a := Authenticator{MACs: make([]MAC, n)}
+	a := Authenticator{MACs: append(macs[:0], make([]MAC, n)...)}
+	h := getScratch()
 	for p := 0; p < n; p++ {
 		if uint32(p) == ks.self {
 			continue
 		}
-		key := s.outKeys[uint32(p)]
-		if key == nil {
+		k := s.out[uint32(p)]
+		if k == nil {
 			continue
 		}
-		a.MACs[p] = ComputeMAC(key, payload)
+		a.MACs[p] = k.tag(h, payload)
 		// All out keys share the sender's view of epochs; report the max so
 		// receivers with refreshed keys can detect staleness.
-		if e := s.outEpoch[uint32(p)]; e > a.Epoch {
-			a.Epoch = e
+		if k.epoch > a.Epoch {
+			a.Epoch = k.epoch
 		}
 	}
+	hashPool.Put(h)
 	return a
 }
 
@@ -194,35 +180,34 @@ func (ks *KeyStore) MakeAuthenticator(n int, payload []byte) Authenticator {
 // is how recovered replicas shed messages forged with stolen keys
 // (Section 4.3.2).
 func (ks *KeyStore) CheckAuthenticator(from uint32, payload []byte, a Authenticator) bool {
-	s := ks.snap.Load()
-	key := s.inKeys[from]
-	if key == nil {
+	k := ks.snap.Load().in[from]
+	if k == nil {
 		return false
 	}
 	if int(ks.self) >= len(a.MACs) {
 		return false
 	}
-	if a.Epoch < s.inEpoch[from] {
+	if a.Epoch < k.epoch {
 		return false
 	}
-	return VerifyMAC(key, payload, a.MACs[ks.self])
+	return k.verify(payload, a.MACs[ks.self])
 }
 
 // ComputePointMAC computes the single MAC for a point-to-point message from
 // self to peer.
 func (ks *KeyStore) ComputePointMAC(peer uint32, payload []byte) MAC {
-	key, _ := ks.OutKey(peer)
-	if key == nil {
+	k := ks.snap.Load().out[peer]
+	if k == nil {
 		return MAC{}
 	}
-	return ComputeMAC(key, payload)
+	return k.mac(payload)
 }
 
 // CheckPointMAC verifies a point-to-point MAC from peer to self.
 func (ks *KeyStore) CheckPointMAC(peer uint32, payload []byte, m MAC) bool {
-	key, _ := ks.InKey(peer)
-	if key == nil {
+	k := ks.snap.Load().in[peer]
+	if k == nil {
 		return false
 	}
-	return VerifyMAC(key, payload, m)
+	return k.verify(payload, m)
 }

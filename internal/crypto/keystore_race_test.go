@@ -52,6 +52,19 @@ func TestKeyStoreConcurrentVerifyDuringRefresh(t *testing.T) {
 				// Exercise the snapshot read API the hot path uses.
 				a.InKey(p)
 				a.OutKey(p)
+				// Whatever generation this load observes, the entry's
+				// precomputed states must be the ones derived from the key
+				// next to them: a tag made from the states equals HMAC
+				// under that key, never under a neighbouring generation's.
+				k := a.snap.Load().in[p]
+				h := getScratch()
+				got := k.tag(h, payload)
+				hashPool.Put(h)
+				if want := referenceMAC(k.key, payload); got != want {
+					t.Errorf("peer %d epoch %d: precomputed states give %x, key gives %x",
+						p, k.epoch, got, want)
+					return
+				}
 			}
 		}(w)
 	}

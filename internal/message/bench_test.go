@@ -58,3 +58,28 @@ func BenchmarkBatchDigest16(b *testing.B) {
 		_ = BatchDigest(ds, nil)
 	}
 }
+
+// BenchmarkVerifyInPlace is the receive path for one agreement message:
+// decode a prepare as captured off the wire and check the MAC addressed to
+// this replica over the received body bytes, without re-encoding them.
+func BenchmarkVerifyInPlace(b *testing.B) {
+	tx, rx := crypto.NewKeyStore(1), crypto.NewKeyStore(0)
+	for p := uint32(0); p < 4; p++ {
+		tx.InstallInitial(p)
+	}
+	rx.InstallInitial(1)
+	prep := &Prepare{View: 2, Seq: 9, Replica: 1}
+	prep.Auth = Auth{Kind: AuthVector, Vector: tx.MakeAuthenticator(4, prep.Payload())}
+	raw := prep.Marshal()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := Unmarshal(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rx.CheckAuthenticator(uint32(m.Sender()), m.Payload(), m.AuthTrailer().Vector) {
+			b.Fatal("authentic prepare rejected")
+		}
+	}
+}

@@ -4,9 +4,18 @@
 // The layout follows Figure 6-1 of the thesis in spirit: a one-byte type tag,
 // a fixed type-specific header, a variable payload, and an authentication
 // trailer (authenticator, point-to-point MAC, or signature). Marshal always
-// produces body||auth so that the authentication payload of a message is
-// exactly the body prefix, mirroring the thesis's "MACs are computed only
-// over the fixed-size header" optimization at the granularity we need.
+// produces body||auth, and what a MAC or signature authenticates is exactly
+// the body prefix — the WHOLE body, operation or result bytes included, not
+// just the fixed-size header. (The thesis MACs only the header, which
+// carries a digest of the rest; adopting that is an open follow-up: it
+// changes what Payload and AppendPayload mean, which bench/probes.go pins,
+// so it needs its own benchmark change first.)
+//
+// Decoding is strict — every value has one encoding — so the bytes a message
+// was decoded from are the bytes it encodes to. Unmarshal relies on that to
+// keep the received body (read-only; receivers may share one datagram) for
+// Payload, which lets verification authenticate the datagram in place, and
+// to compute request and batch digests once, where the message is decoded.
 package message
 
 import (
@@ -29,8 +38,6 @@ const maxSliceLen = 1 << 26
 
 // writer is an append-only encoder.
 type writer struct{ b []byte }
-
-func newWriter(sizeHint int) *writer { return &writer{b: make([]byte, 0, sizeHint)} }
 
 func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
 func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
@@ -56,9 +63,7 @@ func (w *writer) bytes(p []byte) {
 // It exists for the egress pipeline, whose workers encode into pooled wire
 // buffers instead of allocating per message.
 func AppendPayload(dst []byte, m Message) []byte {
-	w := &writer{b: dst}
-	m.(bodyCodec).marshalBody(w)
-	return w.b
+	return encode(dst, m.(bodyCodec), appendBody)
 }
 
 // AppendAuth appends an authentication trailer to dst and returns the
@@ -66,8 +71,8 @@ func AppendPayload(dst []byte, m Message) []byte {
 // bytes as Marshal, but with a caller-chosen trailer: egress workers seal
 // messages without writing into the (event-loop-owned) message object.
 func AppendAuth(dst []byte, a *Auth) []byte {
-	w := &writer{b: dst}
-	a.marshal(w)
+	w := writer{b: dst}
+	a.marshal(&w)
 	return w.b
 }
 
@@ -77,8 +82,6 @@ type reader struct {
 	off int
 	err error
 }
-
-func newReader(b []byte) *reader { return &reader{b: b} }
 
 func (r *reader) fail() {
 	if r.err == nil {
@@ -116,7 +119,15 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-func (r *reader) bool() bool { return r.u8() != 0 }
+// bool accepts only 0 and 1: one encoding per value, so that the bytes a
+// message was decoded from are the bytes it encodes to.
+func (r *reader) bool() bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail()
+	}
+	return v == 1
+}
 
 func (r *reader) digest() crypto.Digest {
 	var d crypto.Digest
@@ -140,7 +151,20 @@ func (r *reader) mac() crypto.MAC {
 	return m
 }
 
+// bytes reads a length-prefixed byte slice into fresh storage.
 func (r *reader) bytes() []byte {
+	v := r.view()
+	if r.err != nil {
+		return nil
+	}
+	p := make([]byte, len(v))
+	copy(p, v)
+	return p
+}
+
+// view reads a length-prefixed byte slice without copying: the result
+// aliases the input and must only be read.
+func (r *reader) view() []byte {
 	n := int(r.u32())
 	if r.err != nil {
 		return nil
@@ -149,8 +173,7 @@ func (r *reader) bytes() []byte {
 		r.fail()
 		return nil
 	}
-	p := make([]byte, n)
-	copy(p, r.b[r.off:])
+	p := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return p
 }

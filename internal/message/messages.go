@@ -1,6 +1,8 @@
 package message
 
 import (
+	"encoding/binary"
+
 	"repro/internal/crypto"
 )
 
@@ -32,6 +34,18 @@ type Request struct {
 	Replier NodeID // bftlint:nodigest=routing-advice
 	Op      []byte
 	Auth    Auth
+	// digest is Digest() as computed when the request was decoded; by-value
+	// copies (a pre-prepare's Inline) carry it along.
+	digest digestMemo // bftlint:nowire=recomputed-on-decode
+}
+
+// digestMemo is a digest remembered by the decoder. Only Unmarshal fills it
+// — on the goroutine that decoded the message, before anyone else can see
+// the object — so reading it needs no synchronization, and a message built
+// locally (whose fields may still change) never carries one.
+type digestMemo struct {
+	ok bool
+	d  crypto.Digest
 }
 
 // ReadOnly reports whether the read-only flag is set.
@@ -41,10 +55,28 @@ func (m *Request) ReadOnly() bool { return m.Flags&FlagReadOnly != 0 }
 func (m *Request) Recovery() bool { return m.Flags&FlagRecovery != 0 }
 
 // Digest identifies the request: H(client, timestamp, flags, op), matching
-// the thesis's MD5(cid # rid # op).
+// the thesis's MD5(cid # rid # op). A decoded request answers from the
+// value computed once at decode time.
 func (m *Request) Digest() crypto.Digest {
+	if m.digest.ok {
+		return m.digest.d
+	}
+	return m.computeDigest()
+}
+
+func (m *Request) computeDigest() crypto.Digest {
 	return crypto.DigestOfU64(
 		[]uint64{uint64(uint32(m.Client)), m.Timestamp, uint64(m.Flags)}, m.Op)
+}
+
+// memoizeDigest runs at the end of decoding — on an ingress worker when the
+// pipeline is on, so the event loop never hashes an operation. Requests
+// flagged read-only are answered without ever being identified by digest
+// (§5.1.3), so theirs is left to the rare demotion to compute.
+func (m *Request) memoizeDigest() {
+	if !m.ReadOnly() {
+		m.digest = digestMemo{ok: true, d: m.computeDigest()}
+	}
 }
 
 // MsgType implements Message.
@@ -159,34 +191,46 @@ type PrePrepare struct {
 	// checked against primary(v) on receipt; it is not batch content.
 	Replica NodeID // bftlint:nodigest=authenticated-sender
 	Auth    Auth
+	// digest is BatchDigest() as computed when the pre-prepare was decoded.
+	digest digestMemo // bftlint:nowire=recomputed-on-decode
 }
 
-// RequestDigests returns the ordered digests of every request in the batch:
-// inline requests first, then the separately-transmitted ones.
-func (m *PrePrepare) RequestDigests() []crypto.Digest {
-	ds := make([]crypto.Digest, 0, len(m.Inline)+len(m.Digests))
-	for i := range m.Inline {
-		ds = append(ds, m.Inline[i].Digest())
-	}
-	return append(ds, m.Digests...)
-}
-
-// BatchDigest is the digest prepares and commits certify.
+// BatchDigest is the digest prepares and commits certify: it covers the
+// ordered digests of every request in the batch — inline requests first,
+// then the separately-transmitted ones — and NonDet.
 //
 // bftlint:digest
 func (m *PrePrepare) BatchDigest() crypto.Digest {
-	return BatchDigest(m.RequestDigests(), m.NonDet)
+	if m.digest.ok {
+		return m.digest.d
+	}
+	return m.computeDigest()
+}
+
+func (m *PrePrepare) computeDigest() crypto.Digest {
+	h := crypto.NewHasher()
+	for i := range m.Inline {
+		h.WriteDigest(m.Inline[i].Digest())
+	}
+	return finishBatchDigest(h, m.Digests, m.NonDet)
+}
+
+func (m *PrePrepare) memoizeDigest() {
+	m.digest = digestMemo{ok: true, d: m.computeDigest()}
 }
 
 // BatchDigest computes the digest over ordered request digests and the
 // non-deterministic value.
 func BatchDigest(reqDigests []crypto.Digest, nonDet []byte) crypto.Digest {
-	parts := make([][]byte, 0, len(reqDigests)+1)
+	return finishBatchDigest(crypto.NewHasher(), reqDigests, nonDet)
+}
+
+func finishBatchDigest(h crypto.Hasher, reqDigests []crypto.Digest, nonDet []byte) crypto.Digest {
 	for i := range reqDigests {
-		parts = append(parts, reqDigests[i][:])
+		h.Write(reqDigests[i][:])
 	}
-	parts = append(parts, nonDet)
-	return crypto.DigestOf(parts...)
+	h.Write(nonDet)
+	return h.Sum()
 }
 
 // MsgType implements Message.
@@ -210,7 +254,12 @@ func (m *PrePrepare) marshalBody(w *writer) {
 	w.u64(uint64(m.Seq))
 	w.u32(uint32(len(m.Inline)))
 	for i := range m.Inline {
-		w.bytes(m.Inline[i].Marshal())
+		// Length-prefixed body||auth, encoded in place: reserve the prefix,
+		// append, then patch the length in.
+		at := len(w.b)
+		w.u32(0)
+		appendMsg(w, &m.Inline[i])
+		binary.LittleEndian.PutUint32(w.b[at:], uint32(len(w.b)-at-4))
 	}
 	w.u32(uint32(len(m.Digests)))
 	for _, d := range m.Digests {
@@ -227,13 +276,14 @@ func (m *PrePrepare) unmarshalBody(r *reader) {
 	ni := r.sliceLen(8) // lower bound: each inline request takes >= 8 bytes
 	m.Inline = make([]Request, 0, min(ni, 1024))
 	for i := 0; i < ni && r.err == nil; i++ {
-		rb := r.bytes()
-		var req Request
-		if err := unmarshalInto(&req, rb); err != nil {
+		// Decode from the datagram itself (no copy): the request's retained
+		// body then aliases the pre-prepare's bytes, like any decoded body.
+		rb := r.view()
+		m.Inline = append(m.Inline, Request{})
+		if r.err != nil || unmarshalInto(&m.Inline[i], rb) != nil {
 			r.fail()
 			return
 		}
-		m.Inline = append(m.Inline, req)
 	}
 	nd := r.sliceLen(crypto.DigestSize)
 	m.Digests = make([]crypto.Digest, nd)

@@ -1,6 +1,8 @@
 package message
 
 import (
+	"sync"
+
 	"repro/internal/crypto"
 )
 
@@ -94,11 +96,29 @@ const (
 // Vector, MAC or Sig is meaningful, selected by Kind. BFT-PK signs
 // everything; BFT uses authenticators for multicast messages and single MACs
 // for point-to-point ones; new-key and recovery requests are always signed.
+//
+// A trailer decoded by Unmarshal also remembers what it arrived with: the
+// received body bytes it authenticates, and (inline, for small groups) the
+// MAC vector. Both travel with by-value copies of the message and both are
+// dropped by assigning a fresh Auth, which is how every sealing path
+// replaces a trailer — so a trailer is replaced whole, never edited in
+// place, and a decoded message whose fields are changed must be re-sealed
+// before Payload or Marshal is asked of it again.
 type Auth struct {
 	Kind   AuthKind
 	Vector crypto.Authenticator
 	MAC    crypto.MAC
 	Sig    []byte
+
+	// body is the body prefix of the datagram this message was decoded
+	// from; nil for a message built locally. It aliases the datagram, which
+	// receivers share (simnet hands one payload to every destination), so
+	// it is only ever read, and its capacity is clipped so that appending
+	// to a Payload() result cannot reach the trailer behind it.
+	body []byte
+	// macs backs Vector.MACs of a decoded trailer of up to SmallGroup
+	// entries; a by-value copy's Vector.MACs keeps pointing here.
+	macs [crypto.SmallGroup]crypto.MAC
 }
 
 func (a *Auth) marshal(w *writer) {
@@ -124,7 +144,11 @@ func (a *Auth) unmarshal(r *reader) {
 	case AuthVector:
 		a.Vector.Epoch = r.u32()
 		n := r.sliceLen(crypto.MACSize)
-		a.Vector.MACs = make([]crypto.MAC, n)
+		if n <= len(a.macs) {
+			a.Vector.MACs = a.macs[:n:n]
+		} else {
+			a.Vector.MACs = make([]crypto.MAC, n)
+		}
 		for i := 0; i < n; i++ {
 			a.Vector.MACs[i] = r.mac()
 		}
@@ -145,7 +169,9 @@ type Message interface {
 	Sender() NodeID
 	// Marshal encodes body followed by the authentication trailer.
 	Marshal() []byte
-	// Payload encodes the body alone: the bytes that MACs/signatures cover.
+	// Payload returns the body alone: the bytes that MACs/signatures cover.
+	// For a message decoded by Unmarshal these are the received bytes
+	// themselves (read-only, no copy); otherwise a fresh encoding.
 	Payload() []byte
 	// AuthTrailer gives access to the trailer for signing/verifying.
 	AuthTrailer() *Auth
@@ -156,7 +182,10 @@ func Unmarshal(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
 	}
-	var m Message
+	var m interface {
+		Message
+		bodyCodec
+	}
 	switch Type(b[0]) {
 	case TRequest:
 		m = new(Request)
@@ -207,27 +236,85 @@ func Unmarshal(b []byte) (Message, error) {
 
 // bodyCodec is the per-type body encoder/decoder implemented by each message.
 type bodyCodec interface {
+	MsgType() Type
 	marshalBody(w *writer)
 	unmarshalBody(r *reader)
 	AuthTrailer() *Auth
 }
 
-func marshalMsg(m bodyCodec, sizeHint int) []byte {
-	w := newWriter(sizeHint)
+// appendBody appends m's body to w: the received bytes if m was decoded
+// (decoding is strict, so they equal a fresh encoding), else a fresh
+// encoding of its fields.
+func appendBody(w *writer, m bodyCodec) {
+	if b := m.AuthTrailer().body; b != nil {
+		w.b = append(w.b, b...)
+		return
+	}
 	m.marshalBody(w)
+}
+
+// appendMsg appends body||auth.
+func appendMsg(w *writer, m bodyCodec) {
+	appendBody(w, m)
 	m.AuthTrailer().marshal(w)
-	return w.b
+}
+
+// readerPool and writerPool recycle the codec cursors: they reach the
+// per-type body methods through an interface and would otherwise escape to
+// the heap on every datagram decoded or encoded.
+var (
+	readerPool = sync.Pool{New: func() any { return new(reader) }}
+	writerPool = sync.Pool{New: func() any { return new(writer) }}
+)
+
+// encode runs f over a pooled writer positioned at the end of dst and
+// returns the extended slice.
+func encode(dst []byte, m bodyCodec, f func(*writer, bodyCodec)) []byte {
+	w := writerPool.Get().(*writer)
+	w.b = dst
+	f(w, m)
+	dst, w.b = w.b, nil
+	writerPool.Put(w)
+	return dst
+}
+
+func marshalMsg(m bodyCodec, sizeHint int) []byte {
+	return encode(make([]byte, 0, sizeHint), m, appendMsg)
 }
 
 func payloadOf(m bodyCodec, sizeHint int) []byte {
-	w := newWriter(sizeHint)
-	m.marshalBody(w)
-	return w.b
+	if b := m.AuthTrailer().body; b != nil {
+		return b
+	}
+	return encode(make([]byte, 0, sizeHint), m, appendBody)
 }
 
-func unmarshalInto(m Message, b []byte) error {
-	r := newReader(b)
-	m.(bodyCodec).unmarshalBody(r)
-	m.AuthTrailer().unmarshal(r)
-	return r.done()
+// unmarshalInto decodes b into m, which must be freshly zeroed. The codec is
+// strict — one encoding per value — so the bytes it accepted are exactly
+// what marshalBody would produce from the decoded fields; the trailer keeps
+// them for verification in place.
+func unmarshalInto(m bodyCodec, b []byte) error {
+	if len(b) == 0 || Type(b[0]) != m.MsgType() {
+		return ErrBadTag
+	}
+	r := readerPool.Get().(*reader)
+	*r = reader{b: b}
+	m.unmarshalBody(r)
+	bodyLen := r.off
+	a := m.AuthTrailer()
+	a.unmarshal(r)
+	err := r.done()
+	*r = reader{}
+	readerPool.Put(r)
+	if err != nil {
+		return err
+	}
+	a.body = b[:bodyLen:bodyLen]
+	switch m := m.(type) {
+	case *Request:
+		m.memoizeDigest()
+	case *PrePrepare:
+		m.memoizeDigest()
+	}
+	return nil
 }

@@ -342,14 +342,20 @@ func (c *Config) F() int { return quorum.F(c.N) }
 // dynamically while replicas (and their ingress verification workers) read
 // it, so lookups take a read lock.
 type Directory struct {
-	n    int
+	n int
+	// ids is ReplicaIDs(), built once: n never changes.
+	ids  []message.NodeID
 	mu   sync.RWMutex
 	keys map[message.NodeID]ed25519.PublicKey
 }
 
 // NewDirectory creates a directory for n replicas.
 func NewDirectory(n int) *Directory {
-	return &Directory{n: n, keys: make(map[message.NodeID]ed25519.PublicKey)}
+	ids := make([]message.NodeID, n)
+	for i := range ids {
+		ids[i] = message.NodeID(i)
+	}
+	return &Directory{n: n, ids: ids, keys: make(map[message.NodeID]ed25519.PublicKey)}
 }
 
 // OfflineDirectory builds a directory pre-populated with the deterministic
@@ -376,14 +382,10 @@ func OfflineDirectory(n, clients int) *Directory {
 // N returns the replica group size.
 func (d *Directory) N() int { return d.n }
 
-// ReplicaIDs returns the group's replica ids.
-func (d *Directory) ReplicaIDs() []message.NodeID {
-	ids := make([]message.NodeID, d.n)
-	for i := range ids {
-		ids[i] = message.NodeID(i)
-	}
-	return ids
-}
+// ReplicaIDs returns the group's replica ids — every multicast's destination
+// set. The slice is shared: callers (and the transports they hand it to)
+// only read it.
+func (d *Directory) ReplicaIDs() []message.NodeID { return d.ids }
 
 // Register records a principal's public key.
 func (d *Directory) Register(id message.NodeID, pub ed25519.PublicKey) {

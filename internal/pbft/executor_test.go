@@ -56,6 +56,11 @@ func TestExecMetricsSurface(t *testing.T) {
 		blob[0] = byte(i)
 		mustInvoke(t, cl, kvservice.WriteBlob(blob), false)
 	}
+	// A reply certificate needs only 2f+1 replicas: the one inspected may
+	// still be executing when the client's last Invoke returns.
+	waitUntil(t, 5*time.Second, "replica 1 to execute all 10 writes", func() bool {
+		return c.Replica(1).LastExecuted() >= 10
+	})
 	m := c.Replica(1).Metrics()
 	if m.CheckpointsTaken == 0 {
 		t.Fatalf("no checkpoints after 10 writes with K=4: %+v", m)

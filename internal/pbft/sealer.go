@@ -42,6 +42,9 @@ func (s *sealer) Seal(buf []byte, kind egress.Kind, dst message.NodeID,
 	payload := buf[start:]
 
 	var a message.Auth
+	// The vector only lives until AppendAuth copies it into buf, so it is
+	// built in this frame: no per-multicast MAC slice for the groups we run.
+	var macs [crypto.SmallGroup]crypto.MAC
 	gen := egress.NoGeneration
 	switch {
 	case s.mode == ModePK || kind == egress.Sign:
@@ -50,7 +53,7 @@ func (s *sealer) Seal(buf []byte, kind egress.Kind, dst message.NodeID,
 		gen = s.ks.Generation()
 		a = message.Auth{
 			Kind:   message.AuthVector,
-			Vector: s.ks.MakeAuthenticator(s.n, payload),
+			Vector: s.ks.AppendAuthenticator(macs[:0], s.n, payload),
 		}
 	case kind == egress.Point:
 		// Install first-contact keys BEFORE reading the generation: the

@@ -181,10 +181,12 @@ func Calibrate(n int, link simnet.LinkConfig) Params {
 		p.DigestPerByte = (d4k - p.DigestFixed) / 4032
 	}
 
-	// MAC over a fixed-size header.
-	key := crypto.DeriveKey("calibrate", 0, 1)
+	// MAC over a fixed-size header, as replicas compute it: from an
+	// installed session key's precomputed states.
+	ks := crypto.NewKeyStore(0)
+	ks.InstallInitial(1)
 	hdr := make([]byte, 96)
-	p.MACOp = timeOp(2000, func() { crypto.ComputeMAC(key, hdr) })
+	p.MACOp = timeOp(2000, func() { ks.ComputePointMAC(1, hdr) })
 
 	// Signatures.
 	kp := crypto.GenerateKeyPair([]byte("calibrate"))

@@ -72,12 +72,9 @@ type Region struct {
 	onModify func(page int)
 	// mutGuard is a cheap single-mutator assertion: every mutation
 	// announcement CASes it 0->1 and back, so two goroutines mutating
-	// concurrently trip the panic with high probability. mutHolder records
-	// the current mutator's call site (best effort — stored just after the
-	// CAS) so the panic can name both parties; bftowner reports the same
-	// violations statically.
-	mutGuard  atomic.Int32
-	mutHolder atomic.Uintptr
+	// concurrently trip the panic with high probability; bftowner reports
+	// the same violations statically.
+	mutGuard atomic.Int32
 }
 
 // NewRegion allocates a region of size bytes divided into pageSize pages.
@@ -110,17 +107,16 @@ func (r *Region) Size() int { return len(r.data) }
 func (r *Region) SetOnModify(f func(page int)) { r.onModify = f }
 
 // beginMut asserts this goroutine is the Region's sole mutator right now;
-// endMut releases the assertion. On violation the panic names both call
-// sites — the losing one and (best effort) the one currently holding the
-// guard — so the runtime diagnostic cross-references the static bftowner
-// report.
+// endMut releases the assertion. The passing case is one CAS: the stack is
+// walked only on violation, to name the call site that lost the race so the
+// runtime diagnostic cross-references the static bftowner report (the
+// holder is whoever that report pairs it with; recording it would put an
+// unwind on every mutation for a message that should never print).
 func (r *Region) beginMut() {
 	if !r.mutGuard.CompareAndSwap(0, 1) {
-		panic(fmt.Sprintf(
-			"statemachine: concurrent Region mutation (single-owner contract violated): %s raced %s",
-			mutSite(mutCallerPC()), mutSite(r.mutHolder.Load())))
+		panic("statemachine: concurrent Region mutation (single-owner contract violated) by " +
+			mutSite(mutCallerPC()))
 	}
-	r.mutHolder.Store(mutCallerPC())
 }
 
 func (r *Region) endMut() { r.mutGuard.Store(0) }
