@@ -137,9 +137,9 @@ type Options struct {
 	ProactiveRecovery time.Duration
 	// DisableOptimizations turns off every Chapter 5 protocol optimization
 	// (digest replies, tentative execution, read-only, batching, separate
-	// request transmission); useful for measurement. The engine's internal
-	// pipeline stages (ingress/egress/executor) are NOT optimizations and
-	// stay on — they are how the replica runs, not what the paper ablates.
+	// request transmission); useful for measurement. The engine's executor
+	// stage is NOT an optimization and keeps its default — it is how the
+	// replica runs, not what the paper ablates.
 	DisableOptimizations bool
 	// Batching knobs (§5.1.4; see README "Batching & pipelining"). The
 	// primary drains its request queue into batches capped three ways:
@@ -168,11 +168,6 @@ type Options struct {
 	// FetchWindow bounds parallel state-transfer partition fetches in
 	// flight (§6.2.2). Default 8; 1 reproduces the serial fetch engine.
 	FetchWindow int
-	// PipelineWorkers sizes the ingress (decode+verify) worker pool;
-	// EgressWorkers sizes the egress (marshal+seal) pool. 0 means
-	// GOMAXPROCS. On single-core hosts the pipelines default off.
-	PipelineWorkers int
-	EgressWorkers   int
 	// InboxCap bounds each replica's receive queue; overflow models
 	// receive-buffer loss (counted in Metrics.InboxDrops). Default 8192.
 	InboxCap int
@@ -251,8 +246,6 @@ func (o Options) Validate() error {
 		{"BatchBytes", o.BatchBytes},
 		{"AgreementWindow", o.AgreementWindow},
 		{"FetchWindow", o.FetchWindow},
-		{"PipelineWorkers", o.PipelineWorkers},
-		{"EgressWorkers", o.EgressWorkers},
 		{"InboxCap", o.InboxCap},
 		{"MaxClients", o.MaxClients},
 		{"MaxRetries", o.MaxRetries},
@@ -288,7 +281,7 @@ func (o Options) maxClients() int {
 }
 
 // engineConfig lowers public Options onto the engine's per-replica Config.
-// Engine pipeline defaults always come from pbft.DefaultOptions;
+// Engine stage defaults always come from pbft.DefaultOptions;
 // DisableOptimizations strips only the Chapter 5 protocol optimizations.
 func (o Options) engineConfig() pbft.Config {
 	if err := o.Validate(); err != nil {
@@ -318,12 +311,6 @@ func (o Options) engineConfig() pbft.Config {
 	}
 	if o.FetchWindow > 0 {
 		opt.FetchWindow = o.FetchWindow
-	}
-	if o.PipelineWorkers > 0 {
-		opt.PipelineWorkers = o.PipelineWorkers
-	}
-	if o.EgressWorkers > 0 {
-		opt.EgressWorkers = o.EgressWorkers
 	}
 	cfg := pbft.Config{
 		N:                  o.replicas(),

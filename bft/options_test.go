@@ -10,7 +10,7 @@ import (
 
 // TestDisableOptimizationsKeepsPipelines is the regression test for the
 // DisableOptimizations bug: it used to zero the whole engine Options,
-// silently turning off the ingress/egress/executor pipelines — engine
+// silently turning off the executor stage and the fetch window — engine
 // stages, not Chapter 5 optimizations. A measurement run must keep the
 // engine configuration identical and strip only the protocol
 // optimizations.
@@ -22,10 +22,8 @@ func TestDisableOptimizationsKeepsPipelines(t *testing.T) {
 		cfg.Opt.Batching || cfg.Opt.SeparateRequests {
 		t.Fatalf("a Chapter 5 optimization survived DisableOptimizations: %+v", cfg.Opt)
 	}
-	if cfg.Opt.Pipeline != def.Pipeline ||
-		cfg.Opt.EgressPipeline != def.EgressPipeline ||
-		cfg.Opt.ExecPipeline != def.ExecPipeline {
-		t.Fatalf("DisableOptimizations changed the engine pipelines: got %+v, engine default %+v",
+	if cfg.Opt.ExecPipeline != def.ExecPipeline {
+		t.Fatalf("DisableOptimizations changed the executor stage: got %+v, engine default %+v",
 			cfg.Opt, def)
 	}
 	if cfg.Opt.FetchWindow != def.FetchWindow {
@@ -42,8 +40,6 @@ func TestOptionsKnobsReachEngine(t *testing.T) {
 		CheckpointInterval: 32,
 		LogWindow:          96,
 		FetchWindow:        3,
-		PipelineWorkers:    5,
-		EgressWorkers:      6,
 		InboxCap:           777,
 		StateSize:          1 << 15,
 		PageSize:           512,
@@ -63,8 +59,8 @@ func TestOptionsKnobsReachEngine(t *testing.T) {
 	if got := uint64(cfg.LogWindow); got != 96 {
 		t.Fatalf("L=%d", got)
 	}
-	if cfg.Opt.FetchWindow != 3 || cfg.Opt.PipelineWorkers != 5 || cfg.Opt.EgressWorkers != 6 {
-		t.Fatalf("pipeline knobs: %+v", cfg.Opt)
+	if cfg.Opt.FetchWindow != 3 {
+		t.Fatalf("fetch window: %+v", cfg.Opt)
 	}
 	if cfg.InboxCap != 777 || cfg.StateSize != 1<<15 || cfg.PageSize != 512 {
 		t.Fatalf("capacity knobs: inbox=%d state=%d page=%d", cfg.InboxCap, cfg.StateSize, cfg.PageSize)

@@ -42,9 +42,10 @@ func (s *keySnapshot) clone() *keySnapshot {
 // and its "out" keys are the latest ones each peer announced.
 //
 // KeyStore is safe for concurrent use and optimized for read-mostly access:
-// the ingress pipeline's workers verify MACs against an immutable snapshot
-// (one atomic pointer load, no lock), while key refresh from the replica
-// event loop publishes a new snapshot copy-on-write. A verification that
+// the transport receive goroutines verify MACs, and the event loop and
+// executor seal them, against an immutable snapshot (one atomic pointer
+// load, no lock), while key refresh from the replica event loop publishes a
+// new snapshot copy-on-write. A verification that
 // races a refresh sees either the old or the new generation atomically,
 // never a torn mix — the epoch freshness check then decides acceptance.
 type KeyStore struct {
@@ -92,7 +93,7 @@ func (ks *KeyStore) Generation() uint64 { return ks.gen.Load() }
 // Both ends derive the same value, so clusters come up with working keys
 // before any new-key message is exchanged. Re-installing over present keys
 // is a true no-op (no new generation), so concurrent lazy installs from
-// verification workers can neither roll an epoch back nor churn the
+// receive goroutines can neither roll an epoch back nor churn the
 // generation counter.
 func (ks *KeyStore) InstallInitial(peer uint32) {
 	ks.mutate(func(s *keySnapshot) bool {

@@ -8,9 +8,9 @@ import (
 
 // TestKeyStoreConcurrentVerifyDuringRefresh hammers the verification paths
 // from many goroutines while key refreshes rotate session keys underneath,
-// the exact interleaving the ingress pipeline produces: workers verifying
-// MACs against copy-on-write snapshots while the replica event loop runs
-// the proactive-recovery key exchange (§4.3). Run under -race.
+// the interleaving a replica produces: receive goroutines verifying MACs
+// against copy-on-write snapshots while the replica event loop runs the
+// proactive-recovery key exchange (§4.3). Run under -race.
 func TestKeyStoreConcurrentVerifyDuringRefresh(t *testing.T) {
 	const (
 		peers     = 4

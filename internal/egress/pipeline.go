@@ -1,36 +1,26 @@
-// Package egress is the staged send path of the replication library: a
-// worker pool that marshals and authenticates outbound messages in parallel
-// and hands finished wire buffers to the transport in submission order. It
-// mirrors internal/ingress, which does the same for the receive path.
+// Package egress is the send stage of the replication library: it seals an
+// outbound message (encodes the body and appends its authenticator) into a
+// pooled wire buffer on the caller's goroutine and hands the buffer straight
+// to the transport. It mirrors internal/ingress, which decodes and verifies
+// on the receive side.
 //
-// The cost it moves off the event loop is the one Castro & Liskov's own
-// analysis (§8.3.1) puts at the center of BFT's performance: with vector-of-
-// MACs authenticators every multicast costs O(n) HMACs plus a serialization
-// pass, and a replica that seals serially caps its send rate at one core.
-// The pipeline splits the path into stages:
-//
-//	event loop -> Submit (send order) -> workers (marshal + authenticate)
-//	           -> collector (re-sequenced to send order) -> transport
-//
-// Protocol state stays single-threaded: workers only READ the message body
-// (immutable once submitted) and the copy-on-write key-store snapshots; the
-// computed trailer goes straight into the wire buffer, never back into the
-// message object, so no protocol structure is ever written outside the
-// event loop. Each sealed job is stamped with the key-store generation its
-// authenticator was computed under; the collector re-seals any job that
-// crossed a key rotation while queued (the egress twin of the §4.3.2
-// stale-key rule on ingress), so a refresh never ships MACs receivers will
-// reject as stale.
+// The caller is the replica's event loop, its executor (for replies), or a
+// client's invoking goroutine. Sealing there keeps the send path one step,
+// as in the thesis's replica loop (§6.1): the vector of n MACs of §5.2 is
+// computed and the datagrams leave in call order, with no queue between
+// them. A key refresh can therefore never land between sealing and
+// transmission. The sealer only reads the message body and the
+// copy-on-write key-store snapshots; the trailer goes into the wire buffer,
+// never back into the message object.
 //
 // Wire buffers come from a pool and are handed to the transport through
 // transport.Multicaster when the substrate implements it: the transport
 // coalesces the n datagrams of one multicast and releases the buffer for
 // reuse once the bytes are out. Substrates that retain payload references
-// (the simulator) simply never release, and the buffer falls to the GC.
+// (the simulator) never release, and the buffer falls to the GC.
 package egress
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -38,18 +28,14 @@ import (
 	"repro/internal/transport"
 )
 
-// Kind selects how a job is authenticated when it is sealed on a worker.
+// Kind selects how a message is authenticated when it is sealed.
 type Kind uint8
 
-// Job kinds.
+// Seal kinds.
 const (
-	// Raw ships pre-marshaled bytes untouched (retransmissions of stored
-	// messages keep their original authenticators so relays work). No
-	// crypto runs on the worker and the job is never re-sealed.
-	Raw Kind = iota
 	// Vector seals with a group authenticator: the vector of per-replica
 	// MACs of §5.2 (or a signature in PK mode).
-	Vector
+	Vector Kind = iota
 	// Point seals with the single point-to-point MAC for the destination
 	// (or a signature in PK mode).
 	Point
@@ -58,264 +44,143 @@ const (
 	Sign
 )
 
-// NoGeneration marks a sealed job that can never go stale: signatures do
-// not depend on session keys, so key rotation does not invalidate them.
-const NoGeneration = ^uint64(0)
-
-// Sealer produces the authenticated wire encoding of one message.
-// Implementations must be safe for concurrent use: Seal runs on pool
-// workers against copy-on-write key-store snapshots. Seal appends the
-// complete wire message (body followed by trailer) to buf and returns the
-// extended buffer together with the key generation the authenticator was
-// computed under (NoGeneration when rotation cannot invalidate it). It must
-// not write into m.
+// Sealer produces the authenticated wire encoding of one message. Seal
+// appends the complete wire message (body followed by trailer) to buf and
+// returns the extended buffer; it must not write into m, and must be safe
+// to call from several goroutines at once. Its second result is unused by
+// the stage.
 type Sealer interface {
 	Seal(buf []byte, kind Kind, dst message.NodeID, m message.Message) (wire []byte, gen uint64)
-	// Generation returns the current key generation, compared against a
-	// job's stamp by the collector to detect sends that crossed a rotation.
-	Generation() uint64
 }
 
-// job carries one outbound message through the pool. The worker signals
-// done (a reusable 1-buffered channel) once wire/gen are set; the collector
-// waits on jobs in submission order, then recycles the job via jobPool.
-type job struct {
-	kind Kind
-	m    message.Message
-	dst  message.NodeID
-	dsts []message.NodeID
-	wire []byte
-	gen  uint64
-	done chan struct{}
+// wireBuf holds one wire buffer. Both pools store *wireBuf, so moving a
+// buffer in or out of a pool boxes nothing.
+type wireBuf struct{ b []byte }
+
+var (
+	// wirePool holds buffers the transport released. When it is empty a
+	// fresh buffer is attached to a recycled holder, so a substrate that
+	// never releases (the simulator) costs one allocation per send.
+	wirePool = sync.Pool{New: func() any {
+		w := holderPool.Get().(*wireBuf)
+		w.b = make([]byte, 0, 512)
+		return w
+	}}
+	// holderPool holds the empty holders of buffers in flight.
+	holderPool = sync.Pool{New: func() any { return new(wireBuf) }}
+)
+
+// takeWire removes a buffer from the pool, recycling its holder.
+func takeWire() []byte {
+	w := wirePool.Get().(*wireBuf)
+	b := w.b
+	w.b = nil
+	holderPool.Put(w)
+	return b[:0]
 }
 
-// jobPool recycles jobs and their done channels: egress is the per-message
-// hot path and allocations per send would show up at high rates.
-var jobPool = sync.Pool{
-	New: func() any { return &job{done: make(chan struct{}, 1)} },
+// releaseWire returns a transport-released buffer to the pool.
+func releaseWire(b []byte) {
+	w := holderPool.Get().(*wireBuf)
+	w.b = b
+	wirePool.Put(w)
 }
 
-// wirePool recycles wire buffers between the workers and the transport.
-// Buffers come back through the release callback of transport.Multicaster;
-// substrates that retain the bytes never release and the buffer is GC'd.
-var wirePool = sync.Pool{
-	New: func() any { return make([]byte, 0, 512) },
-}
-
-// Stats are the pipeline's counters (atomic; safe to read live).
+// Stats are the stage's counters (atomic; safe to read live).
 type Stats struct {
-	// Submitted counts jobs accepted into the pipeline.
-	Submitted uint64
-	// Rejected counts sends refused by a full or closed pipeline — outbox
-	// overflow, the send-side twin of receive-buffer loss. The datagram is
-	// simply never transmitted; retransmission recovers, exactly as for a
-	// datagram lost on the wire.
+	// Rejected counts sends refused because the stage was closed. The
+	// datagram is simply never transmitted, like one lost on the wire.
 	Rejected uint64
-	// Resealed counts jobs re-authenticated by the collector because a key
-	// rotation was published after the worker sealed them.
-	Resealed uint64
 }
 
-// Pipeline is a fixed-size worker pool with an order-preserving collector
-// that releases sealed wire buffers to the transport in submission order,
-// so the transport observes the exact send sequence the event loop issued.
+// Pipeline is the synchronous seal-and-transmit stage.
 type Pipeline struct {
 	seal  Sealer
 	trans transport.Transport
 	mc    transport.Multicaster // trans, if it implements the extension
 
-	jobs  chan *job // work queue, consumed by any worker
-	order chan *job // same jobs in submission order, consumed by collector
-	quit  chan struct{}
-
-	submitMu sync.Mutex // serializes Submit so order == send order
 	closed   atomic.Bool
-	wg       sync.WaitGroup
-
-	submitted atomic.Uint64
-	rejected  atomic.Uint64
-	resealed  atomic.Uint64
+	rejected atomic.Uint64
 }
 
-// New starts a pipeline with the given pool size (0 means GOMAXPROCS) and
-// queue capacity (0 means 8192, matching the replica inbox), sealing with s
-// and transmitting through t. Close releases the pool.
+// New returns a stage that seals with s and transmits through t. workers
+// and queueCap are unused: the stage has no pool and no queue of its own.
 func New(workers, queueCap int, s Sealer, t transport.Transport) *Pipeline {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if queueCap <= 0 {
-		queueCap = 8192
-	}
-	p := &Pipeline{
-		seal:  s,
-		trans: t,
-		jobs:  make(chan *job, queueCap),
-		order: make(chan *job, queueCap),
-		quit:  make(chan struct{}),
-	}
+	p := &Pipeline{seal: s, trans: t}
 	p.mc, _ = t.(transport.Multicaster)
-	p.wg.Add(workers + 1)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	go p.collect()
 	return p
 }
 
-// Multicast seals m per kind and transmits it to every id in dsts. It never
-// blocks: a saturated or closed pipeline drops the send and reports false
-// (outbox overflow). The caller must not mutate m's body after submission.
+// Multicast seals m per kind and transmits it to every id in dsts before
+// returning. It reports false, sending nothing, once the stage is closed.
 //
 // bftlint:send
 func (p *Pipeline) Multicast(dsts []message.NodeID, m message.Message, kind Kind) bool {
-	return p.submit(kind, m, nil, message.NoNode, dsts)
+	if p.refuse() {
+		return false
+	}
+	wire, _ := p.seal.Seal(takeWire(), kind, message.NoNode, m)
+	if p.mc == nil {
+		p.trans.Multicast(dsts, wire)
+		return true
+	}
+	p.mc.MulticastOwned(dsts, wire, releaseWire)
+	return true
 }
 
 // Send seals m per kind and transmits it to dst.
 //
 // bftlint:send
 func (p *Pipeline) Send(dst message.NodeID, m message.Message, kind Kind) bool {
-	return p.submit(kind, m, nil, dst, nil)
+	if p.refuse() {
+		return false
+	}
+	wire, _ := p.seal.Seal(takeWire(), kind, dst, m)
+	if p.mc == nil {
+		p.trans.Send(dst, wire)
+		return true
+	}
+	p.mc.SendOwned(dst, wire, releaseWire)
+	return true
 }
 
-// SendRaw transmits already-encoded bytes to dst, ordered with the sealed
-// traffic (retransmissions that keep their original authenticators).
+// SendRaw transmits already-encoded bytes to dst (retransmissions that keep
+// their original authenticators). The caller keeps ownership of wire.
 //
 // bftlint:send
 func (p *Pipeline) SendRaw(dst message.NodeID, wire []byte) bool {
-	return p.submit(Raw, nil, wire, dst, nil)
+	if p.refuse() {
+		return false
+	}
+	p.trans.Send(dst, wire)
+	return true
 }
 
 // MulticastRaw transmits already-encoded bytes to every id in dsts.
 //
 // bftlint:send
 func (p *Pipeline) MulticastRaw(dsts []message.NodeID, wire []byte) bool {
-	return p.submit(Raw, nil, wire, message.NoNode, dsts)
-}
-
-func (p *Pipeline) submit(kind Kind, m message.Message, wire []byte,
-	dst message.NodeID, dsts []message.NodeID) bool {
-	if p.closed.Load() {
-		p.rejected.Add(1)
+	if p.refuse() {
 		return false
 	}
-	j := jobPool.Get().(*job)
-	j.kind, j.m, j.wire, j.dst, j.dsts, j.gen = kind, m, wire, dst, dsts, NoGeneration
-	p.submitMu.Lock()
-	select {
-	case p.order <- j:
-	default:
-		p.submitMu.Unlock()
-		p.rejected.Add(1)
-		jobPool.Put(j)
-		return false
-	}
-	select {
-	case p.jobs <- j:
-	default:
-		// order accepted but the work queue is full (workers far behind):
-		// resolve the reserved slot as an empty drop so the collector never
-		// stalls on it.
-		j.m, j.wire = nil, nil
-		j.done <- struct{}{}
-		p.submitMu.Unlock()
-		p.rejected.Add(1)
-		return false
-	}
-	p.submitMu.Unlock()
-	p.submitted.Add(1)
+	p.trans.Multicast(dsts, wire)
 	return true
 }
 
-// Close stops accepting sends and releases the workers and collector.
-// In-flight sends may or may not reach the transport; after Close returns,
-// the transport is never invoked again, so it is safe to close afterwards.
-func (p *Pipeline) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		close(p.quit)
-		p.wg.Wait()
+// refuse reports whether the stage is closed, counting the refusal.
+func (p *Pipeline) refuse() bool {
+	if p.closed.Load() {
+		p.rejected.Add(1)
+		return true
 	}
+	return false
 }
+
+// Close makes every later send refuse. A send already running may still
+// reach the transport. Close is idempotent.
+func (p *Pipeline) Close() { p.closed.Store(true) }
 
 // Stats returns a snapshot of the counters.
 func (p *Pipeline) Stats() Stats {
-	return Stats{
-		Submitted: p.submitted.Load(),
-		Rejected:  p.rejected.Load(),
-		Resealed:  p.resealed.Load(),
-	}
+	return Stats{Rejected: p.rejected.Load()}
 }
-
-// worker seals outbound messages off the shared queue.
-//
-// bftlint:entrypoint=worker
-func (p *Pipeline) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case j := <-p.jobs:
-			if j.kind != Raw {
-				buf := wirePool.Get().([]byte)
-				j.wire, j.gen = p.seal.Seal(buf[:0], j.kind, j.dst, j.m)
-			}
-			j.done <- struct{}{}
-		}
-	}
-}
-
-// collect re-sequences sealed jobs into send order, re-seals any that
-// crossed a key rotation, and hands buffers to the transport.
-//
-// bftlint:entrypoint=worker
-func (p *Pipeline) collect() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case j := <-p.order:
-			select {
-			case <-j.done:
-			case <-p.quit:
-				return
-			}
-			if j.wire != nil {
-				if j.gen != NoGeneration && j.gen != p.seal.Generation() {
-					// Keys rotated while the job was queued: the sealed MACs
-					// may already be stale at their receivers. Re-seal with
-					// the current snapshot; rotations are rare, so this
-					// almost never runs.
-					j.wire, j.gen = p.seal.Seal(j.wire[:0], j.kind, j.dst, j.m)
-					p.resealed.Add(1)
-				}
-				p.transmit(j)
-			}
-			j.m, j.wire, j.dsts = nil, nil, nil
-			jobPool.Put(j)
-		}
-	}
-}
-
-// transmit hands one sealed buffer to the transport, through the owned
-// (pooled-buffer, coalesced) surface when the substrate provides it.
-func (p *Pipeline) transmit(j *job) {
-	if p.mc != nil {
-		if j.dsts != nil {
-			p.mc.MulticastOwned(j.dsts, j.wire, releaseWire)
-		} else {
-			p.mc.SendOwned(j.dst, j.wire, releaseWire)
-		}
-		return
-	}
-	if j.dsts != nil {
-		p.trans.Multicast(j.dsts, j.wire)
-	} else {
-		p.trans.Send(j.dst, j.wire)
-	}
-}
-
-// releaseWire returns a transport-released buffer to the pool.
-func releaseWire(b []byte) { wirePool.Put(b[:0]) }

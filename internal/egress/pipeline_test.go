@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/message"
 	"repro/internal/transport"
@@ -62,55 +61,32 @@ func (t *ownedTransport) SendOwned(dst message.NodeID, p []byte, release func([]
 	}
 }
 
-// fakeSealer encodes a Commit's sequence number as the wire bytes and
-// reports a controllable generation. sealGen is the generation stamped on
-// sealed jobs; curGen is what Generation() reports.
-type fakeSealer struct {
-	sealGen atomic.Uint64
-	curGen  atomic.Uint64
-	seals   atomic.Uint64
-	gate    chan struct{} // when non-nil, Seal blocks until the gate closes
-}
+// fakeSealer encodes a Commit's sequence number as the wire bytes.
+type fakeSealer struct{ seals atomic.Uint64 }
 
 func (s *fakeSealer) Seal(buf []byte, kind Kind, dst message.NodeID,
 	m message.Message) ([]byte, uint64) {
-	if s.gate != nil {
-		<-s.gate
-	}
 	s.seals.Add(1)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.(*message.Commit).Seq))
-	return buf, s.sealGen.Load()
+	return binary.LittleEndian.AppendUint64(buf, uint64(m.(*message.Commit).Seq)), 0
 }
-
-func (s *fakeSealer) Generation() uint64 { return s.curGen.Load() }
 
 func commitMsg(seq uint64) *message.Commit { return &message.Commit{Seq: message.Seq(seq)} }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestEgressOrderPreserved(t *testing.T) {
-	// Workers seal out of order; the collector must hand buffers to the
-	// transport in exact submission order.
+	// Each send is sealed and handed to the transport before it returns,
+	// so the transport sees the exact call order.
 	const n = 500
 	ft := &fakeTransport{}
-	s := &fakeSealer{}
-	p := New(4, 0, s, ft)
+	p := New(4, 0, &fakeSealer{}, ft)
 	defer p.Close()
 	for i := 0; i < n; i++ {
 		if !p.Send(1, commitMsg(uint64(i)), Vector) {
-			t.Fatalf("submit %d rejected", i)
+			t.Fatalf("send %d refused", i)
+		}
+		if ft.count() != i+1 {
+			t.Fatalf("send %d returned before reaching the transport", i)
 		}
 	}
-	waitFor(t, "all sends", func() bool { return ft.count() == n })
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	for i, w := range ft.wires {
@@ -118,109 +94,41 @@ func TestEgressOrderPreserved(t *testing.T) {
 			t.Fatalf("send %d carried seq %d: order not preserved", i, got)
 		}
 	}
-	if st := p.Stats(); st.Submitted != n || st.Rejected != 0 {
+	if st := p.Stats(); st.Rejected != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
-func TestEgressResealOnRotation(t *testing.T) {
-	// Jobs whose stamped generation no longer matches the sealer's current
-	// generation must be re-sealed by the collector before transmission.
-	ft := &fakeTransport{}
-	s := &fakeSealer{}
-	s.sealGen.Store(6)
-	s.curGen.Store(7) // every job looks like it crossed a rotation
-	p := New(2, 0, s, ft)
-	defer p.Close()
-	const n = 50
-	for i := 0; i < n; i++ {
-		p.Send(1, commitMsg(uint64(i)), Vector)
-	}
-	waitFor(t, "all sends", func() bool { return ft.count() == n })
-	if st := p.Stats(); st.Resealed != n {
-		t.Fatalf("Resealed = %d, want %d", st.Resealed, n)
-	}
-	if got := s.seals.Load(); got != 2*n {
-		t.Fatalf("sealer invoked %d times, want %d (seal + re-seal)", got, 2*n)
-	}
-	// Order must survive re-sealing.
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	for i, w := range ft.wires {
-		if got := binary.LittleEndian.Uint64(w); got != uint64(i) {
-			t.Fatalf("send %d carried seq %d after reseal", i, got)
-		}
-	}
-}
-
-func TestEgressSignaturesNeverResealed(t *testing.T) {
-	// NoGeneration-stamped jobs (signatures) must not re-seal however the
-	// generation moves.
-	ft := &fakeTransport{}
-	s := &fakeSealer{}
-	s.sealGen.Store(NoGeneration)
-	s.curGen.Store(3)
-	p := New(1, 0, s, ft)
-	defer p.Close()
-	p.Send(1, commitMsg(0), Sign)
-	waitFor(t, "send", func() bool { return ft.count() == 1 })
-	if st := p.Stats(); st.Resealed != 0 {
-		t.Fatalf("signature job re-sealed %d times", st.Resealed)
-	}
-}
-
-func TestEgressOutboxOverflowCounted(t *testing.T) {
-	// With the workers gated shut and a tiny queue, surplus submissions
-	// must be dropped and counted, never block, and never wedge the
-	// collector.
-	ft := &fakeTransport{}
-	gate := make(chan struct{})
-	s := &fakeSealer{gate: gate}
-	p := New(1, 4, s, ft)
-	defer p.Close()
-	accepted, rejected := 0, 0
-	for i := 0; i < 64; i++ {
-		if p.Send(1, commitMsg(uint64(i)), Vector) {
-			accepted++
-		} else {
-			rejected++
-		}
-	}
-	if rejected == 0 {
-		t.Fatal("no submissions rejected with a gated 4-slot pipeline")
-	}
-	st := p.Stats()
-	if st.Rejected != uint64(rejected) || st.Submitted != uint64(accepted) {
-		t.Fatalf("stats %+v, want rejected=%d submitted=%d", st, rejected, accepted)
-	}
-	close(gate) // release the workers; accepted jobs must all drain
-	waitFor(t, "accepted sends to drain", func() bool { return ft.count() == accepted })
-}
-
 func TestEgressRawBypassesSealer(t *testing.T) {
-	// Raw jobs carry pre-encoded bytes: the sealer must never run and the
-	// bytes arrive untouched, ordered with sealed traffic.
-	ft := &fakeTransport{}
+	// Raw sends carry pre-encoded bytes: the sealer must never run, the
+	// bytes arrive untouched, ordered with sealed traffic, and the caller's
+	// buffer is never released into the stage's pool.
+	ot := &ownedTransport{}
 	s := &fakeSealer{}
-	p := New(2, 0, s, ft)
+	p := New(2, 0, s, ot)
 	defer p.Close()
 	raw := []byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0}
 	p.Send(1, commitMsg(7), Vector)
 	p.SendRaw(2, raw)
 	p.MulticastRaw([]message.NodeID{1, 2, 3}, raw)
-	waitFor(t, "three sends", func() bool { return ft.count() == 3 })
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	if binary.LittleEndian.Uint64(ft.wires[0]) != 7 {
-		t.Fatalf("sealed job out of order: % x", ft.wires[0])
+	ot.mu.Lock()
+	defer ot.mu.Unlock()
+	if len(ot.wires) != 3 {
+		t.Fatalf("transport saw %d datagrams, want 3", len(ot.wires))
+	}
+	if binary.LittleEndian.Uint64(ot.wires[0]) != 7 {
+		t.Fatalf("sealed send out of order: % x", ot.wires[0])
 	}
 	for i := 1; i < 3; i++ {
-		if string(ft.wires[i]) != string(raw) {
-			t.Fatalf("raw bytes modified in flight: % x", ft.wires[i])
+		if string(ot.wires[i]) != string(raw) {
+			t.Fatalf("raw bytes modified in flight: % x", ot.wires[i])
 		}
 	}
 	if s.seals.Load() != 1 {
 		t.Fatalf("sealer ran %d times, want 1", s.seals.Load())
+	}
+	if got := ot.released.Load(); got != 1 {
+		t.Fatalf("released %d buffers, want only the sealed one", got)
 	}
 }
 
@@ -228,14 +136,15 @@ func TestEgressUsesOwnedSurface(t *testing.T) {
 	// A transport implementing Multicaster receives buffers through the
 	// owned surface and its releases recycle them.
 	ot := &ownedTransport{}
-	s := &fakeSealer{}
-	p := New(1, 0, s, ot)
+	p := New(1, 0, &fakeSealer{}, ot)
 	defer p.Close()
 	const n = 20
 	for i := 0; i < n; i++ {
 		p.Multicast([]message.NodeID{1, 2, 3}, commitMsg(uint64(i)), Vector)
 	}
-	waitFor(t, "owned sends", func() bool { return ot.count() == n })
+	if got := ot.count(); got != n {
+		t.Fatalf("transport saw %d multicasts, want %d", got, n)
+	}
 	if got := ot.released.Load(); got != n {
 		t.Fatalf("released %d buffers, want %d", got, n)
 	}
@@ -243,15 +152,17 @@ func TestEgressUsesOwnedSurface(t *testing.T) {
 
 func TestEgressCloseStopsTransmission(t *testing.T) {
 	ft := &fakeTransport{}
-	s := &fakeSealer{}
-	p := New(2, 0, s, ft)
+	p := New(2, 0, &fakeSealer{}, ft)
 	p.Send(1, commitMsg(1), Vector)
 	p.Close()
-	if p.Send(1, commitMsg(2), Vector) {
-		t.Fatal("Send accepted after Close")
+	if p.Send(1, commitMsg(2), Vector) || p.SendRaw(1, []byte{1}) {
+		t.Fatal("send accepted after Close")
 	}
-	if st := p.Stats(); st.Rejected == 0 {
-		t.Fatal("post-Close send not counted as rejected")
+	if got := ft.count(); got != 1 {
+		t.Fatalf("transport saw %d datagrams, want only the one before Close", got)
+	}
+	if st := p.Stats(); st.Rejected != 2 {
+		t.Fatalf("Rejected = %d, want the 2 sends refused after Close", st.Rejected)
 	}
 	var _ transport.Transport = ft // the fake really is a Transport
 }

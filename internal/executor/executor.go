@@ -31,9 +31,9 @@
 //     on the executor goroutine, which both drains every earlier command
 //     and excludes concurrent execution.
 //   - The executor never blocks on the core: checkpoint digests are
-//     reported through a non-blocking callback, and replies go to the
-//     egress pipeline (non-blocking, drop-on-overflow) or straight to the
-//     thread-safe transport. The core MAY block on a full command queue
+//     reported through a non-blocking callback, and replies are sealed and
+//     handed to the thread-safe transport on the executor goroutine itself
+//     (internal/egress). The core MAY block on a full command queue
 //     (counted in Stats.Stalls); because the executor always drains, this
 //     cannot deadlock.
 //
@@ -57,8 +57,8 @@ import (
 
 // Outbound transmits one finished reply. Implementations must be safe to
 // call from the executor goroutine concurrently with event-loop sends: the
-// replica's implementation routes through the egress pipeline (or the
-// thread-safe transport) and touches no protocol state.
+// replica's implementation seals through its egress stage into the
+// thread-safe transport and touches no protocol state.
 type Outbound interface {
 	SendReply(rep *message.Reply)
 }

@@ -1,38 +1,34 @@
-// Package ingress is the staged receive path of the replication library: a
-// worker pool that unmarshals and authenticates raw datagrams in parallel
-// and delivers typed, verified messages downstream in arrival order.
+// Package ingress is the receive stage of the replication library: it
+// decodes and authenticates one raw datagram on the goroutine that delivers
+// it and hands the typed message, with its verdict, to a sink.
 //
-// Castro & Liskov's performance argument (§5.1 of the thesis) is that MAC
-// authenticators make Byzantine agreement cheap; but cheap-per-message
-// crypto still saturates one core once message rates grow, and a replica
-// whose event loop decodes and MAC-checks serially caps its throughput
-// there. The pipeline splits the receive path into stages:
+// The caller is the transport's per-endpoint receive goroutine (simnet's
+// dispatch goroutine, udpnet's read loop), so a datagram runs to completion
+// — decode, MAC or signature check, hand-off — without a queue or a
+// goroutine switch of its own, the way the thesis's replica (§6.1) receives
+// and authenticates inside one event-driven loop:
 //
-//	transport -> Submit (arrival order) -> workers (decode + verify)
-//	          -> collector (re-sequenced to arrival order) -> sink
+//	transport receive goroutine -> Submit (decode + verify) -> sink
 //
-// Protocol state stays single-threaded: only the pure, state-free work —
-// wire decoding and MAC/signature verification against an immutable
-// key-store snapshot — runs on the pool. The collector releases results in
-// exactly the order Submit accepted them, so the downstream event loop
-// observes the same per-sender (indeed, the same total) message order as
-// the serial path and no protocol logic can tell the difference.
+// Verification reads only the directory and immutable key-store snapshots,
+// so it is safe there while the event loop owns protocol state; the sink is
+// the one hand-off left (a replica's enqueues the verdict for its event
+// loop, a client's folds the reply into its certificate). Per-sender order
+// is the transport's delivery order.
 package ingress
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/message"
 )
 
-// Verifier authenticates a decoded message. Implementations must be safe
-// for concurrent use; verdicts are computed on pool workers. The returned
-// tag is opaque to the pipeline and travels with the verdict to the Sink —
-// consumers use it to stamp the conditions a verdict was computed under
-// (e.g. the key-store generation, so the event loop can detect that a key
-// refresh invalidated an in-flight verdict and re-verify).
+// Verifier authenticates a decoded message. Verify runs on the transport's
+// receive goroutine, concurrently with the consumer. The returned tag is
+// opaque to the stage and travels with the verdict to the Sink — consumers
+// use it to stamp the conditions a verdict was computed under (e.g. the
+// key-store generation, so the event loop can detect that a key refresh
+// invalidated a verdict in flight and re-verify).
 type Verifier interface {
 	Verify(m message.Message) (ok bool, tag uint64)
 }
@@ -44,36 +40,15 @@ type VerifierFunc func(m message.Message) (bool, uint64)
 func (f VerifierFunc) Verify(m message.Message) (bool, uint64) { return f(m) }
 
 // Sink receives each decoded message together with its authentication
-// verdict and the verifier's tag, in arrival order, from a single collector
-// goroutine. Messages that fail to decode are dropped before the sink (the
-// serial path ignored them too); messages that decode but fail
-// authentication are passed with verified=false so the consumer can count
+// verdict and the verifier's tag, on the goroutine that called Submit.
+// Messages that fail to decode never reach it; messages that decode but
+// fail authentication arrive with verified=false so the consumer can count
 // them or apply fallbacks (the unauthenticated view-change rule of §3.2.4).
 type Sink func(m message.Message, verified bool, tag uint64)
 
-// job carries one datagram through the pool. The worker signals done (a
-// reusable 1-buffered channel) once msg/ok/tag are set; the collector waits
-// on jobs in submission order, then recycles the job via jobPool.
-type job struct {
-	raw  []byte
-	done chan struct{}
-	msg  message.Message
-	ok   bool
-	tag  uint64
-}
-
-// jobPool recycles jobs and their done channels: ingress is the per-message
-// hot path, and two allocations per datagram would show up at high rates.
-var jobPool = sync.Pool{
-	New: func() any { return &job{done: make(chan struct{}, 1)} },
-}
-
-// Stats are the pipeline's counters (atomic; safe to read live).
+// Stats are the stage's counters (atomic; safe to read live).
 type Stats struct {
-	// Submitted counts datagrams accepted into the pipeline.
-	Submitted uint64
-	// Rejected counts datagrams refused by Submit (queue full or closed);
-	// this models receive-buffer loss exactly like the serial inbox.
+	// Rejected counts datagrams refused because the stage was closed.
 	Rejected uint64
 	// DecodeFailed counts datagrams that did not parse as any message.
 	DecodeFailed uint64
@@ -81,154 +56,59 @@ type Stats struct {
 	AuthFailed uint64
 }
 
-// Pipeline is a fixed-size worker pool with an order-preserving collector.
+// Pipeline is the synchronous decode-and-verify stage.
 type Pipeline struct {
 	verify Verifier
 	sink   Sink
+	closed atomic.Bool
 
-	jobs  chan *job // work queue, consumed by any worker
-	order chan *job // same jobs in submission order, consumed by collector
-	quit  chan struct{}
-
-	submitMu sync.Mutex // serializes Submit so order == acceptance order
-	closed   atomic.Bool
-	wg       sync.WaitGroup
-
-	submitted    atomic.Uint64
 	rejected     atomic.Uint64
 	decodeFailed atomic.Uint64
 	authFailed   atomic.Uint64
 }
 
-// New starts a pipeline with the given pool size (0 means GOMAXPROCS) and
-// queue capacity (0 means 8192, matching the replica inbox), delivering to
-// sink. Close releases the pool. The sink closure runs on the collector
-// goroutine, never the caller's: it must confine itself to worker-safe
-// state (channels, atomics).
+// New returns a stage that authenticates with v and delivers to sink. The
+// sink runs on whichever goroutine calls Submit — the transport's receive
+// goroutine — so it must confine itself to state safe there (channels,
+// atomics, its own locks). workers and queueCap are unused: the stage has
+// no pool and no queue of its own.
 //
 // bftlint:runs=worker
 func New(workers, queueCap int, v Verifier, sink Sink) *Pipeline {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if queueCap <= 0 {
-		queueCap = 8192
-	}
-	p := &Pipeline{
-		verify: v,
-		sink:   sink,
-		jobs:   make(chan *job, queueCap),
-		order:  make(chan *job, queueCap),
-		quit:   make(chan struct{}),
-	}
-	p.wg.Add(workers + 1)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	go p.collect()
-	return p
+	return &Pipeline{verify: v, sink: sink}
 }
 
-// Submit hands one raw datagram to the pipeline. It never blocks: when the
-// pipeline is saturated or closed the datagram is dropped and Submit
-// reports false, modeling receive-buffer overflow.
+// Submit decodes and authenticates one raw datagram and passes the result
+// to the sink before returning. It reports whether the datagram reached
+// the sink: false once the stage is closed and for datagrams that do not
+// decode.
 func (p *Pipeline) Submit(raw []byte) bool {
 	if p.closed.Load() {
 		p.rejected.Add(1)
 		return false
 	}
-	j := jobPool.Get().(*job)
-	j.raw, j.msg, j.ok = raw, nil, false
-	p.submitMu.Lock()
-	select {
-	case p.order <- j:
-	default:
-		p.submitMu.Unlock()
-		p.rejected.Add(1)
-		jobPool.Put(j)
+	m, err := message.Unmarshal(raw)
+	if err != nil {
+		p.decodeFailed.Add(1)
 		return false
 	}
-	select {
-	case p.jobs <- j:
-	default:
-		// order accepted but the work queue is full (workers far behind):
-		// resolve the reserved slot as a decode-free drop so the collector
-		// never stalls on it.
-		j.done <- struct{}{}
-		p.submitMu.Unlock()
-		p.rejected.Add(1)
-		return false
+	ok, tag := p.verify.Verify(m)
+	if !ok {
+		p.authFailed.Add(1)
 	}
-	p.submitMu.Unlock()
-	p.submitted.Add(1)
+	p.sink(m, ok, tag)
 	return true
 }
 
-// Close stops accepting datagrams and releases the workers and collector.
-// In-flight datagrams may or may not reach the sink; after Close returns,
-// the sink is never invoked again.
-func (p *Pipeline) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		close(p.quit)
-		p.wg.Wait()
-	}
-}
+// Close makes every later Submit refuse its datagram. A Submit already
+// running may still reach the sink. Close is idempotent.
+func (p *Pipeline) Close() { p.closed.Store(true) }
 
 // Stats returns a snapshot of the counters.
 func (p *Pipeline) Stats() Stats {
 	return Stats{
-		Submitted:    p.submitted.Load(),
 		Rejected:     p.rejected.Load(),
 		DecodeFailed: p.decodeFailed.Load(),
 		AuthFailed:   p.authFailed.Load(),
-	}
-}
-
-// worker decodes and authenticates datagrams off the shared queue.
-//
-// bftlint:entrypoint=worker
-func (p *Pipeline) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case j := <-p.jobs:
-			m, err := message.Unmarshal(j.raw)
-			if err == nil {
-				j.msg = m
-				j.ok, j.tag = p.verify.Verify(m)
-				if !j.ok {
-					p.authFailed.Add(1)
-				}
-			} else {
-				p.decodeFailed.Add(1)
-			}
-			j.done <- struct{}{}
-		}
-	}
-}
-
-// collect re-sequences verdicts into acceptance order and feeds the sink.
-//
-// bftlint:entrypoint=worker
-func (p *Pipeline) collect() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case j := <-p.order:
-			select {
-			case <-j.done:
-			case <-p.quit:
-				return
-			}
-			if j.msg != nil {
-				p.sink(j.msg, j.ok, j.tag)
-			}
-			j.raw, j.msg = nil, nil
-			jobPool.Put(j)
-		}
 	}
 }

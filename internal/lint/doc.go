@@ -1,8 +1,8 @@
 // Package lint is bftlint: a go/analysis suite that machine-enforces the
 // concurrency, aliasing, and determinism invariants this replica's safety
 // argument rests on. PBFT (§4.2, §A) assumes protocol-state access is
-// serialized; after the three-stage pipeline split (ingress/egress worker
-// pools, stage-3 executor), that assumption lives in goroutine ownership
+// serialized; with verification on receive goroutines and execution on the
+// stage-3 executor, that assumption lives in goroutine ownership
 // rules that used to exist only in comments and one runtime CAS — and that
 // have been violated in shipped code twice (the PR 2 qset-aliasing bug,
 // the PR 4 map-order nondeterminism). bftlint turns those rules into
@@ -55,8 +55,8 @@
 //	                    its internal accesses do not propagate to callers,
 //	                    so the annotation is a claim to audit, like any
 //	                    suppression.
-//	entrypoint=DOMAIN   function. Its body executes in DOMAIN (a worker
-//	                    pool callback, the executor loop). The bftowner
+//	entrypoint=DOMAIN   function. Its body executes in DOMAIN (a receive
+//	                    goroutine callback, the executor loop). The bftowner
 //	                    analyzer checks everything statically reachable
 //	                    from it against the ownership rules.
 //	rendezvous          function or interface method. Closures passed to
@@ -64,7 +64,7 @@
 //	                    execSync); their bodies are exempt.
 //	runs=DOMAIN         function or interface method. Function-literal
 //	                    arguments passed to it execute in DOMAIN
-//	                    (transport attach handlers, pool sinks); their
+//	                    (transport attach handlers, ingress sinks); their
 //	                    bodies are checked under that domain.
 //	longlived           type. Values outlive the calls that populate
 //	                    them; bftalias flags caller-provided slices/maps

@@ -18,7 +18,7 @@ import (
 // TestRepoClean runs the full suite over the whole module and requires zero
 // findings: the clean-tree guarantee CI enforces via the vettool step. This
 // also exercises cross-package fact flow (RunsFact from internal/transport
-// into the ingress/egress pools, LonglivedFact on pbft view-change state)
+// into the ingress stage's sinks, LonglivedFact on pbft view-change state)
 // on the real tree rather than fixtures.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {

@@ -3,7 +3,8 @@
 // PRs 1-3 established and that the safety argument of Castro & Liskov
 // (§4.2) silently assumes — protocol state is event-loop-owned, execution
 // state (Region, checkpoint manager, reply cache) belongs to the stage-3
-// executor goroutine, and ingress/egress worker pools touch neither.
+// executor goroutine, and the transport receive goroutines (where ingress
+// verification runs) touch neither.
 //
 // The rules are declared with the annotation grammar of internal/lint/doc.go:
 //
@@ -11,7 +12,7 @@
 //     by one goroutine domain (eventloop, executor) or explicitly safe for
 //     cross-domain use (shared: channels, atomics, immutable config).
 //   - `bftlint:entrypoint=<domain>` on a function declares that its body
-//     runs in that domain (a worker-pool callback, the executor loop).
+//     runs in that domain (a receive-goroutine callback, the executor loop).
 //   - `bftlint:rendezvous` on a function declares that closures passed to
 //     it run with mutual exclusion against every owner (Sync/execSync), so
 //     their bodies are exempt.

@@ -60,15 +60,15 @@ func (w *writer) bytes(p []byte) {
 
 // AppendPayload appends m's body — the exact bytes MACs and signatures
 // cover, identical to Payload() — to dst and returns the extended slice.
-// It exists for the egress pipeline, whose workers encode into pooled wire
-// buffers instead of allocating per message.
+// It exists for the egress stage, which encodes into pooled wire buffers
+// instead of allocating per message.
 func AppendPayload(dst []byte, m Message) []byte {
 	return encode(dst, m.(bodyCodec), appendBody)
 }
 
 // AppendAuth appends an authentication trailer to dst and returns the
 // extended slice. AppendPayload followed by AppendAuth produces the same
-// bytes as Marshal, but with a caller-chosen trailer: egress workers seal
+// bytes as Marshal, but with a caller-chosen trailer: the egress stage seals
 // messages without writing into the (event-loop-owned) message object.
 func AppendAuth(dst []byte, a *Auth) []byte {
 	w := writer{b: dst}

@@ -69,8 +69,8 @@ func (m *Request) computeDigest() crypto.Digest {
 		[]uint64{uint64(uint32(m.Client)), m.Timestamp, uint64(m.Flags)}, m.Op)
 }
 
-// memoizeDigest runs at the end of decoding — on an ingress worker when the
-// pipeline is on, so the event loop never hashes an operation. Requests
+// memoizeDigest runs at the end of decoding — on the transport's receive
+// goroutine, so the event loop never hashes an operation. Requests
 // flagged read-only are answered without ever being identified by digest
 // (§5.1.3), so theirs is left to the rare demotion to compute.
 func (m *Request) memoizeDigest() {

@@ -8,8 +8,12 @@
 // non-determinism agreement.
 //
 // One replica is one goroutine: the event loop owns all protocol state and
-// consumes datagrams and timer ticks from channels, mirroring the
-// I/O-automaton structure of the thesis's implementation (§6.1).
+// consumes authenticated messages and timer ticks from channels, mirroring
+// the I/O-automaton structure of the thesis's implementation (§6.1). A
+// datagram is decoded and authenticated on the transport's receive
+// goroutine before it reaches the loop (internal/ingress), and an outbound
+// message is sealed and transmitted on the goroutine that sends it
+// (internal/egress); neither path has a queue or worker pool of its own.
 package pbft
 
 import (
@@ -94,23 +98,6 @@ type Options struct {
 	SeparateRequests bool
 	// InlineThreshold is the size cutoff for inlining (thesis: 255 bytes).
 	InlineThreshold int
-	// Pipeline moves datagram decode and MAC/signature verification off
-	// the event loop onto a parallel worker pool (internal/ingress), so
-	// ingress crypto scales across cores instead of capping throughput at
-	// one. Protocol state stays single-threaded; per-sender message order
-	// is preserved.
-	Pipeline bool
-	// PipelineWorkers sets the ingress pool size; 0 means GOMAXPROCS.
-	PipelineWorkers int
-	// EgressPipeline is the send-side twin of Pipeline: marshal and
-	// authenticator generation (O(n) MACs per multicast, §5.2) move off
-	// the event loop onto a parallel worker pool (internal/egress) that
-	// hands pooled wire buffers to the transport in send order. Protocol
-	// state stays single-threaded; sends that cross a key rotation are
-	// re-sealed before transmission.
-	EgressPipeline bool
-	// EgressWorkers sets the egress pool size; 0 means GOMAXPROCS.
-	EgressWorkers int
 	// FetchWindow bounds the number of state-transfer partition fetches in
 	// flight at once (§6.2.2 fetches partitions "in parallel from all
 	// replicas"): in-flight items are striped across distinct repliers
@@ -132,12 +119,11 @@ type Options struct {
 }
 
 // DefaultOptions enables everything, like the thesis's BFT configuration.
-// The ingress, egress, and executor pipelines are enabled when more than
-// one core is available; on a single core the extra goroutines only add
-// scheduling overhead, so the serial paths are kept (set Pipeline /
-// EgressPipeline / ExecPipeline explicitly to force any of them).
+// The executor stage is enabled when more than one core is available; on a
+// single core the extra goroutine only adds scheduling overhead, so
+// execution stays on the event loop (set ExecPipeline explicitly to force
+// either way).
 func DefaultOptions() Options {
-	multicore := runtime.GOMAXPROCS(0) > 1
 	return Options{
 		DigestReplies:    true,
 		TentativeExec:    true,
@@ -151,21 +137,19 @@ func DefaultOptions() Options {
 		SeparateRequests: true,
 		InlineThreshold:  255,
 		FetchWindow:      8,
-		Pipeline:         multicore,
-		EgressPipeline:   multicore,
-		ExecPipeline:     multicore,
+		ExecPipeline:     runtime.GOMAXPROCS(0) > 1,
 	}
 }
 
 // WithoutOptimizations returns a copy of o with every Chapter 5 protocol
 // optimization disabled — digest replies, tentative execution, read-only
 // operations, batching, and separate request transmission — while leaving
-// the engine stages (ingress/egress/executor pipelines, the state-transfer
-// fetch window) untouched. The pipelines are implementation plumbing, not
-// paper optimizations: a measurement run that wants the unoptimized
-// PROTOCOL must still run the engine at full speed, or the ablation
-// conflates the two. (Setting Opt = Options{} by hand silently turned the
-// pipelines off too; use this instead.)
+// the engine stages (the executor stage, the state-transfer fetch window)
+// untouched. Those are implementation plumbing, not paper optimizations: a
+// measurement run that wants the unoptimized PROTOCOL must still run the
+// engine at full speed, or the ablation conflates the two. (Setting
+// Opt = Options{} by hand silently turned the executor stage off too; use
+// this instead.)
 func (o Options) WithoutOptimizations() Options {
 	o.DigestReplies = false
 	o.TentativeExec = false
@@ -235,13 +219,11 @@ type Config struct {
 	KeyRefreshInterval time.Duration
 	WatchdogInterval   time.Duration
 
-	// InboxCap bounds the replica's receive queue; overflow models
-	// receive-buffer loss and is counted in Metrics.InboxDrops. On the
-	// pipelined path it bounds EACH stage queue (submit order, work, and
-	// verified inbox), so total in-flight buffering can reach ~3x this
-	// value — serial and pipelined drop behavior are comparable in kind,
-	// not slot-for-slot. Default 8192. (Clients use a small fixed ingress
-	// queue; only replicas are flooded in experiments.)
+	// InboxCap bounds the replica's receive queue: the verified messages
+	// waiting between the transport's receive goroutine and the event loop.
+	// Overflow models receive-buffer loss and is counted in
+	// Metrics.InboxDrops. Default 8192. (Clients have no such queue: a
+	// reply is folded into its certificate on the receive goroutine.)
 	InboxCap int
 
 	// Durability (durability.go, internal/wal). WALDir, when set, makes the
@@ -339,8 +321,8 @@ func (c *Config) F() int { return quorum.F(c.N) }
 
 // Directory is the public-key and identity registry shared by all
 // principals — the role the read-only memory plays in §4.2. Clients appear
-// dynamically while replicas (and their ingress verification workers) read
-// it, so lookups take a read lock.
+// dynamically while replicas (and the transport receive goroutines that
+// verify for them) read it, so lookups take a read lock.
 type Directory struct {
 	n int
 	// ids is ReplicaIDs(), built once: n never changes.

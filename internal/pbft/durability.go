@@ -579,14 +579,10 @@ func (r *Replica) Kill() {
 	if r.xs != nil {
 		r.xs.ex.Close()
 	}
-	if r.out != nil {
-		r.out.Close()
-	}
+	r.out.Close()
 	if r.wal != nil {
 		r.wal.Crash()
 	}
 	r.trans.Close()
-	if r.pipe != nil {
-		r.pipe.Close()
-	}
+	r.pipe.Close()
 }

@@ -1,46 +1,112 @@
 package pbft
 
-// Tests for the staged egress pipeline (internal/egress) and its serial
-// fallback. The rest of the suite runs with the pipeline ON (testConfig
-// forces it), so these tests pin down the OFF path, cross-mode agreement,
-// and the replier rotation the egress-side client relies on.
+// Tests for the send path: messages are sealed into pooled wire buffers on
+// the sending goroutine (internal/egress) and handed straight to the
+// transport; plus the replier rotation the client relies on.
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
+	"repro/internal/crypto"
+	"repro/internal/egress"
 	"repro/internal/kvservice"
 	"repro/internal/message"
 	"repro/internal/simnet"
 )
 
-// serialEgressConfig is testConfig with the egress pipeline disabled.
-func serialEgressConfig() Config {
-	cfg := testConfig()
-	cfg.Opt.EgressPipeline = false
-	return cfg
+// captureTransport records every datagram handed to it and releases owned
+// buffers at once, as udpnet does.
+type captureTransport struct {
+	mu    sync.Mutex
+	wires [][]byte
+}
+
+func (t *captureTransport) Self() message.NodeID { return 0 }
+func (t *captureTransport) Close()               {}
+func (t *captureTransport) Send(_ message.NodeID, p []byte) {
+	t.mu.Lock()
+	t.wires = append(t.wires, bytes.Clone(p))
+	t.mu.Unlock()
+}
+func (t *captureTransport) Multicast(_ []message.NodeID, p []byte) { t.Send(message.NoNode, p) }
+func (t *captureTransport) SendOwned(dst message.NodeID, p []byte, release func([]byte)) {
+	t.Send(dst, p)
+	release(p)
+}
+func (t *captureTransport) MulticastOwned(dsts []message.NodeID, p []byte, release func([]byte)) {
+	t.Multicast(dsts, p)
+	release(p)
+}
+
+// last returns the most recent datagram.
+func (t *captureTransport) last() []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.wires[len(t.wires)-1]
+}
+
+// discardTransport drops every datagram and releases owned buffers at once.
+type discardTransport struct{}
+
+func (discardTransport) Self() message.NodeID               { return 0 }
+func (discardTransport) Close()                             {}
+func (discardTransport) Send(message.NodeID, []byte)        {}
+func (discardTransport) Multicast([]message.NodeID, []byte) {}
+func (discardTransport) SendOwned(_ message.NodeID, p []byte, release func([]byte)) {
+	release(p)
+}
+func (discardTransport) MulticastOwned(_ []message.NodeID, p []byte, release func([]byte)) {
+	release(p)
+}
+
+// replicaStage is an egress stage sealing as replica r does, over t.
+func replicaStage(r *Replica, t *captureTransport) *egress.Pipeline {
+	return egress.New(0, 0, &sealer{mode: r.cfg.Mode, n: r.n, ks: r.ks, kp: r.kp}, t)
+}
+
+// verifiesAt decodes wire and reports whether replica rx accepts it.
+func verifiesAt(t *testing.T, rx *Replica, wire []byte) bool {
+	t.Helper()
+	m, err := message.Unmarshal(wire)
+	if err != nil {
+		t.Fatalf("sealed datagram does not decode: %v", err)
+	}
+	return rx.verify(m)
 }
 
 func TestSerialEgressInvoke(t *testing.T) {
-	// The pipeline-off path must still serve requests (it is the benchmark
-	// baseline and the degenerate single-core configuration).
-	c := newTestCluster(t, 4, serialEgressConfig(), nil)
-	cl := c.NewClient()
-	for i := 1; i <= 5; i++ {
-		res := mustInvoke(t, cl, kvservice.Incr(), false)
-		if got := kvservice.DecodeU64(res); got != uint64(i) {
-			t.Fatalf("incr %d returned %d", i, got)
+	// Replies are sealed on the executor goroutine when the executor stage
+	// is on and on the event loop when it is off; both must reach the
+	// client, and nothing is refused on the way.
+	for _, staged := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.Opt.ExecPipeline = staged
+		c := newTestCluster(t, 4, cfg, nil)
+		cl := c.NewClient()
+		for i := 1; i <= 5; i++ {
+			res := mustInvoke(t, cl, kvservice.Incr(), false)
+			if got := kvservice.DecodeU64(res); got != uint64(i) {
+				t.Fatalf("staged=%v: incr %d returned %d", staged, i, got)
+			}
 		}
-	}
-	res := mustInvoke(t, cl, kvservice.Get(), true)
-	if got := kvservice.DecodeU64(res); got != 5 {
-		t.Fatalf("read-only get returned %d, want 5", got)
+		for i := 0; i < 4; i++ {
+			if d := c.Replica(i).Metrics().OutboxDrops; d != 0 {
+				t.Fatalf("staged=%v: replica %d refused %d sends", staged, i, d)
+			}
+		}
+		c.Stop()
 	}
 }
 
 func TestSerialEgressViewChange(t *testing.T) {
-	c := newTestCluster(t, 4, serialEgressConfig(), map[message.NodeID]Behavior{
-		0: SilentPrimary,
-	})
+	// A view change while keys rotate: view-change, new-view and
+	// retransmitted traffic is sealed under whatever keys are current when
+	// it is sent.
+	cfg := testConfig()
+	cfg.KeyRefreshInterval = 10 * tickInterval
+	c := newTestCluster(t, 4, cfg, map[message.NodeID]Behavior{0: SilentPrimary})
 	cl := c.NewClient()
 	cl.MaxRetries = 30
 	res := mustInvoke(t, cl, kvservice.Incr(), false)
@@ -52,74 +118,117 @@ func TestSerialEgressViewChange(t *testing.T) {
 	}
 }
 
-func TestEgressSerialAgreement(t *testing.T) {
-	// The pipeline hands wire buffers to the transport in send order, so
-	// both egress modes must produce identical execution histories for the
-	// same workload.
-	run := func(pipeline bool) []uint64 {
-		cfg := testConfig()
-		cfg.Opt.EgressPipeline = pipeline
-		c := NewLocalCluster(4, cfg, kvservice.Factory, nil)
-		c.Start()
-		defer c.Stop()
-		cl := c.NewClient()
-		var out []uint64
-		for i := 0; i < 10; i++ {
-			res := mustInvoke(t, cl, kvservice.Incr(), false)
-			out = append(out, kvservice.DecodeU64(res))
-		}
-		return out
-	}
-	serial, pipelined := run(false), run(true)
-	for i := range serial {
-		if serial[i] != pipelined[i] {
-			t.Fatalf("histories diverge at op %d: serial=%d pipelined=%d",
-				i, serial[i], pipelined[i])
-		}
+// TestSealedKindsVerify sends one message of each kind through a replica's
+// egress stage and requires the receiving replica to accept it, in both
+// authentication modes.
+func TestSealedKindsVerify(t *testing.T) {
+	for _, mode := range []Mode{ModeMAC, ModePK} {
+		t.Run(mode.String(), func(t *testing.T) {
+			net := simnet.New(simnet.WithSeed(1))
+			t.Cleanup(net.Close)
+			dir := NewDirectory(4)
+			rx := unstartedReplica(t, net, dir, mode, 0)
+			tx := unstartedReplica(t, net, dir, mode, 1)
+			ct := &captureTransport{}
+			out := replicaStage(tx, ct)
+
+			prep := &message.Prepare{View: 0, Seq: 1, Digest: crypto.DigestOf([]byte("b")), Replica: 1}
+			out.Multicast(dir.ReplicaIDs(), prep, egress.Vector)
+			vector := ct.last()
+			if !verifiesAt(t, rx, vector) {
+				t.Error("Vector: multicast prepare rejected")
+			}
+
+			ack := &message.ViewChangeAck{View: 1, Replica: 1, Source: 2}
+			out.Send(0, ack, egress.Point)
+			if !verifiesAt(t, rx, ct.last()) {
+				t.Error("Point: view-change ack rejected")
+			}
+
+			nk := &message.NewKey{Replica: 1, Epoch: 1, Counter: 1}
+			out.Multicast(dir.ReplicaIDs(), nk, egress.Sign)
+			if !verifiesAt(t, rx, ct.last()) {
+				t.Error("Sign: new-key announcement rejected")
+			}
+
+			out.SendRaw(0, vector)
+			if raw := ct.last(); !bytes.Equal(raw, vector) || !verifiesAt(t, rx, raw) {
+				t.Error("Raw: relayed bytes changed or rejected")
+			}
+		})
 	}
 }
 
-func TestEgressMixedClusterAgreement(t *testing.T) {
-	// Pipelined and serial egress replicas interoperate in one group: the
-	// wire format and protocol are unchanged, only the send path differs.
-	cfg := testConfig()
-	net := simnet.New(simnet.WithSeed(cfg.Seed + 7))
-	t.Cleanup(func() { net.Close() })
-	cfg.N = 4
-	cfg.Validate()
+// TestEgressSendAfterRefreshVerifies rotates the key replica 0 expects from
+// replica 1 (§4.3.1): a prepare sealed before the rotation is rejected as
+// stale, and the same prepare sent after it verifies under the new key.
+func TestEgressSendAfterRefreshVerifies(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(1))
+	t.Cleanup(net.Close)
 	dir := NewDirectory(4)
-	var reps []*Replica
-	for i := 0; i < 4; i++ {
-		rc := cfg
-		rc.ID = message.NodeID(i)
-		rc.Opt.EgressPipeline = i%2 == 0 // replicas 0,2 pipelined; 1,3 serial
-		r := NewReplica(rc, dir, net, kvservice.Factory)
-		reps = append(reps, r)
-		r.Start()
+	rx := unstartedReplica(t, net, dir, ModeMAC, 0)
+	tx := unstartedReplica(t, net, dir, ModeMAC, 1)
+	ct := &captureTransport{}
+	out := replicaStage(tx, ct)
+	prep := &message.Prepare{View: 0, Seq: 1, Digest: crypto.DigestOf([]byte("b")), Replica: 1}
+
+	out.Multicast(dir.ReplicaIDs(), prep, egress.Vector)
+	before := ct.last()
+	key := rx.ks.RefreshIn(1, 1, 99)
+	tx.ks.SetOut(0, key, 1)
+	out.Multicast(dir.ReplicaIDs(), prep, egress.Vector)
+
+	if verifiesAt(t, rx, before) {
+		t.Error("prepare sealed under the old key verified after the refresh")
 	}
-	t.Cleanup(func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	})
-	cl := NewClient(message.ClientIDBase, dir, net, cfg.Mode, cfg.Opt)
-	t.Cleanup(cl.Close)
-	for i := 1; i <= 8; i++ {
-		res, err := cl.Invoke(kvservice.Incr(), false)
-		if err != nil {
-			t.Fatalf("invoke %d: %v", i, err)
-		}
-		if got := kvservice.DecodeU64(res); got != uint64(i) {
-			t.Fatalf("incr %d -> %d", i, got)
+	if !verifiesAt(t, rx, ct.last()) {
+		t.Error("prepare sealed after the refresh rejected")
+	}
+}
+
+// TestEgressAllocationBudget pins what sealing and sending a prepare costs
+// in allocations: nothing through a transport that releases its buffers,
+// and only the wire buffer itself through the simulator, which keeps it.
+func TestEgressAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	net := simnet.New(simnet.WithSeed(1))
+	t.Cleanup(net.Close)
+	dir := NewDirectory(4)
+	tx := unstartedReplica(t, net, dir, ModeMAC, 1)
+	seal := &sealer{mode: ModeMAC, n: 4, ks: tx.ks, kp: tx.kp}
+	for id := message.ClientIDBase + 50; id < message.ClientIDBase+54; id++ {
+		ep := net.Attach(id, func([]byte) {})
+		t.Cleanup(ep.Close)
+	}
+	sim := egress.New(0, 0, seal, net.Attach(message.ClientIDBase+49, func([]byte) {}))
+	dsts := []message.NodeID{message.ClientIDBase + 50, message.ClientIDBase + 51,
+		message.ClientIDBase + 52, message.ClientIDBase + 53}
+	prep := &message.Prepare{View: 0, Seq: 1, Digest: crypto.DigestOf([]byte("b")), Replica: 1}
+
+	for _, c := range []struct {
+		name string
+		out  *egress.Pipeline
+		max  float64
+	}{
+		{"releasing transport", egress.New(0, 0, seal, discardTransport{}), 0},
+		{"simnet", sim, 1},
+	} {
+		got := testing.AllocsPerRun(200, func() { c.out.Multicast(dsts, prep, egress.Vector) })
+		if got > c.max {
+			t.Errorf("%s: %v allocs per sealed multicast, want at most %v", c.name, got, c.max)
+		} else {
+			t.Logf("%s: %v allocs per sealed multicast", c.name, got)
 		}
 	}
 }
 
 func TestEgressSurvivesKeyRefresh(t *testing.T) {
-	// Key refreshment (§4.3.1) rotates the copy-on-write key store under
-	// queued egress jobs; the generation stamp re-seals anything that
-	// crossed a rotation, so the protocol keeps making progress across
-	// aggressive refresh intervals.
+	// Key refreshment (§4.3.1) rotates the copy-on-write key store while
+	// the event loop and the executor seal; every send uses the keys
+	// current when it is sealed, so the protocol keeps making progress
+	// across aggressive refresh intervals.
 	cfg := testConfig()
 	cfg.KeyRefreshInterval = 10 * tickInterval
 	c := newTestCluster(t, 4, cfg, nil)

@@ -67,7 +67,7 @@ type execState struct {
 
 // startExecutor builds the stage-3 executor and hands it the service,
 // checkpoint manager, and reply cache. Called from NewReplica after the
-// transport and egress pipeline exist (replies route through them).
+// transport and egress stage exist (replies go out through them).
 func (r *Replica) startExecutor() {
 	r.xs = &execState{
 		myCkpts:  map[message.Seq]crypto.Digest{0: ckptDigest(r.ckpt.RootDigest(), nil)},
@@ -344,8 +344,7 @@ func (r *Replica) pruneCkptsAbove(seq message.Seq) {
 
 // execSender is the executor's reply outbound: the same point-authenticated
 // send path the event loop uses, safe off the event loop because it touches
-// only immutable config, the thread-safe key store, and the egress
-// pipeline / transport.
+// only immutable config, the thread-safe key store, and the egress stage.
 type execSender Replica
 
 // SendReply implements executor.Outbound. It runs on the executor
@@ -359,10 +358,5 @@ func (s *execSender) SendReply(rep *message.Reply) {
 		return // WAL replay: re-executed batches must not re-send replies
 	}
 	r.behaviorMangle(rep)
-	if r.out != nil {
-		r.out.Send(rep.Client, rep, egress.Point)
-		return
-	}
-	r.authPoint(rep, rep.Client)
-	r.trans.Send(rep.Client, rep.Marshal())
+	r.out.Send(rep.Client, rep, egress.Point)
 }

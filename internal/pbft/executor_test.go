@@ -41,6 +41,72 @@ func TestInlineExecutionPath(t *testing.T) {
 	}
 }
 
+func TestPipelineSerialAgreement(t *testing.T) {
+	// The executor stage applies batches in the order the event loop
+	// dispatches them, so staged and inline execution must produce
+	// identical execution histories for the same workload.
+	run := func(staged bool) []uint64 {
+		cfg := testConfig()
+		cfg.Opt.ExecPipeline = staged
+		c := NewLocalCluster(4, cfg, kvservice.Factory, nil)
+		c.Start()
+		defer c.Stop()
+		cl := c.NewClient()
+		var out []uint64
+		for i := 0; i < 10; i++ {
+			res := mustInvoke(t, cl, kvservice.AppendLog(), false)
+			out = append(out, kvservice.DecodeU64(res))
+		}
+		return out
+	}
+	inline, staged := run(false), run(true)
+	for i := range inline {
+		if inline[i] != staged[i] {
+			t.Fatalf("histories diverge at op %d: inline=%d staged=%d",
+				i, inline[i], staged[i])
+		}
+	}
+}
+
+func TestPipelineMixedClusterAgreement(t *testing.T) {
+	// Staged and inline executors interoperate in one group: replies and
+	// checkpoints are built by the same code (executor.BuildReply, the
+	// checkpoint manager), so certificates form across the two.
+	cfg := testConfig()
+	cfg.CheckpointInterval = 4
+	cfg.LogWindow = 8
+	net := simnet.New(simnet.WithSeed(cfg.Seed + 7))
+	t.Cleanup(func() { net.Close() })
+	cfg.N = 4
+	cfg.Validate()
+	dir := NewDirectory(4)
+	var reps []*Replica
+	for i := 0; i < 4; i++ {
+		rc := cfg
+		rc.ID = message.NodeID(i)
+		rc.Opt.ExecPipeline = i%2 == 0 // replicas 0,2 staged; 1,3 inline
+		r := NewReplica(rc, dir, net, kvservice.Factory)
+		reps = append(reps, r)
+		r.Start()
+	}
+	t.Cleanup(func() {
+		for _, r := range reps {
+			r.Stop()
+		}
+	})
+	cl := NewClient(message.ClientIDBase, dir, net, cfg.Mode, cfg.Opt)
+	t.Cleanup(cl.Close)
+	for i := 1; i <= 12; i++ {
+		res, err := cl.Invoke(kvservice.Incr(), false)
+		if err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
+		}
+		if got := kvservice.DecodeU64(res); got != uint64(i) {
+			t.Fatalf("incr %d -> %d", i, got)
+		}
+	}
+}
+
 // TestExecMetricsSurface pins the staged-path metrics plumbing: checkpoint
 // manager counters and digest latency must reach Replica.Metrics() without
 // touching the manager off the executor goroutine.
@@ -58,7 +124,7 @@ func TestExecMetricsSurface(t *testing.T) {
 	}
 	// A reply certificate needs only 2f+1 replicas: the one inspected may
 	// still be executing when the client's last Invoke returns.
-	waitUntil(t, 5*time.Second, "replica 1 to execute all 10 writes", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "replica 1 to execute all 10 writes", func() bool {
 		return c.Replica(1).LastExecuted() >= 10
 	})
 	m := c.Replica(1).Metrics()

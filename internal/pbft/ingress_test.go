@@ -1,30 +1,36 @@
 package pbft
 
-// Tests for the staged ingress pipeline (internal/ingress) and its serial
-// fallback. The rest of the suite runs with the pipeline ON (DefaultOptions
-// enables it), so these tests pin down the OFF path, cross-mode agreement,
-// and the inbox-overflow accounting.
+// Tests for the receive path: datagrams are decoded and authenticated on the
+// transport's receive goroutine (internal/ingress) and the verdicts reach
+// the event loop through the inbox.
 
 import (
 	"testing"
 	"time"
 
+	"repro/internal/crypto"
+	"repro/internal/egress"
 	"repro/internal/kvservice"
 	"repro/internal/message"
 	"repro/internal/simnet"
 )
 
-// serialConfig is testConfig with the ingress pipeline disabled.
-func serialConfig() Config {
+// unstartedReplica builds replica id of a 4-replica group on net without
+// starting its event loop, so a test may drive its handlers directly.
+func unstartedReplica(t *testing.T, net *simnet.Network, dir *Directory, mode Mode, id message.NodeID) *Replica {
+	t.Helper()
 	cfg := testConfig()
-	cfg.Opt.Pipeline = false
-	return cfg
+	cfg.ID, cfg.N, cfg.Mode = id, 4, mode
+	r := NewReplica(cfg, dir, net, kvservice.Factory)
+	t.Cleanup(r.Stop) // Stop without Start is safe
+	return r
 }
 
 func TestSerialIngressInvoke(t *testing.T) {
-	// The pipeline-off path must still serve requests (it is the benchmark
-	// baseline and the degenerate single-core configuration).
-	c := newTestCluster(t, 4, serialConfig(), nil)
+	// Ordered and read-only requests are served with every datagram
+	// verified on the receive goroutine, and nothing is lost on the way
+	// to the event loop.
+	c := newTestCluster(t, 4, testConfig(), nil)
 	cl := c.NewClient()
 	for i := 1; i <= 5; i++ {
 		res := mustInvoke(t, cl, kvservice.Incr(), false)
@@ -36,12 +42,21 @@ func TestSerialIngressInvoke(t *testing.T) {
 	if got := kvservice.DecodeU64(res); got != 5 {
 		t.Fatalf("read-only get returned %d, want 5", got)
 	}
+	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "replicas reach the frontier", nil)
+	for i := 0; i < 4; i++ {
+		if m := c.Replica(i).Metrics(); m.InboxDrops != 0 || m.MsgsDroppedBadAuth != 0 {
+			t.Fatalf("replica %d lost traffic: inbox drops %d, bad auth %d",
+				i, m.InboxDrops, m.MsgsDroppedBadAuth)
+		}
+	}
 }
 
 func TestSerialIngressViewChange(t *testing.T) {
-	c := newTestCluster(t, 4, serialConfig(), map[message.NodeID]Behavior{
-		0: SilentPrimary,
-	})
+	// BFT-PK through a view change: every message, view-change traffic
+	// included, is signature-checked on the receive goroutine.
+	cfg := testConfig()
+	cfg.Mode = ModePK
+	c := newTestCluster(t, 4, cfg, map[message.NodeID]Behavior{0: SilentPrimary})
 	cl := c.NewClient()
 	cl.MaxRetries = 30
 	res := mustInvoke(t, cl, kvservice.Incr(), false)
@@ -53,75 +68,54 @@ func TestSerialIngressViewChange(t *testing.T) {
 	}
 }
 
-func TestPipelineSerialAgreement(t *testing.T) {
-	// The pipeline preserves arrival order, so both ingress modes must
-	// produce identical execution histories for the same workload.
-	run := func(pipeline bool) []uint64 {
-		cfg := testConfig()
-		cfg.Opt.Pipeline = pipeline
-		c := NewLocalCluster(4, cfg, kvservice.Factory, nil)
-		c.Start()
-		defer c.Stop()
-		cl := c.NewClient()
-		var out []uint64
-		for i := 0; i < 10; i++ {
-			res := mustInvoke(t, cl, kvservice.Incr(), false)
-			out = append(out, kvservice.DecodeU64(res))
-		}
-		return out
-	}
-	serial, pipelined := run(false), run(true)
-	for i := range serial {
-		if serial[i] != pipelined[i] {
-			t.Fatalf("histories diverge at op %d: serial=%d pipelined=%d",
-				i, serial[i], pipelined[i])
-		}
-	}
-}
-
-func TestPipelineMixedClusterAgreement(t *testing.T) {
-	// Pipelined and serial replicas interoperate in one group: the wire
-	// format and protocol are unchanged, only the receive path differs.
-	cfg := testConfig()
-	net := simnet.New(simnet.WithSeed(cfg.Seed + 7))
-	t.Cleanup(func() { net.Close() })
-	cfg.N = 4
-	cfg.Validate()
+// TestStaleVerdictReverified pins the §4.3.2 rule on the event loop: a
+// passing verdict stamped with the current key generation is trusted, one
+// stamped with an older generation is verified again against the current
+// keys.
+func TestStaleVerdictReverified(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(1))
+	t.Cleanup(net.Close)
 	dir := NewDirectory(4)
-	var reps []*Replica
-	for i := 0; i < 4; i++ {
-		rc := cfg
-		rc.ID = message.NodeID(i)
-		rc.Opt.Pipeline = i%2 == 0 // replicas 0,2 pipelined; 1,3 serial
-		r := NewReplica(rc, dir, net, kvservice.Factory)
-		reps = append(reps, r)
-		r.Start()
+	rx := unstartedReplica(t, net, dir, ModeMAC, 1)
+	tx := unstartedReplica(t, net, dir, ModeMAC, 2)
+
+	prep := &message.Prepare{View: 0, Seq: 1, Digest: crypto.DigestOf([]byte("batch")), Replica: 2}
+	wire, _ := (&sealer{mode: ModeMAC, n: 4, ks: tx.ks, kp: tx.kp}).Seal(nil, egress.Vector, message.NoNode, prep)
+	authentic, err := message.Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	})
-	cl := NewClient(message.ClientIDBase, dir, net, cfg.Mode, cfg.Opt)
-	t.Cleanup(cl.Close)
-	for i := 1; i <= 8; i++ {
-		res, err := cl.Invoke(kvservice.Incr(), false)
-		if err != nil {
-			t.Fatalf("invoke %d: %v", i, err)
-		}
-		if got := kvservice.DecodeU64(res); got != uint64(i) {
-			t.Fatalf("incr %d -> %d", i, got)
+	forged := &message.Prepare{View: 0, Seq: 2, Digest: prep.Digest, Replica: 2,
+		Auth: message.Auth{Kind: message.AuthVector, Vector: crypto.Authenticator{MACs: make([]crypto.MAC, 4)}}}
+
+	cur := rx.ks.Generation()
+	for _, c := range []struct {
+		name      string
+		m         message.Message
+		gen       uint64
+		wantDrops uint64
+	}{
+		{"forged, current generation: trusted", forged, cur, 0},
+		{"authentic, stale generation: re-verified and kept", authentic, cur - 1, 0},
+		{"forged, stale generation: re-verified and dropped", forged, cur - 1, 1},
+	} {
+		before := rx.metrics.MsgsDroppedBadAuth
+		rx.onInbound(inbound{m: c.m, ok: true, gen: c.gen})
+		if got := rx.metrics.MsgsDroppedBadAuth - before; got != c.wantDrops {
+			t.Errorf("%s: %d bad-auth drops, want %d", c.name, got, c.wantDrops)
 		}
 	}
 }
 
 func TestInboxOverflowCounted(t *testing.T) {
 	// Flood an unstarted replica (its event loop consumes nothing) past its
-	// tiny inbox: the drops the attach handler used to swallow silently
-	// must now be counted.
-	for _, pipeline := range []bool{false, true} {
+	// tiny inbox: every datagram is verified on the receive goroutine, and
+	// the verdicts that do not fit must be counted. The receive path is the
+	// same whether execution runs on the event loop ("serial") or on the
+	// executor stage ("pipelined"); both must count and report the drops.
+	for _, staged := range []bool{false, true} {
 		name := "serial"
-		if pipeline {
+		if staged {
 			name = "pipelined"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -131,7 +125,7 @@ func TestInboxOverflowCounted(t *testing.T) {
 			cfg.ID = 0
 			cfg.N = 4
 			cfg.InboxCap = 4
-			cfg.Opt.Pipeline = pipeline
+			cfg.Opt.ExecPipeline = staged
 			dir := NewDirectory(4)
 			r := NewReplica(cfg, dir, net, kvservice.Factory) // not started yet
 			t.Cleanup(r.Stop)                                 // Stop without Start is safe

@@ -354,23 +354,18 @@ func (r *Replica) buildPrePrepare(v message.View, seq message.Seq, batch []*mess
 // receive a pre-prepare for the real batch, the other half one with a
 // different non-deterministic value (hence a different digest) for the same
 // sequence number. Safety demands that at most one of them ever commits.
-// It seals inline on the event loop even when the egress pipeline is on —
-// equivocation is adversarial traffic, and the honest pipeline's ordering
-// guarantees need not extend to it.
+// Each version carries the full group authenticator a multicast would.
 func (r *Replica) issueConflicting(pp *message.PrePrepare, batch []*message.Request) {
 	alt := r.buildPrePrepare(pp.View, pp.Seq, batch)
 	alt.NonDet = append([]byte("evil-"), alt.NonDet...)
-	r.authMulticast(pp)
-	r.authMulticast(alt)
-	ids := r.replicaIDs()
-	for i, id := range ids {
+	for i, id := range r.replicaIDs() {
 		if id == r.id {
 			continue
 		}
 		if i%2 == 0 {
-			r.trans.Send(id, pp.Marshal())
+			r.resendOwn(id, pp)
 		} else {
-			r.trans.Send(id, alt.Marshal())
+			r.resendOwn(id, alt)
 		}
 	}
 	r.acceptPrePrepare(pp)
@@ -1041,8 +1036,15 @@ func (r *Replica) inWV(v message.View, seq message.Seq) bool {
 // frontier advances — under sustained load some batch is always tentatively
 // ahead of its commits, and a healthy pipelining cluster must not view-
 // change over it.
+//
+// While a view change is pending the deadline belongs to the new-view wait
+// (checkVCQuorumTimer arms it once): clearing it here would leave a backup
+// waiting forever for the new-view of a primary that crashed.
 func (r *Replica) updateVCTimer() {
-	if r.isPrimary() || r.vc.pending {
+	if r.vc.pending {
+		return
+	}
+	if r.isPrimary() {
 		r.vcTimerDeadline = time.Time{}
 		return
 	}

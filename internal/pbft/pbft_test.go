@@ -13,14 +13,11 @@ import (
 )
 
 // testConfig returns a small, fast configuration for integration tests.
-// The ingress, egress, and executor pipelines are forced on (DefaultOptions
-// adapts them to the core count) so the whole protocol suite exercises all
-// three staged paths on any machine; ingress_test.go, egress_test.go, and
-// executor_test.go cover the serial paths explicitly.
+// The executor stage is forced on (DefaultOptions adapts it to the core
+// count) so the whole protocol suite exercises the staged path on any
+// machine; executor_test.go covers inline execution explicitly.
 func testConfig() Config {
 	opt := DefaultOptions()
-	opt.Pipeline = true
-	opt.EgressPipeline = true
 	opt.ExecPipeline = true
 	return Config{
 		Mode:               ModeMAC,
@@ -168,9 +165,9 @@ func TestViewChangeOnSilentPrimary(t *testing.T) {
 		t.Fatalf("incr returned %d", got)
 	}
 	// The system must have moved past view 0.
-	if v := c.Replica(1).View(); v == 0 {
-		t.Fatalf("replica 1 still in view 0 after silent primary")
-	}
+	c.waitFrontier(t, []int{1, 2, 3}, 5*time.Second, "replica 1 to leave view 0", func() bool {
+		return c.Replica(1).View() > 0
+	})
 	// And keep working afterwards.
 	for i := 2; i <= 6; i++ {
 		res := mustInvoke(t, cl, kvservice.Incr(), false)
@@ -204,38 +201,38 @@ func TestConflictingPrimarySafety(t *testing.T) {
 			t.Fatalf("incr %d returned %d", i, got)
 		}
 	}
-	// All correct replicas must agree on the counter value.
-	waitForAgreement(t, c, []int{1, 2, 3}, 5*time.Second)
+	// All correct replicas must agree on the counter value. Compare the
+	// counters through the service: digests also cover the reply caches,
+	// which legitimately differ between repliers.
+	c.waitFrontier(t, []int{1, 2, 3}, 5*time.Second, "correct replicas to agree on the counter", func() bool {
+		v := counterAt(c, 1)
+		return counterAt(c, 2) == v && counterAt(c, 3) == v
+	})
 }
 
-// waitForAgreement blocks until the given replicas report identical state
-// digests (after quiescence) or the deadline passes.
-func waitForAgreement(t testing.TB, c *Cluster, ids []int, timeout time.Duration) {
+// waitFrontier polls until every replica in ids has executed exactly as far
+// as the furthest of them and cond, when non-nil, holds; it fails the test
+// after timeout, naming what it waited for. A reply certificate proves only
+// that a quorum executed a request, so a read of replica-local state taken
+// right after one must first wait here for the others to reach the same
+// frontier. With no ids it waits for cond alone.
+func (c *Cluster) waitFrontier(t testing.TB, ids []int, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		// Compare the counters through the service (digests also cover the
-		// reply caches, which legitimately differ between repliers).
-		vals := make([]uint64, len(ids))
+		executed := make([]message.Seq, len(ids))
+		level := true
 		for i, id := range ids {
-			c.Replica(id).InspectService(func(s statemachine.Service) {
-				res := s.Execute(message.ClientIDBase+9999, kvservice.Get(), nil)
-				vals[i] = kvservice.DecodeU64(res)
-			})
+			executed[i] = c.Replica(id).LastExecuted()
+			level = level && executed[i] == executed[0]
 		}
-		same := true
-		for _, v := range vals {
-			if v != vals[0] {
-				same = false
-			}
-		}
-		if same {
+		if level && (cond == nil || cond()) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas disagree: %v", vals)
+			t.Fatalf("timed out waiting for %s (last executed: %v)", what, executed)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(15 * time.Millisecond)
 	}
 }
 
@@ -250,15 +247,14 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
 	// Low water marks must have advanced past 0 everywhere.
-	deadline := time.Now().Add(5 * time.Second)
-	for _, r := range c.Replicas {
-		for r.LowWaterMark() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %d never advanced its low water mark", r.ID())
+	c.waitFrontier(t, nil, 5*time.Second, "every low water mark to advance", func() bool {
+		for _, r := range c.Replicas {
+			if r.LowWaterMark() == 0 {
+				return false
 			}
-			time.Sleep(10 * time.Millisecond)
 		}
-	}
+		return true
+	})
 }
 
 func TestStateDigestsConverge(t *testing.T) {
@@ -271,24 +267,15 @@ func TestStateDigestsConverge(t *testing.T) {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
 	// After quiescence every replica must reach the same state root.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "state digests to converge", func() bool {
 		d0 := c.Replica(0).StateDigest()
-		same := true
 		for i := 1; i < 4; i++ {
 			if c.Replica(i).StateDigest() != d0 {
-				same = false
-				break
+				return false
 			}
 		}
-		if same {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("state digests never converged")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return true
+	})
 }
 
 func TestPKModeBasic(t *testing.T) {
@@ -419,7 +406,9 @@ func TestOrderLogConsistentUnderConcurrency(t *testing.T) {
 	if len(logRes) != nClients*each*8 {
 		t.Fatalf("order log has %d bytes, want %d", len(logRes), nClients*each*8)
 	}
-	// Every replica's log must match the certified one.
+	// Every replica's log must match the certified one, once the replicas
+	// outside the read's quorum have caught up with it.
+	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "replicas to reach the certified frontier", nil)
 	for i := 0; i < 4; i++ {
 		var local []byte
 		c.Replica(i).InspectService(func(s statemachine.Service) {
@@ -437,6 +426,7 @@ func TestMetricsProgress(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
+	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "replicas to reach the frontier", nil)
 	m := c.Replica(0).Metrics()
 	if m.RequestsExecuted < 5 {
 		t.Fatalf("primary executed %d requests, want >= 5", m.RequestsExecuted)
@@ -475,6 +465,7 @@ func TestTentativeExecDisabled(t *testing.T) {
 			t.Fatalf("incr %d returned %d", i, got)
 		}
 	}
+	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "replicas to reach the frontier", nil)
 	if m := c.Replica(0).Metrics(); m.TentativeExecs != 0 {
 		t.Fatalf("tentative execs %d with optimization disabled", m.TentativeExecs)
 	}
@@ -565,20 +556,9 @@ func TestRejoinAfterPartition(t *testing.T) {
 	c.Net.Heal()
 
 	// Replica 3 must converge to the same counter value.
-	deadline := time.Now().Add(8 * time.Second)
-	for {
-		var v uint64
-		c.Replica(3).InspectService(func(s statemachine.Service) {
-			v = kvservice.DecodeU64(s.Execute(message.ClientIDBase+9999, kvservice.Get(), nil))
-		})
-		if v == 20 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica 3 stuck at counter %d after heal", v)
-		}
-		time.Sleep(30 * time.Millisecond)
-	}
+	c.waitFrontier(t, nil, 8*time.Second, "replica 3 to reach counter 20 after heal", func() bool {
+		return counterAt(c, 3) == 20
+	})
 }
 
 func TestBatchingUnderLoad(t *testing.T) {
@@ -603,6 +583,7 @@ func TestBatchingUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "replicas to reach the frontier", nil)
 	m := c.Replica(0).Metrics()
 	if m.BatchesExecuted == 0 || m.RequestsExecuted < nClients*5 {
 		t.Fatalf("metrics: %+v", m)

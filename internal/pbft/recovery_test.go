@@ -9,17 +9,6 @@ import (
 	"repro/internal/statemachine"
 )
 
-func waitUntil(t testing.TB, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(15 * time.Millisecond)
-	}
-}
-
 func counterAt(c *Cluster, i int) uint64 {
 	var v uint64
 	c.Replica(i).InspectService(func(s statemachine.Service) {
@@ -40,7 +29,7 @@ func TestManualRecoveryCompletes(t *testing.T) {
 
 	// Recover backup 3.
 	c.Replica(3).Recover()
-	waitUntil(t, 10*time.Second, "recovery to finish", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "recovery to finish", func() bool {
 		return !c.Replica(3).Recovering()
 	})
 	m := c.Replica(3).Metrics()
@@ -57,7 +46,7 @@ func TestManualRecoveryCompletes(t *testing.T) {
 			t.Fatalf("incr %d returned %d", i, got)
 		}
 	}
-	waitUntil(t, 5*time.Second, "replica 3 to catch up", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "replica 3 to catch up", func() bool {
 		return counterAt(c, 3) == 12
 	})
 }
@@ -73,7 +62,7 @@ func TestRecoveryOfPrimaryHandsOffView(t *testing.T) {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
 	c.Replica(0).Recover() // primary of view 0
-	waitUntil(t, 10*time.Second, "primary recovery", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "primary recovery", func() bool {
 		return !c.Replica(0).Recovering()
 	})
 	// The group must have moved past view 0 (recovering primary resigns).
@@ -104,7 +93,7 @@ func TestRecoveryDetectsCorruptState(t *testing.T) {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
 	// Wait for a stable checkpoint on replica 2 so recovery has a base.
-	waitUntil(t, 5*time.Second, "stable checkpoint", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "stable checkpoint", func() bool {
 		return c.Replica(2).LowWaterMark() > 0
 	})
 
@@ -112,7 +101,7 @@ func TestRecoveryDetectsCorruptState(t *testing.T) {
 	c.Replica(2).CorruptStatePage(0)
 
 	c.Replica(2).Recover()
-	waitUntil(t, 10*time.Second, "recovery with repair", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "recovery with repair", func() bool {
 		return !c.Replica(2).Recovering()
 	})
 	m := c.Replica(2).Metrics()
@@ -120,7 +109,7 @@ func TestRecoveryDetectsCorruptState(t *testing.T) {
 		t.Fatal("corrupt page was not re-fetched during recovery")
 	}
 	// State must match the group again after repair and catch-up.
-	waitUntil(t, 5*time.Second, "repaired state", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "repaired state", func() bool {
 		return counterAt(c, 2) == counterAt(c, 0)
 	})
 }
@@ -209,12 +198,12 @@ func TestStateTransferAfterLongPartition(t *testing.T) {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
 	// Ensure the others GC'd past replica 3's window.
-	waitUntil(t, 5*time.Second, "group GC", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "group GC", func() bool {
 		return c.Replica(0).LowWaterMark() >= 16
 	})
 	c.Net.Heal()
 
-	waitUntil(t, 10*time.Second, "replica 3 state transfer", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "replica 3 state transfer", func() bool {
 		return counterAt(c, 3) == 40
 	})
 	if m := c.Replica(3).Metrics(); m.StateTransfers == 0 || m.PagesFetched == 0 {

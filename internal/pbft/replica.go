@@ -42,14 +42,13 @@ type Metrics struct {
 	RecoveriesCompleted uint64
 	LastRecoveryTime    time.Duration
 	MsgsDroppedBadAuth  uint64
-	// InboxDrops counts datagrams lost to receive-queue overflow (the
-	// attach handler's non-blocking enqueue, or ingress pipeline
-	// saturation). It is maintained atomically outside the event loop.
+	// InboxDrops counts verified messages lost to a full inbox (the
+	// receive goroutine's non-blocking enqueue toward the event loop). It
+	// is maintained atomically outside the event loop.
 	InboxDrops uint64
-	// OutboxDrops counts sends lost to egress-pipeline saturation — the
-	// send-side twin of InboxDrops. A dropped send is simply never
-	// transmitted; retransmission recovers, like any datagram lost on the
-	// wire. Zero when the egress pipeline is off (serial sends never drop).
+	// OutboxDrops counts sends refused by the egress stage, which happens
+	// only once the replica is stopping. A refused send is simply never
+	// transmitted, like a datagram lost on the wire.
 	OutboxDrops uint64
 	// ExecQueueDepth samples the stage-3 executor's command-queue depth at
 	// snapshot time; ExecStalls counts event-loop dispatches that found
@@ -110,8 +109,8 @@ type queuedRO struct {
 // otherwise, fields are owned by the event-loop goroutine; external access
 // goes through control thunks. The shared carve-outs are immutable
 // configuration, thread-safe crypto state, channels/atomics, and the
-// pipelines, which are exactly what the worker closures and the executor's
-// reply path touch.
+// ingress/egress stages, which are exactly what the transport's receive
+// goroutine and the executor's reply path touch.
 //
 // bftlint:owner=eventloop
 // bftlint:longlived
@@ -128,16 +127,13 @@ type Replica struct {
 	auth verifier         // bftlint:owner=shared (reads ks/dir only)
 
 	trans transport.Transport // bftlint:owner=shared (substrates are thread-safe)
-	// inbox carries raw datagrams on the serial path; inboxV carries
-	// decoded, pre-verified messages from the ingress pipeline. Exactly one
-	// of the two is allocated, selected by cfg.Opt.Pipeline (the nil one's
-	// event-loop case simply never fires).
-	inbox      chan []byte       // bftlint:owner=shared
-	inboxV     chan inbound      // bftlint:owner=shared
+	// pipe decodes and verifies each datagram on the transport's receive
+	// goroutine; inbox carries the verdicts to the event loop.
+	inbox      chan inbound      // bftlint:owner=shared
 	pipe       *ingress.Pipeline // bftlint:owner=shared
 	inboxDrops atomic.Uint64     // bftlint:owner=shared
-	// out, when non-nil (cfg.Opt.EgressPipeline), seals and transmits
-	// outbound messages off the event loop in send order.
+	// out seals and transmits outbound messages on the calling goroutine
+	// (the event loop, or the executor for replies).
 	out   *egress.Pipeline // bftlint:owner=shared
 	ctrl  chan func()      // bftlint:owner=shared
 	stopC chan struct{}    // bftlint:owner=shared
@@ -230,7 +226,7 @@ type Network = transport.Network
 
 // inbound is one decoded message plus its authentication verdict and the
 // key generation the verdict was computed under, produced by the ingress
-// pipeline and consumed by the event loop.
+// stage on the transport's receive goroutine and consumed by the event loop.
 type inbound struct {
 	m   message.Message
 	ok  bool
@@ -282,52 +278,27 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 	r.initRecoveryState()
 
 	r.auth = verifier{mode: cfg.Mode, dir: dir, ks: r.ks}
-	if cfg.Opt.Pipeline {
-		// Staged ingress: the transport handler fans datagrams across the
-		// worker pool, which decodes and authenticates in parallel and
-		// re-sequences results into arrival order before the event loop.
-		r.inboxV = make(chan inbound, cfg.InboxCap)
-		r.pipe = ingress.New(cfg.Opt.PipelineWorkers, cfg.InboxCap,
-			ingress.VerifierFunc(r.auth.VerifyTagged),
-			func(m message.Message, ok bool, gen uint64) {
-				select {
-				case r.inboxV <- inbound{m, ok, gen}:
-				default: // inbox overflow models receive-buffer loss
-					r.inboxDrops.Add(1)
-				}
-			})
-		r.trans = net.Attach(r.id, func(p []byte) {
-			if r.cfg.Behavior == Crashed {
-				return // fail-stop: burn no worker cycles, like the serial path
-			}
-			if !r.pipe.Submit(p) {
-				r.inboxDrops.Add(1)
-			}
-		})
-	} else {
-		r.inbox = make(chan []byte, cfg.InboxCap)
-		r.trans = net.Attach(r.id, func(p []byte) {
+	r.inbox = make(chan inbound, cfg.InboxCap)
+	r.pipe = ingress.New(0, 0, ingress.VerifierFunc(r.auth.VerifyTagged),
+		func(m message.Message, ok bool, gen uint64) {
 			select {
-			case r.inbox <- p:
+			case r.inbox <- inbound{m, ok, gen}:
 			default: // inbox overflow models receive-buffer loss
 				r.inboxDrops.Add(1)
 			}
 		})
-	}
-	if cfg.Opt.EgressPipeline {
-		// Staged egress: the event loop submits (recipients, message) jobs;
-		// workers marshal and authenticate against the same copy-on-write
-		// key-store snapshots the ingress workers read, and the collector
-		// hands wire buffers to the transport in send order.
-		r.out = egress.New(cfg.Opt.EgressWorkers, cfg.InboxCap,
-			&sealer{mode: cfg.Mode, n: cfg.N, ks: r.ks, kp: r.kp}, r.trans)
-	}
+	r.trans = net.Attach(r.id, func(p []byte) {
+		if r.cfg.Behavior == Crashed {
+			return // fail-stop: burn no cycles on decode or MACs
+		}
+		r.pipe.Submit(p)
+	})
+	r.out = egress.New(0, 0, &sealer{mode: cfg.Mode, n: cfg.N, ks: r.ks, kp: r.kp}, r.trans)
 	if cfg.Opt.ExecPipeline {
 		// Stage 3: execution, checkpoint digesting, and reply construction
 		// move onto the executor goroutine, which takes ownership of the
 		// region, service execution, checkpoint manager, and reply cache.
-		// Created last: its replies route through the egress pipeline or
-		// the transport above.
+		// Created last: its replies go out through the egress stage above.
 		r.startExecutor()
 	}
 	// Durability last: replay needs the executor (state installs rendezvous
@@ -363,19 +334,15 @@ func (r *Replica) Stop() {
 	r.wg.Wait()
 	if r.xs != nil {
 		// After the event loop (no more dispatchers), before the egress
-		// pipeline and transport (in-flight replies route through them).
+		// stage and transport (in-flight replies go out through them).
 		r.xs.ex.Close()
 	}
-	if r.out != nil {
-		r.out.Close() // before the transport: the collector transmits through it
-	}
+	r.out.Close()
 	if r.wal != nil {
 		r.wal.Close() // clean shutdown flushes; only Kill abandons the tail
 	}
 	r.trans.Close()
-	if r.pipe != nil {
-		r.pipe.Close()
-	}
+	r.pipe.Close()
 }
 
 // ID returns the replica id.
@@ -412,9 +379,7 @@ func (r *Replica) Metrics() Metrics {
 		}
 	})
 	m.InboxDrops = r.inboxDrops.Load()
-	if r.out != nil {
-		m.OutboxDrops = r.out.Stats().Rejected
-	}
+	m.OutboxDrops = r.out.Stats().Rejected
 	if r.xs != nil {
 		s := r.xs.ex.Stats()
 		m.ExecQueueDepth = uint64(s.Depth)
@@ -499,23 +464,8 @@ func (r *Replica) run() {
 			for _, ev := range r.takeExecEvents() {
 				r.onCkptTaken(ev)
 			}
-		case p := <-r.inbox:
-			if r.cfg.Behavior == Crashed {
-				continue
-			}
-			r.onRaw(p)
-		case im := <-r.inboxV:
-			if r.cfg.Behavior == Crashed {
-				continue
-			}
-			if im.ok && im.gen != r.ks.Generation() {
-				// Keys rotated after the worker verified (§4.3.2): the
-				// verdict may rest on a stolen pre-refresh key, so
-				// re-verify against the current generation. Refreshes are
-				// rare, so this almost never runs.
-				im.ok = r.verify(im.m)
-			}
-			r.onVerified(im.m, im.ok)
+		case im := <-r.inbox:
+			r.onInbound(im)
 		case <-r.batchTimer.C:
 			if r.cfg.Behavior == Crashed {
 				continue
@@ -536,7 +486,18 @@ func (r *Replica) run() {
 
 func (r *Replica) onTick(now time.Time) {
 	if !r.vcTimerDeadline.IsZero() && now.After(r.vcTimerDeadline) {
-		r.onViewChangeTimeout()
+		if !r.vc.pending && (r.fetch.active || r.fetch.candSeq != 0) {
+			// A backup that holds a weak certificate for a checkpoint past
+			// its own frontier, or is fetching one, knows a correct replica
+			// executed beyond it: its requests wait on its own catch-up, not
+			// on the primary. Suspecting the primary now would take it to
+			// the next view alone, where it would stay; wait a full timeout
+			// again instead. The new-view wait of a pending view change is
+			// never deferred.
+			r.vcTimerDeadline = now.Add(r.vcTimeout)
+		} else {
+			r.onViewChangeTimeout()
+		}
 	}
 	if now.After(r.statusDeadline) {
 		r.statusDeadline = now.Add(r.cfg.StatusInterval)
@@ -554,20 +515,20 @@ func (r *Replica) onTick(now time.Time) {
 	r.recoveryTick(now)
 }
 
-// onRaw decodes, authenticates, and dispatches one datagram — the serial
-// ingress path, kept both as the pipeline-off baseline and for benchmarks.
-func (r *Replica) onRaw(p []byte) {
-	m, err := message.Unmarshal(p)
-	if err != nil {
-		return
+// onInbound dispatches one verdict from the ingress stage. A verdict
+// computed before a key refresh this loop has since performed may rest on a
+// stolen pre-refresh key (§4.3.2), so it is re-verified against the current
+// generation. Refreshes are rare, so the re-check almost never runs.
+func (r *Replica) onInbound(im inbound) {
+	if im.ok && im.gen != r.ks.Generation() {
+		im.ok = r.verify(im.m)
 	}
-	r.onVerified(m, r.verify(m))
+	r.onVerified(im.m, im.ok)
 }
 
 // onVerified dispatches one decoded message given its authentication
-// verdict. It runs on the event loop whether the verdict came from the
-// inline verify (serial path) or an ingress worker (pipelined path), so all
-// protocol state stays single-threaded.
+// verdict. It runs on the event loop, so all protocol state stays
+// single-threaded.
 func (r *Replica) onVerified(m message.Message, ok bool) {
 	if !ok {
 		// A relayed view-change may carry a stale authenticator (its sender
@@ -635,70 +596,29 @@ func (r *Replica) replicaIDs() []message.NodeID { return r.dir.ReplicaIDs() }
 // Authentication
 // ---------------------------------------------------------------------------
 
-// signIfPK signs the message in BFT-PK mode; returns true if it handled it.
-//
-// bftlint:owner=shared (kp is immutable; mutates only the message)
-func (r *Replica) signIfPK(m message.Message) bool {
-	if r.cfg.Mode != ModePK {
-		return false
-	}
-	*m.AuthTrailer() = message.Auth{Kind: message.AuthSig, Sig: r.kp.Sign(m.Payload())}
-	return true
-}
-
-// authMulticast attaches a group authenticator (or a signature in PK mode).
-func (r *Replica) authMulticast(m message.Message) {
-	if r.signIfPK(m) {
-		return
-	}
-	*m.AuthTrailer() = message.Auth{
-		Kind:   message.AuthVector,
-		Vector: r.ks.MakeAuthenticator(r.n, m.Payload()),
-	}
-}
-
-// authPoint attaches a single MAC for dst (or a signature in PK mode).
-// Shared: the executor's reply path seals through it off the event loop.
-//
-// bftlint:owner=shared
-func (r *Replica) authPoint(m message.Message, dst message.NodeID) {
-	if r.signIfPK(m) {
-		return
-	}
-	r.ensurePeerKeys(dst)
-	*m.AuthTrailer() = message.Auth{
-		Kind: message.AuthMAC,
-		MAC:  r.ks.ComputePointMAC(uint32(dst), m.Payload()),
-	}
-}
-
-// authSigned always signs (new-key, recovery requests) via the simulated
-// secure co-processor.
+// authSigned always signs (recovery requests) via the simulated secure
+// co-processor, writing the trailer into m: the request is also processed
+// locally and retransmitted from its stored encoding.
 func (r *Replica) authSigned(m message.Message) {
 	*m.AuthTrailer() = message.Auth{Kind: message.AuthSig, Sig: r.kp.Sign(m.Payload())}
 }
 
 // ensurePeerKeys lazily installs the administrator-distributed initial keys
 // for a principal first seen now (clients appear dynamically).
-//
-// bftlint:owner=shared (key store is internally synchronized)
-func (r *Replica) ensurePeerKeys(peer message.NodeID) { r.auth.ensurePeerKeys(peer) }
+func (r *Replica) ensurePeerKeys(peer message.NodeID) { ensurePeerKeys(r.ks, peer) }
 
 // verifySig checks a signature trailer against the directory.
 func (r *Replica) verifySig(m message.Message) bool { return r.auth.verifySig(m) }
 
 // verify authenticates an inbound message according to mode and type. The
-// logic lives in verifier so ingress workers share it.
+// logic lives in verifier, which the ingress stage also runs.
 func (r *Replica) verify(m message.Message) bool { return r.auth.Verify(m) }
 
 // ---------------------------------------------------------------------------
 // Sending
 // ---------------------------------------------------------------------------
 
-// multicastReplicas authenticates and multicasts m to the whole group. On
-// the pipelined path the message body must not be mutated after this call
-// (egress workers read it concurrently); every caller builds or re-seals a
-// body that is immutable from here on.
+// multicastReplicas authenticates and multicasts m to the whole group.
 //
 // bftlint:send
 func (r *Replica) multicastReplicas(m message.Message) {
@@ -706,15 +626,7 @@ func (r *Replica) multicastReplicas(m message.Message) {
 		return // WAL replay / kill: nothing may reach the network
 	}
 	r.behaviorMangle(m)
-	if r.out != nil {
-		// An outbox-overflow drop here loses the multicast like a dropped
-		// datagram; status retransmission recovers (§5.2) and the pipeline
-		// counts it in Metrics.OutboxDrops.
-		r.out.Multicast(r.replicaIDs(), m, egress.Vector)
-		return
-	}
-	r.authMulticast(m)
-	r.trans.Multicast(r.replicaIDs(), m.Marshal())
+	r.out.Multicast(r.replicaIDs(), m, egress.Vector)
 }
 
 // sendTo authenticates point-to-point and sends m to dst.
@@ -725,38 +637,26 @@ func (r *Replica) sendTo(dst message.NodeID, m message.Message) {
 		return
 	}
 	r.behaviorMangle(m)
-	if r.out != nil {
-		r.out.Send(dst, m, egress.Point)
-		return
-	}
-	r.authPoint(m, dst)
-	r.trans.Send(dst, m.Marshal())
+	r.out.Send(dst, m, egress.Point)
 }
 
 // sendRaw sends an already-authenticated message (retransmissions of stored
-// messages keep their original authenticators so relays work). The bytes
-// are captured on the event loop — the stored trailer is event-loop-owned —
-// and ride the egress pipeline as-is so send order is preserved.
+// messages keep their original authenticators so relays work).
 //
 // bftlint:send
 func (r *Replica) sendRaw(dst message.NodeID, m message.Message) {
 	if r.muted.Load() {
 		return
 	}
-	if r.out != nil {
-		r.out.SendRaw(dst, m.Marshal())
-		return
-	}
-	r.trans.Send(dst, m.Marshal())
+	r.out.SendRaw(dst, m.Marshal())
 }
 
-// resendOwn retransmits a message this replica authored, re-sealed with a
-// fresh group authenticator under the CURRENT keys, to a single peer (§5.2:
-// stored authenticators go stale across key refreshes, so each replica only
-// retransmits messages it originally sent, freshly authenticated). On the
-// pipelined path the trailer of a stored message object is never populated
-// — sealing happens in the wire buffer — so retransmission must always
-// re-seal rather than replay the object's trailer.
+// resendOwn sends a message this replica authored to a single peer, sealed
+// with a fresh group authenticator under the CURRENT keys (§5.2: stored
+// authenticators go stale across key refreshes, so each replica only
+// retransmits messages it originally sent, freshly authenticated). Stored
+// objects never carry a trailer — sealing happens in the wire buffer — so
+// retransmission always re-seals.
 //
 // bftlint:send
 func (r *Replica) resendOwn(dst message.NodeID, m message.Message) {
@@ -764,12 +664,7 @@ func (r *Replica) resendOwn(dst message.NodeID, m message.Message) {
 		return
 	}
 	r.behaviorMangle(m)
-	if r.out != nil {
-		r.out.Send(dst, m, egress.Vector)
-		return
-	}
-	r.authMulticast(m)
-	r.trans.Send(dst, m.Marshal())
+	r.out.Send(dst, m, egress.Vector)
 }
 
 // multicastSigned signs m (via the simulated secure co-processor) and
@@ -780,28 +675,18 @@ func (r *Replica) multicastSigned(m message.Message) {
 	if r.muted.Load() {
 		return
 	}
-	if r.out != nil {
-		r.out.Multicast(r.replicaIDs(), m, egress.Sign)
-		return
-	}
-	r.authSigned(m)
-	r.trans.Multicast(r.replicaIDs(), m.Marshal())
+	r.out.Multicast(r.replicaIDs(), m, egress.Sign)
 }
 
-// multicastRawBytes ships pre-encoded bytes to the whole group, ordered
-// with the sealed traffic (recovery-request retransmission keeps the exact
-// signed encoding, §4.3.2).
+// multicastRawBytes ships pre-encoded bytes to the whole group (recovery-
+// request retransmission keeps the exact signed encoding, §4.3.2).
 //
 // bftlint:send
 func (r *Replica) multicastRawBytes(raw []byte) {
 	if r.muted.Load() {
 		return
 	}
-	if r.out != nil {
-		r.out.MulticastRaw(r.replicaIDs(), raw)
-		return
-	}
-	r.trans.Multicast(r.replicaIDs(), raw)
+	r.out.MulticastRaw(r.replicaIDs(), raw)
 }
 
 // behaviorMangle applies fault-injection personalities to outgoing traffic.
@@ -820,8 +705,7 @@ func (r *Replica) behaviorMangle(m message.Message) {
 		if rep, ok := m.(*message.Reply); ok {
 			if len(rep.Result) > 0 {
 				// Flip a copy: Result aliases the reply cache's backing
-				// array, which the event loop reuses for retransmissions
-				// while an egress worker may still be encoding this reply.
+				// array, which later retransmissions are built from.
 				rep.Result = append([]byte(nil), rep.Result...)
 				rep.Result[0] ^= 0xFF
 			}

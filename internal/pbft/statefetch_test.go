@@ -45,7 +45,7 @@ func TestStateTransferRetargetsWhenTargetCollected(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "group stabilizes 8", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "group stabilizes 8", func() bool {
 		return c.Replica(0).LowWaterMark() >= 8
 	})
 
@@ -54,7 +54,7 @@ func TestStateTransferRetargetsWhenTargetCollected(t *testing.T) {
 	// candidate, and is left with an active transfer it cannot complete.
 	dropServeTraffic(c, 3)
 	c.Net.Heal()
-	waitUntil(t, 10*time.Second, "replica 3 starts a transfer", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "replica 3 starts a transfer", func() bool {
 		return c.Replica(3).Metrics().StateTransfers >= 1
 	})
 
@@ -66,7 +66,7 @@ func TestStateTransferRetargetsWhenTargetCollected(t *testing.T) {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
 	for i := 0; i < 3; i++ {
-		waitUntil(t, 5*time.Second, "group collects the old target", func() bool {
+		c.waitFrontier(t, nil, 5*time.Second, "group collects the old target", func() bool {
 			return c.Replica(i).LowWaterMark() >= 16
 		})
 	}
@@ -76,7 +76,7 @@ func TestStateTransferRetargetsWhenTargetCollected(t *testing.T) {
 	// the active transfer and the catch-up completes without any new
 	// client traffic.
 	c.Net.SetFilter(nil)
-	waitUntil(t, 10*time.Second, "replica 3 catches up", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "replica 3 catches up", func() bool {
 		return counterAt(c, 3) == 17
 	})
 	m := c.Replica(3).Metrics()
@@ -108,7 +108,7 @@ func TestWindowedTransferByzantineReplier(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "group GC", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "group GC", func() bool {
 		return c.Replica(0).LowWaterMark() >= 16
 	})
 	c.Net.SetFilter(func(src, dst message.NodeID, p []byte) ([]byte, bool) {
@@ -129,7 +129,7 @@ func TestWindowedTransferByzantineReplier(t *testing.T) {
 	})
 	c.Net.Heal()
 
-	waitUntil(t, 15*time.Second, "catch-up despite Byzantine replier", func() bool {
+	c.waitFrontier(t, nil, 15*time.Second, "catch-up despite Byzantine replier", func() bool {
 		return counterAt(c, 3) == 40
 	})
 	m := c.Replica(3).Metrics()
@@ -140,7 +140,7 @@ func TestWindowedTransferByzantineReplier(t *testing.T) {
 		t.Fatalf("expected per-item retries away from the Byzantine replier: %+v", m)
 	}
 	c.Net.SetFilter(nil)
-	waitUntil(t, 5*time.Second, "state digests converge", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "state digests converge", func() bool {
 		return c.Replica(3).StateDigest() == c.Replica(0).StateDigest()
 	})
 }
@@ -168,7 +168,7 @@ func TestWindowedTransferSurvivesViewChangeUnderLoad(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "group GC", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "group GC", func() bool {
 		return c.Replica(0).LowWaterMark() >= 16
 	})
 
@@ -190,18 +190,18 @@ func TestWindowedTransferSurvivesViewChangeUnderLoad(t *testing.T) {
 	}()
 
 	c.Net.Heal()
-	waitUntil(t, 10*time.Second, "transfer starts", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "transfer starts", func() bool {
 		return c.Replica(3).Metrics().StateTransfers >= 1
 	})
 	c.Net.Isolate(0) // primary of view 0 dies mid-transfer
 	// The surviving quorum is {1, 2, 3}: the view change can only complete
 	// with the still-catching-up rejoiner participating.
-	waitUntil(t, 20*time.Second, "group view change completes", func() bool {
+	c.waitFrontier(t, nil, 20*time.Second, "group view change completes", func() bool {
 		return c.Replica(1).Metrics().NewViewsProcessed >= 1 &&
 			c.Replica(2).Metrics().NewViewsProcessed >= 1 &&
 			c.Replica(3).Metrics().NewViewsProcessed >= 1
 	})
-	waitUntil(t, 20*time.Second, "catch-up through the view change", func() bool {
+	c.waitFrontier(t, nil, 20*time.Second, "catch-up through the view change", func() bool {
 		return c.Replica(3).Metrics().PagesFetched > 0 &&
 			c.Replica(3).LastExecuted() >= 30
 	})
@@ -212,7 +212,7 @@ func TestWindowedTransferSurvivesViewChangeUnderLoad(t *testing.T) {
 	// a healed replica racing live traffic can time out into a lonely view
 	// change (a liveness scenario of its own, not this test's subject), and
 	// f=1 tolerates it — but this test wants full convergence.
-	waitUntil(t, 10*time.Second, "surviving quorum quiesces", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "surviving quorum quiesces", func() bool {
 		v := counterAt(c, 1)
 		return v >= 30 && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})
@@ -220,13 +220,13 @@ func TestWindowedTransferSurvivesViewChangeUnderLoad(t *testing.T) {
 	// The old primary catches back up (by transfer or retransmission)
 	// before new traffic arrives — otherwise its view-change timer can
 	// fire mid-rejoin and strand it in a lonely higher view.
-	waitUntil(t, 10*time.Second, "old primary rejoins", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "old primary rejoins", func() bool {
 		return counterAt(c, 0) == counterAt(c, 1)
 	})
 
 	// Liveness after the dust settles, then convergence everywhere.
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 10*time.Second, "counters converge", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "counters converge", func() bool {
 		v := counterAt(c, 0)
 		return v >= 31 && counterAt(c, 1) == v && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})
@@ -248,11 +248,11 @@ func TestStateTransferSerialWindowAblation(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "group GC", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "group GC", func() bool {
 		return c.Replica(0).LowWaterMark() >= 16
 	})
 	c.Net.Heal()
-	waitUntil(t, 10*time.Second, "serial-window catch-up", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "serial-window catch-up", func() bool {
 		return counterAt(c, 3) == 40
 	})
 	if m := c.Replica(3).Metrics(); m.StateTransfers == 0 || m.PagesFetched == 0 {

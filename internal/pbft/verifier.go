@@ -5,11 +5,11 @@ import (
 	"repro/internal/message"
 )
 
-// verifier is the state-free authentication core shared by the replica
-// event loop (serial path) and the ingress pipeline workers (parallel
-// path). It owns no protocol state: it reads the directory (RW-locked),
-// the key store (copy-on-write snapshots), and the immutable mode, so
-// Verify is safe to call from any goroutine concurrently with key
+// verifier is the state-free authentication core the ingress stage runs on
+// the transport's receive goroutine and the event loop runs when it
+// re-verifies. It owns no protocol state: it reads the directory
+// (RW-locked), the key store (copy-on-write snapshots), and the immutable
+// mode, so Verify is safe to call from any goroutine concurrently with key
 // refresh and client registration.
 type verifier struct {
 	mode Mode
@@ -18,10 +18,11 @@ type verifier struct {
 }
 
 // ensurePeerKeys lazily installs the administrator-distributed initial keys
-// for a principal first seen now (clients appear dynamically).
-func (v *verifier) ensurePeerKeys(peer message.NodeID) {
-	if k, _ := v.ks.OutKey(uint32(peer)); k == nil {
-		v.ks.InstallInitial(uint32(peer))
+// for a principal first seen now (clients appear dynamically). The key store
+// is internally synchronized, so any goroutine may call it.
+func ensurePeerKeys(ks *crypto.KeyStore, peer message.NodeID) {
+	if k, _ := ks.OutKey(uint32(peer)); k == nil {
+		ks.InstallInitial(uint32(peer))
 	}
 }
 
@@ -38,10 +39,10 @@ func (v *verifier) verifySig(m message.Message) bool {
 	return crypto.Verify(pub, m.Payload(), a.Sig)
 }
 
-// Verify authenticates an inbound message according to mode and type. It
-// implements ingress.Verifier. Annotated as a worker entry point because
-// ingress workers reach it through interface dispatch, which the bftowner
-// call graph cannot see; the annotation closes that hole.
+// Verify authenticates an inbound message according to mode and type.
+// Annotated as a worker entry point because the ingress stage reaches it on
+// the transport's receive goroutine through interface dispatch, which the
+// bftowner call graph cannot see; the annotation closes that hole.
 //
 // bftlint:entrypoint=worker
 func (v *verifier) Verify(m message.Message) bool {
@@ -66,10 +67,10 @@ func (v *verifier) Verify(m message.Message) bool {
 
 	switch a.Kind {
 	case message.AuthVector:
-		v.ensurePeerKeys(sender)
+		ensurePeerKeys(v.ks, sender)
 		return v.ks.CheckAuthenticator(uint32(sender), m.Payload(), a.Vector)
 	case message.AuthMAC:
-		v.ensurePeerKeys(sender)
+		ensurePeerKeys(v.ks, sender)
 		return v.ks.CheckPointMAC(uint32(sender), m.Payload(), a.MAC)
 	default:
 		return false
@@ -78,10 +79,10 @@ func (v *verifier) Verify(m message.Message) bool {
 
 // VerifyTagged verifies m and stamps the verdict with the key generation
 // it was computed under (loaded before the snapshot, so a rotation racing
-// the verification is always detected as a generation change). It
-// implements ingress.Verifier for pipeline workers; the event loop
-// compares the tag against the current generation on dispatch and
-// re-verifies when keys rotated in between — the §4.3.2 stale-key rule.
+// the verification is always detected as a generation change). It is the
+// replica's ingress.Verifier; the event loop compares the tag against the
+// current generation on dispatch and re-verifies when keys rotated in
+// between — the §4.3.2 stale-key rule.
 // Nothing in the trailer can forge its way past this: the tag is computed
 // locally, never from attacker-controlled fields.
 //

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/kvservice"
 	"repro/internal/message"
+	"repro/internal/simnet"
 )
 
 func TestCascadingViewChanges(t *testing.T) {
@@ -260,4 +262,81 @@ func TestQSetBoundEnforced(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNewViewWaitSurvivesClientRequest is the regression test for the
+// view-change timer wedge: a backup waiting for the new-view of a primary
+// that crashed must keep its new-view wait timer when a client request
+// arrives, and start the next view when the wait expires (§2.3.5).
+func TestNewViewWaitSurvivesClientRequest(t *testing.T) {
+	cfg := testConfig()
+	cfg.ViewChangeTimeout = 300 * time.Millisecond
+	c := NewLocalCluster(4, cfg, kvservice.Factory, map[message.NodeID]Behavior{0: SilentPrimary})
+	// Replica 1, the primary of view 1, never gets its new-view out.
+	c.Net.SetFilter(func(src, _ message.NodeID, p []byte) ([]byte, bool) {
+		if src == 1 {
+			if m, err := message.Unmarshal(p); err == nil && m.MsgType() == message.TNewView {
+				return nil, false
+			}
+		}
+		return p, true
+	})
+	c.Start()
+	t.Cleanup(c.Stop)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	request := func() {
+		cl := c.NewClient()
+		cl.MulticastThreshold = 0     // every replica receives the request
+		cl.RetryTimeout = time.Minute // and no retransmission follows it
+		go cl.InvokeContext(ctx, kvservice.Incr(), false)
+	}
+
+	// 1-2. The silent primary of view 0 leaves a request unordered, so the
+	// backups move to view 1 and wait for its new-view.
+	request()
+	waiting := func(id int) bool {
+		r := c.Replica(id)
+		var ok bool
+		r.do(func() { ok = r.view == 1 && r.vc.pending && r.vc.timerArmed })
+		return ok
+	}
+	c.waitFrontier(t, nil, 5*time.Second, "backups to wait for view 1's new-view", func() bool {
+		return waiting(2) && waiting(3)
+	})
+
+	// 3. Replica 1 crashes before its new-view leaves.
+	c.Net.Isolate(1)
+
+	// 4. One client request reaches the waiting backups.
+	request()
+
+	// 5. The wait still expires: view 2 within two timeouts.
+	c.waitFrontier(t, nil, 2*cfg.ViewChangeTimeout, "replicas 2 and 3 to start view 2", func() bool {
+		return c.Replica(2).View() >= 2 && c.Replica(3).View() >= 2
+	})
+}
+
+// TestRequestTimerWaitsForCatchUp pins that an expired request timer does
+// not start a view change while the backup is behind the group (it holds a
+// catch-up candidate), and does once the backup has caught up.
+func TestRequestTimerWaitsForCatchUp(t *testing.T) {
+	net := simnet.New(simnet.WithSeed(1))
+	t.Cleanup(net.Close)
+	r := unstartedReplica(t, net, NewDirectory(4), ModeMAC, 1)
+
+	now := time.Now()
+	r.vcTimerDeadline = now.Add(-time.Millisecond)
+	r.fetch.candSeq, r.fetch.candSince = 8, now // behind a checkpoint the group took
+	r.onTick(now)
+	if r.view != 0 || !r.vcTimerDeadline.After(now) {
+		t.Fatalf("lagging backup: view %d, deadline %v after now; want view 0 and a re-armed wait",
+			r.view, r.vcTimerDeadline.Sub(now))
+	}
+
+	r.fetch.candSeq = 0 // caught up
+	r.onTick(r.vcTimerDeadline.Add(time.Millisecond))
+	if r.view != 1 {
+		t.Fatalf("caught-up backup still in view %d after its timer expired", r.view)
+	}
 }

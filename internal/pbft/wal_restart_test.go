@@ -67,18 +67,18 @@ func TestRestartSurvivesKillMidBatch(t *testing.T) {
 		}
 	}()
 
-	waitUntil(t, 10*time.Second, "initial progress", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "initial progress", func() bool {
 		return counterAt(c, 0) >= 10
 	})
 	c.Kill(1) // mid-batch: the loader never pauses
 
-	waitUntil(t, 10*time.Second, "liveness with a dead backup", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "liveness with a dead backup", func() bool {
 		return counterAt(c, 0) >= 30
 	})
 
 	restart := time.Now()
 	c.Restart(1)
-	waitUntil(t, 20*time.Second, "restarted replica catches up", func() bool {
+	c.waitFrontier(t, nil, 20*time.Second, "restarted replica catches up", func() bool {
 		return counterAt(c, 1) >= 30
 	})
 	t.Logf("restart-to-caught-up: %v (replay %v)",
@@ -92,7 +92,7 @@ func TestRestartSurvivesKillMidBatch(t *testing.T) {
 	// attempts: at least every acknowledged op, at most every attempt
 	// (an op whose ack was lost may still have executed — once).
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 10*time.Second, "counters converge", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "counters converge", func() bool {
 		v := counterAt(c, 0)
 		return counterAt(c, 1) == v && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})
@@ -115,7 +115,7 @@ func TestRestartPreservesReplyCache(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "victim executes everything", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "victim executes everything", func() bool {
 		return counterAt(c, 1) == ops
 	})
 	flushWAL(c, 1)
@@ -149,7 +149,7 @@ func TestRestartPreservesReplyCache(t *testing.T) {
 	// The restored replica participates in new agreements immediately and
 	// nothing was double-applied.
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 10*time.Second, "post-restart convergence", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "post-restart convergence", func() bool {
 		v := counterAt(c, 0)
 		return v == ops+1 && counterAt(c, 1) == v && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})
@@ -166,10 +166,10 @@ func TestRestartSurvivesKillMidCheckpoint(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "victim executes everything", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "victim executes everything", func() bool {
 		return counterAt(c, 1) == uint64(ops)
 	})
-	waitUntil(t, 5*time.Second, "victim collects a stable checkpoint", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "victim collects a stable checkpoint", func() bool {
 		return c.Replica(1).LowWaterMark() >= 16
 	})
 	flushWAL(c, 1)
@@ -188,7 +188,7 @@ func TestRestartSurvivesKillMidCheckpoint(t *testing.T) {
 	}
 
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 10*time.Second, "post-restart convergence", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "post-restart convergence", func() bool {
 		v := counterAt(c, 0)
 		return v == ops+1 && counterAt(c, 1) == v && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})
@@ -208,10 +208,10 @@ func TestRestartLongTailReplay(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "victim executes everything", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "victim executes everything", func() bool {
 		return counterAt(c, 1) == uint64(ops)
 	})
-	waitUntil(t, 5*time.Second, "victim collects a stable checkpoint", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "victim collects a stable checkpoint", func() bool {
 		return c.Replica(1).LowWaterMark() >= 16
 	})
 	flushWAL(c, 1)
@@ -230,7 +230,7 @@ func TestRestartLongTailReplay(t *testing.T) {
 	}
 
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 10*time.Second, "post-restart convergence", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "post-restart convergence", func() bool {
 		v := counterAt(c, 0)
 		return v == ops+1 && counterAt(c, 1) == v && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})
@@ -248,7 +248,7 @@ func TestRestartTornTail(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
-	waitUntil(t, 5*time.Second, "victim executes everything", func() bool {
+	c.waitFrontier(t, nil, 5*time.Second, "victim executes everything", func() bool {
 		return counterAt(c, 1) == ops
 	})
 	flushWAL(c, 1)
@@ -278,7 +278,7 @@ func TestRestartTornTail(t *testing.T) {
 
 	// Catch-up (retransmission or state transfer) covers the hole.
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 15*time.Second, "torn replica converges", func() bool {
+	c.waitFrontier(t, nil, 15*time.Second, "torn replica converges", func() bool {
 		v := counterAt(c, 0)
 		return v == ops+1 && counterAt(c, 1) == v && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})
@@ -299,7 +299,7 @@ func TestRestartAfterViewChange(t *testing.T) {
 	// backups' timers fire and the group changes views, then executes.
 	c.Net.Isolate(0)
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 10*time.Second, "victim executes in the new view", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "victim executes in the new view", func() bool {
 		return c.Replica(2).View() >= 1 && counterAt(c, 2) == 2
 	})
 
@@ -307,13 +307,13 @@ func TestRestartAfterViewChange(t *testing.T) {
 	flushWAL(c, 2)
 	c.Kill(2)
 	r := c.Restart(2)
-	waitUntil(t, 10*time.Second, "restarted replica resumes the view", func() bool {
+	c.waitFrontier(t, nil, 10*time.Second, "restarted replica resumes the view", func() bool {
 		return r.View() >= view
 	})
 
 	c.Net.Heal()
 	mustInvoke(t, cl, kvservice.Incr(), false)
-	waitUntil(t, 15*time.Second, "post-restart convergence", func() bool {
+	c.waitFrontier(t, nil, 15*time.Second, "post-restart convergence", func() bool {
 		v := counterAt(c, 1)
 		return v == 3 && counterAt(c, 2) == v && counterAt(c, 3) == v
 	})

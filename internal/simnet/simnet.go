@@ -387,8 +387,8 @@ func (n *Network) deliverEp(ep *endpoint, payload []byte) {
 // lock once for the whole set instead of once per destination. Its
 // observable behavior (stats, filters, loss/dup/jitter draws, delivery
 // order) is identical to looping send over dsts — the PRNG is consumed in
-// the same per-destination order — so simulations are reproducible across
-// the serial and pipelined egress paths.
+// the same per-destination order — so a simulation does not depend on which
+// of the two surfaces a sender uses.
 func (n *Network) multicast(src message.NodeID, dsts []message.NodeID, payload []byte) {
 	if n.closed.Load() {
 		return

@@ -7,18 +7,20 @@
 // datagram service.
 //
 // A Network hands each principal a Transport (its sending half) and invokes
-// its Handler serially, in arrival order, for each inbound datagram. The
-// serial-delivery contract is what lets the ingress pipeline
-// (internal/ingress) preserve per-sender ordering while fanning decode and
-// authentication across a worker pool.
+// its Handler serially, in arrival order, for each inbound datagram, on one
+// receive goroutine per endpoint. The engine decodes and authenticates each
+// datagram right there (internal/ingress), so that goroutine's delivery
+// order is the order the protocol sees; the engine's sends are sealed on
+// the sending goroutine and handed straight to the Transport
+// (internal/egress).
 package transport
 
 import "repro/internal/message"
 
 // Handler consumes one raw datagram delivered to an endpoint. A Network
-// invokes it from a single goroutine per endpoint, in arrival order; the
-// handler must not block for long or it backs up the receive queue (exactly
-// like a UDP socket buffer).
+// invokes it from a single goroutine per endpoint, in arrival order; while
+// it runs, later datagrams wait in the receive queue (exactly like a UDP
+// socket buffer), so it must not block.
 type Handler func(payload []byte)
 
 // Transport is the sending half an endpoint uses.
@@ -37,7 +39,7 @@ type Transport interface {
 	Close()
 }
 
-// Multicaster is an optional Transport extension for the egress pipeline:
+// Multicaster is an optional Transport extension for the egress stage:
 // a batched, ownership-transferring send surface. A substrate that
 // implements it can coalesce the n per-replica datagrams of one multicast
 // into a single submission (one lock round in the simulator, one tight

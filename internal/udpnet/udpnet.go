@@ -20,6 +20,13 @@ import (
 // state-transfer pages).
 const MaxDatagram = 64 * 1024
 
+// readBuffer is the socket receive buffer Listen asks for. The handler
+// authenticates each datagram on the read loop, so a burst waits in the
+// kernel meanwhile; the default buffer (about 208 KiB on Linux) overflows
+// under the benchmark's 4 KiB write load. The kernel caps the request at
+// net.core.rmem_max.
+const readBuffer = 4 << 20
+
 // AddressBook maps principals to UDP addresses.
 type AddressBook struct {
 	mu    sync.RWMutex
@@ -125,6 +132,9 @@ func Listen(self message.NodeID, book *AddressBook, h transport.Handler) (*Endpo
 	if err != nil {
 		return nil, fmt.Errorf("udpnet: listen %v: %w", addr, err)
 	}
+	// Best effort: a refusal leaves the default buffer, which costs only
+	// drops under bursts, like any lossy link.
+	_ = conn.SetReadBuffer(readBuffer)
 	ep := &Endpoint{self: self, book: book, conn: conn}
 	ep.wg.Add(1)
 	go func() {
@@ -169,7 +179,7 @@ func (ep *Endpoint) Multicast(dsts []message.NodeID, payload []byte) {
 // MulticastOwned implements transport.Multicaster: the n datagrams of one
 // multicast leave in one tight loop over a single buffer, and the buffer is
 // released as soon as the kernel has copied the last datagram out (UDP
-// writes are synchronous copies), so the egress pipeline can recycle it.
+// writes are synchronous copies), so the egress stage can recycle it.
 func (ep *Endpoint) MulticastOwned(dsts []message.NodeID, payload []byte, release func([]byte)) {
 	ep.Multicast(dsts, payload)
 	if release != nil {

@@ -181,7 +181,7 @@ type wcmd struct {
 // Writer is the async group-commit log writer. Append enqueues and
 // returns; a dedicated goroutine coalesces queued records into one
 // write+fsync per group (the fsync-batching twin of the replica's
-// ingress/egress/executor pipeline stages). Barrier blocks until every
+// executor stage). Barrier blocks until every
 // record enqueued before it is durable — the protocol calls it right
 // before the sends the paper requires to be stable.
 //
