@@ -157,27 +157,10 @@ func BenchmarkThroughput00(b *testing.B) {
 	b.ReportMetric(total/float64(b.N), "ops/s")
 }
 
-// BenchmarkThroughput00InlineExec / BenchmarkThroughput00StagedExec pin the
-// stage-3 executor explicitly (BenchmarkThroughput00 uses the adaptive
-// default): inline runs Service.Execute, checkpoint digesting, and reply
-// construction on the event loop; staged ships them to the ordered executor
-// goroutine so agreement for batch n+1 overlaps execution of batch n. See
-// also BenchmarkExecPipeline in internal/executor for the execution stage
-// alone.
-func BenchmarkThroughput00InlineExec(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.ExecPipeline = false })
-}
-
-func BenchmarkThroughput00StagedExec(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.ExecPipeline = true })
-}
-
 // BenchmarkThroughput00Batch1 / Batch16Fixed / BatchAdaptive pin the
 // primary's proposal policy (§5.1.4): serial issues one pre-prepare per
 // request, fixed drains up to BatchRequests per proposal, adaptive tracks
-// the AIMD fill target (the default). Interleaved with the executor rows
-// above, the ops/s metrics separate batching's contribution from the
-// executor stage's.
+// the AIMD fill target (the default).
 func BenchmarkThroughput00Batch1(b *testing.B) {
 	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.Batching = false })
 }
@@ -191,13 +174,7 @@ func BenchmarkThroughput00BatchAdaptive(b *testing.B) {
 }
 
 func benchThroughputOpt(b *testing.B, mut func(*pbft.Config)) {
-	c, _ := benchClusterOpt(b, pbft.ModeMAC, 4, func(cfg *pbft.Config) {
-		// Pin the executor stage on before the variant's mutation (the
-		// default adapts to core count): the inline-vs-staged pair then
-		// differs by exactly the executor on any host.
-		cfg.Opt.ExecPipeline = true
-		mut(cfg)
-	})
+	c, _ := benchClusterOpt(b, pbft.ModeMAC, 4, mut)
 	b.ResetTimer()
 	var total float64
 	for i := 0; i < b.N; i++ {

@@ -74,8 +74,8 @@ const (
 
 // Metrics is the per-replica counter snapshot returned by Replica.Metrics:
 // protocol events (batches, view changes, checkpoints, state transfers,
-// recoveries) and engine-stage health (inbox/outbox drops, executor queue
-// depth). It is a plain value — reading it never perturbs the replica.
+// recoveries) and engine-stage health (inbox/outbox drops). It is a plain
+// value — reading it never perturbs the replica.
 type Metrics = pbft.Metrics
 
 // SumMetrics folds any set of Metrics snapshots (replicas, groups, whole
@@ -137,9 +137,10 @@ type Options struct {
 	ProactiveRecovery time.Duration
 	// DisableOptimizations turns off every Chapter 5 protocol optimization
 	// (digest replies, tentative execution, read-only, batching, separate
-	// request transmission); useful for measurement. The engine's executor
-	// stage is NOT an optimization and keeps its default — it is how the
-	// replica runs, not what the paper ablates.
+	// request transmission); useful for measurement. The engine's own
+	// settings (batch limits, agreement and fetch windows) are NOT
+	// optimizations and keep their values — they are how the replica
+	// runs, not what the paper ablates.
 	DisableOptimizations bool
 	// Batching knobs (§5.1.4; see README "Batching & pipelining"). The
 	// primary drains its request queue into batches capped three ways:

@@ -6,7 +6,8 @@
 //	bftbench -exp all
 //
 // Scale multiplies iteration counts: 1 is a quick pass, 5+ gives smoother
-// numbers. See EXPERIMENTS.md for the paper-vs-measured record.
+// numbers. The repository benchmark (bench/README.md) and the measurements
+// recorded in CHANGES.md are the maintained performance record.
 package main
 
 import (

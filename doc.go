@@ -9,8 +9,8 @@
 // system of Chapter 6). The protocol engine and every substrate (network
 // simulator, crypto, checkpointing, state transfer, baselines, the analytic
 // performance model, and the benchmark harness) live under repro/internal.
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-versus-measured record. The benchmarks in
+// See README.md for a tour, bench/README.md for the repository benchmark,
+// and CHANGES.md for the measurements each change recorded. The benchmarks in
 // bench_test.go regenerate every table and figure of the paper's
 // evaluation chapter.
 package repro

@@ -51,11 +51,10 @@ type Snapshot struct {
 }
 
 // Manager owns the live partition tree and the chain of snapshots for one
-// replica. Like the Region it digests, it belongs to the executor goroutine
-// on the staged path; other goroutines reach it only inside Sync/execSync
-// rendezvous.
+// replica. Like the Region it digests, it belongs to the replica's event
+// loop.
 //
-// bftlint:owner=executor
+// bftlint:owner=eventloop
 type Manager struct {
 	region *statemachine.Region
 	fanout int
@@ -360,17 +359,6 @@ func (m *Manager) LiveDigest(level, index int) crypto.Digest {
 		return crypto.Digest{}
 	}
 	return m.live[level][index].Digest
-}
-
-// AppendLiveDigests appends the live digest of every part (all at one level)
-// to dst, in part order. It exists so the staged replica can price a whole
-// meta-data child set — or a whole fetch window — at one executor
-// rendezvous instead of one per partition.
-func (m *Manager) AppendLiveDigests(dst []crypto.Digest, level int, parts []message.PartInfo) []crypto.Digest {
-	for _, p := range parts {
-		dst = append(dst, m.LiveDigest(level, int(p.Index)))
-	}
-	return dst
 }
 
 // HasSnapshot reports whether checkpoint seq is retained.

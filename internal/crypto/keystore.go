@@ -42,8 +42,8 @@ func (s *keySnapshot) clone() *keySnapshot {
 // and its "out" keys are the latest ones each peer announced.
 //
 // KeyStore is safe for concurrent use and optimized for read-mostly access:
-// the transport receive goroutines verify MACs, and the event loop and
-// executor seal them, against an immutable snapshot (one atomic pointer
+// the transport receive goroutines verify MACs, and the event loop seals
+// them, against an immutable snapshot (one atomic pointer
 // load, no lock), while key refresh from the replica event loop publishes a
 // new snapshot copy-on-write. A verification that
 // races a refresh sees either the old or the new generation atomically,

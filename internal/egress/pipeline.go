@@ -4,8 +4,7 @@
 // to the transport. It mirrors internal/ingress, which decodes and verifies
 // on the receive side.
 //
-// The caller is the replica's event loop, its executor (for replies), or a
-// client's invoking goroutine. Sealing there keeps the send path one step,
+// The caller is the replica's event loop or a client's invoking goroutine. Sealing there keeps the send path one step,
 // as in the thesis's replica loop (§6.1): the vector of n MACs of §5.2 is
 // computed and the datagrams leave in call order, with no queue between
 // them. A key refresh can therefore never land between sealing and

@@ -2,40 +2,26 @@ package executor
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/crypto"
 	"repro/internal/kvservice"
 	"repro/internal/message"
 	"repro/internal/statemachine"
 )
 
 // captureOut records replies for inspection.
-type captureOut struct {
-	mu   sync.Mutex
-	reps []*message.Reply
-}
+type captureOut struct{ reps []*message.Reply }
 
-func (c *captureOut) SendReply(rep *message.Reply) {
-	c.mu.Lock()
-	c.reps = append(c.reps, rep)
-	c.mu.Unlock()
-}
+func (c *captureOut) SendReply(rep *message.Reply) { c.reps = append(c.reps, rep) }
 
-func (c *captureOut) replies() []*message.Reply {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*message.Reply(nil), c.reps...)
-}
+func (c *captureOut) replies() []*message.Reply { return c.reps }
 
 type harness struct {
 	ex     *Executor
 	out    *captureOut
 	region *statemachine.Region
 	mgr    *checkpoint.Manager
-	events chan Event
 }
 
 func newHarness(t *testing.T) *harness {
@@ -47,7 +33,6 @@ func newHarness(t *testing.T) *harness {
 		out:    &captureOut{},
 		region: region,
 		mgr:    mgr,
-		events: make(chan Event, 64),
 	}
 	h.ex = New(Config{
 		Self:          0,
@@ -57,9 +42,7 @@ func newHarness(t *testing.T) *harness {
 		Ckpt:          mgr,
 		Cache:         NewReplyCache(),
 		Out:           h.out,
-		Report:        func(ev Event) { h.events <- ev },
 	})
-	t.Cleanup(h.ex.Close)
 	return h
 }
 
@@ -74,7 +57,6 @@ func TestExecBatchRepliesAndCaches(t *testing.T) {
 		{Req: req(cl, 1, kvservice.Incr())},
 		{Req: req(cl+1, 1, kvservice.Incr())},
 	})
-	h.ex.Sync(func() {})
 	reps := h.out.replies()
 	if len(reps) != 2 {
 		t.Fatalf("got %d replies, want 2", len(reps))
@@ -93,15 +75,20 @@ func TestExecBatchRepliesAndCaches(t *testing.T) {
 func TestExactlyOnceAndResend(t *testing.T) {
 	h := newHarness(t)
 	cl := message.ClientIDBase
-	h.ex.ExecBatch(1, 0, nil, false, []Entry{{Req: req(cl, 5, kvservice.Incr())}})
+	first := []Entry{{Req: req(cl, 5, kvservice.Incr())}}
+	h.ex.ExecBatch(1, 0, nil, false, first)
 	// A duplicate at the same timestamp resends the cached reply instead of
 	// re-executing; an older timestamp is dropped.
-	h.ex.ExecBatch(2, 0, nil, false, []Entry{
+	dups := []Entry{
 		{Req: req(cl, 5, kvservice.Incr())},
 		{Req: req(cl, 4, kvservice.Incr())},
-	})
+	}
+	h.ex.ExecBatch(2, 0, nil, false, dups)
+	if !first[0].Executed || dups[0].Executed || dups[1].Executed {
+		t.Fatalf("Executed flags: first=%v dups=%v,%v, want true,false,false",
+			first[0].Executed, dups[0].Executed, dups[1].Executed)
+	}
 	h.ex.ResendReply(cl, 0)
-	h.ex.Sync(func() {})
 	reps := h.out.replies()
 	if len(reps) != 3 { // execute + duplicate resend + explicit resend
 		t.Fatalf("got %d replies, want 3", len(reps))
@@ -117,15 +104,13 @@ func TestTentativeFinalize(t *testing.T) {
 	h := newHarness(t)
 	cl := message.ClientIDBase
 	h.ex.ExecBatch(1, 0, nil, true, []Entry{{Req: req(cl, 1, kvservice.Incr())}})
-	h.ex.Sync(func() {})
 	if rep := h.out.replies()[0]; !rep.Tentative {
 		t.Fatal("reply not marked tentative")
 	}
 	if cr := h.ex.Cache().Get(cl); !cr.Tentative {
 		t.Fatal("cache entry not tentative")
 	}
-	h.ex.Finalize([]Final{{Client: cl, Timestamp: 1}})
-	h.ex.Sync(func() {})
+	h.ex.Finalize([]*message.Request{nil, req(cl, 1, kvservice.Incr())})
 	if cr := h.ex.Cache().Get(cl); cr.Tentative {
 		t.Fatal("finalize did not clear the tentative flag")
 	}
@@ -135,23 +120,14 @@ func TestCheckpointEventDigest(t *testing.T) {
 	h := newHarness(t)
 	cl := message.ClientIDBase
 	h.ex.ExecBatch(1, 0, nil, false, []Entry{{Req: req(cl, 1, kvservice.Incr())}})
-	h.ex.TakeCheckpoint(1, 7)
-	ev := <-h.events
-	if ev.Seq != 1 || ev.Epoch != 7 {
-		t.Fatalf("event = %+v", ev)
+	got := h.ex.TakeCheckpoint(1, 0)
+	// The returned digest must match what the manager + cache would give.
+	snap, ok := h.mgr.Snapshot(1)
+	if !ok {
+		t.Fatal("snapshot 1 missing")
 	}
-	// The reported digest must match what the manager + cache would give.
-	var want crypto.Digest
-	h.ex.Sync(func() {
-		snap, ok := h.mgr.Snapshot(1)
-		if !ok {
-			t.Error("snapshot 1 missing")
-			return
-		}
-		want = checkpoint.CombinedDigest(snap.Root, snap.Extra)
-	})
-	if ev.Digest != want {
-		t.Fatal("reported digest disagrees with the manager snapshot")
+	if got != checkpoint.CombinedDigest(snap.Root, snap.Extra) {
+		t.Fatal("returned digest disagrees with the manager snapshot")
 	}
 	if st := h.ex.Stats(); st.CkptTime <= 0 || st.PagesDigested == 0 {
 		t.Fatalf("checkpoint stats not tracked: %+v", st)
@@ -165,13 +141,11 @@ func TestPrecomputedResultSkipsService(t *testing.T) {
 	h.ex.ExecBatch(1, 0, nil, false, []Entry{
 		{Req: req(cl, 1, kvservice.Incr()), Pre: pre, HasPre: true},
 	})
-	h.ex.Sync(func() {})
 	if !bytes.Equal(h.out.replies()[0].Result, pre) {
 		t.Fatal("precomputed result not used")
 	}
 	// The service op must not have run: counter unchanged.
 	h.ex.ExecReadOnly(req(message.ClientIDBase, 1, kvservice.Get()), 0)
-	h.ex.Sync(func() {})
 	reps := h.out.replies()
 	if got := kvservice.DecodeU64(reps[len(reps)-1].Result); got != 0 {
 		t.Fatalf("counter = %d after precomputed entry, want 0", got)
@@ -189,7 +163,6 @@ func TestDigestRepliesSlimming(t *testing.T) {
 	rr := req(cl, 2, kvservice.ReadBlob(256))
 	rr.Replier = 3
 	h.ex.ExecReadOnly(rr, 0)
-	h.ex.Sync(func() {})
 	reps := h.out.replies()
 	last := reps[len(reps)-1]
 	if last.HasResult || last.Result != nil {
@@ -218,10 +191,6 @@ func TestReplyCacheRoundTrip(t *testing.T) {
 	// Checkpointed replies install committed regardless of live flags.
 	if c2.Get(message.ClientIDBase + 5).Tentative {
 		t.Fatal("installed entry kept tentative flag")
-	}
-	marks := Marks(b)
-	if len(marks) != 2 || marks[0].Timestamp != 3 || marks[1].Timestamp != 9 {
-		t.Fatalf("marks = %+v", marks)
 	}
 	// Marshaling must be deterministic (it is checkpointed state).
 	if !bytes.Equal(b, c2.Marshal()) {

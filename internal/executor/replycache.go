@@ -20,11 +20,7 @@ type Cached struct {
 // blob), so its wire encoding must stay identical across configurations —
 // every replica in a group must produce the same checkpoint digest.
 //
-// Ownership follows execution: the serial path keeps it on the event loop,
-// the staged path hands it to the executor goroutine (the protocol core
-// then keeps only a timestamp mirror for exactly-once checks).
-//
-// bftlint:owner=executor
+// bftlint:owner=eventloop
 type ReplyCache struct {
 	m map[message.NodeID]*Cached
 }
@@ -87,63 +83,21 @@ func (c *ReplyCache) Marshal() []byte {
 // committed execution, so entries install non-tentative.
 func (c *ReplyCache) Install(b []byte) {
 	c.m = make(map[message.NodeID]*Cached)
-	n, off, ok := cacheHeader(b)
-	if !ok {
+	if len(b) < 4 {
 		return
 	}
-	for i := 0; i < n; i++ {
-		id, ts, result, next, ok := cacheEntry(b, off)
-		if !ok {
-			break
+	n := int(binary.LittleEndian.Uint32(b[:4]))
+	off := 4
+	for i := 0; i < n && off+16 <= len(b); i++ {
+		id := message.NodeID(binary.LittleEndian.Uint32(b[off:]))
+		ts := binary.LittleEndian.Uint64(b[off+4:])
+		rl := int(binary.LittleEndian.Uint32(b[off+12:]))
+		off += 16
+		if rl < 0 || off+rl > len(b) {
+			return
 		}
+		result := append([]byte(nil), b[off:off+rl]...)
 		c.m[id] = &Cached{Timestamp: ts, Result: result, Tentative: false}
-		off = next
+		off += rl
 	}
-}
-
-// Mark is one (client, timestamp) pair of a marshaled cache — what the
-// protocol core's exactly-once mirror needs after a checkpoint restore.
-type Mark struct {
-	Client    message.NodeID
-	Timestamp uint64
-}
-
-// Marks decodes only the (client, timestamp) pairs of a marshaled cache.
-func Marks(b []byte) []Mark {
-	n, off, ok := cacheHeader(b)
-	if !ok {
-		return nil
-	}
-	out := make([]Mark, 0, n)
-	for i := 0; i < n; i++ {
-		id, ts, _, next, ok := cacheEntry(b, off)
-		if !ok {
-			break
-		}
-		out = append(out, Mark{Client: id, Timestamp: ts})
-		off = next
-	}
-	return out
-}
-
-func cacheHeader(b []byte) (n, off int, ok bool) {
-	if len(b) < 4 {
-		return 0, 0, false
-	}
-	return int(binary.LittleEndian.Uint32(b[:4])), 4, true
-}
-
-func cacheEntry(b []byte, off int) (id message.NodeID, ts uint64, result []byte, next int, ok bool) {
-	if off+16 > len(b) {
-		return 0, 0, nil, 0, false
-	}
-	id = message.NodeID(binary.LittleEndian.Uint32(b[off:]))
-	ts = binary.LittleEndian.Uint64(b[off+4:])
-	rl := int(binary.LittleEndian.Uint32(b[off+12:]))
-	off += 16
-	if rl < 0 || off+rl > len(b) {
-		return 0, 0, nil, 0, false
-	}
-	result = append([]byte(nil), b[off:off+rl]...)
-	return id, ts, result, off + rl, true
 }

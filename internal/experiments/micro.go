@@ -183,7 +183,6 @@ func E3Ablation(scale int) []*Table {
 		{"no batching", func(c *pbft.Config) { c.Opt.Batching = false }},
 		{"no separate req", func(c *pbft.Config) { c.Opt.SeparateRequests = false }},
 		{"no read-only opt", func(c *pbft.Config) { c.Opt.ReadOnly = false }},
-		{"inline execution", func(c *pbft.Config) { c.Opt.ExecPipeline = false }},
 		{"signatures (BFT-PK)", func(c *pbft.Config) { c.Mode = pbft.ModePK }},
 	}
 	lat := &Table{
@@ -198,11 +197,6 @@ func E3Ablation(scale int) []*Table {
 	}
 	for _, v := range variants {
 		cfg := benchConfig(pbft.ModeMAC)
-		// Pin the executor stage on before each mutation (the default
-		// adapts to core count): every row then differs from "full BFT" by
-		// exactly the named optimization, and the "inline execution" row is
-		// a real ablation on any host.
-		cfg.Opt.ExecPipeline = true
 		v.mut(&cfg)
 		c := newKVCluster(4, cfg)
 		cl := c.NewClient()

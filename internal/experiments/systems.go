@@ -66,50 +66,39 @@ func E5Checkpoint(scale int) []*Table {
 
 // e5Live measures the same checkpoint counters at a LIVE replica through
 // Replica.Metrics() — copy-on-write copies, page digests, and cumulative
-// digest latency now surface without reaching into the manager (which the
-// staged executor owns). The inline/staged pair shows the executor moving
-// that cost off the event loop without changing what is digested.
+// digest latency.
 func e5Live(scale int) *Table {
 	t := &Table{
 		ID:     "E5",
 		Title:  "checkpointing at a live replica (via Replica.Metrics())",
-		Header: []string{"execution", "ckpts", "cow copies", "digests", "digest time (us/ckpt)", "exec stalls"},
+		Header: []string{"ckpts", "cow copies", "digests", "digest time (us/ckpt)"},
 	}
-	for _, staged := range []bool{false, true} {
-		name := "inline"
-		if staged {
-			name = "staged"
+	cfg := benchConfig(pbft.ModeMAC)
+	cfg.CheckpointInterval = 8
+	cfg.LogWindow = 16
+	c := pbft.NewLocalCluster(4, cfg, kvservice.Factory, nil)
+	c.Start()
+	defer c.Stop()
+	cl := c.NewClient()
+	blob := make([]byte, 2048)
+	for i := 0; i < 48*scale; i++ {
+		blob[0] = byte(i)
+		if _, err := cl.Invoke(kvservice.WriteBlob(blob), false); err != nil {
+			t.Note("run truncated at op %d: %v", i, err)
+			break
 		}
-		cfg := benchConfig(pbft.ModeMAC)
-		cfg.CheckpointInterval = 8
-		cfg.LogWindow = 16
-		cfg.Opt.ExecPipeline = staged
-		c := pbft.NewLocalCluster(4, cfg, kvservice.Factory, nil)
-		c.Start()
-		cl := c.NewClient()
-		blob := make([]byte, 2048)
-		for i := 0; i < 48*scale; i++ {
-			blob[0] = byte(i)
-			if _, err := cl.Invoke(kvservice.WriteBlob(blob), false); err != nil {
-				t.Note("%s run truncated at op %d: %v", name, i, err)
-				break
-			}
-		}
-		// Read the primary: its agreement window keeps its execution close
-		// behind its own pre-prepares, so it takes every checkpoint itself.
-		// A backup outside the quorum of a slow host may legitimately skip
-		// checkpoints by state transfer and record no checkpoint work.
-		m := c.Replica(0).Metrics()
-		perCkpt := "-"
-		if m.CheckpointsTaken > 0 {
-			perCkpt = us(m.CkptDigestTime / time.Duration(m.CheckpointsTaken))
-		}
-		t.Add(name, fmt.Sprintf("%d", m.CheckpointsTaken),
-			fmt.Sprintf("%d", m.PagesCopied), fmt.Sprintf("%d", m.PagesDigested),
-			perCkpt, fmt.Sprintf("%d", m.ExecStalls))
-		c.Stop()
 	}
-	t.Note("staged rows run checkpoint digesting on the executor goroutine; counters flow through Replica.Metrics() either way")
+	// Read the primary: its agreement window keeps its execution close
+	// behind its own pre-prepares, so it takes every checkpoint itself.
+	// A backup outside the quorum of a slow host may legitimately skip
+	// checkpoints by state transfer and record no checkpoint work.
+	m := c.Replica(0).Metrics()
+	perCkpt := "-"
+	if m.CheckpointsTaken > 0 {
+		perCkpt = us(m.CkptDigestTime / time.Duration(m.CheckpointsTaken))
+	}
+	t.Add(fmt.Sprintf("%d", m.CheckpointsTaken),
+		fmt.Sprintf("%d", m.PagesCopied), fmt.Sprintf("%d", m.PagesDigested), perCkpt)
 	return t
 }
 

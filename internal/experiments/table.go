@@ -3,7 +3,8 @@
 // function returning a Table; cmd/bftbench prints them and bench_test.go
 // wraps them in testing.B benchmarks. Absolute numbers differ from the 1999
 // testbed — the reproduction target is the shape: who wins, by what rough
-// factor, and where crossovers sit (see EXPERIMENTS.md).
+// factor, and where crossovers sit. The maintained performance record is
+// the repository benchmark (bench/README.md) and CHANGES.md.
 package experiments
 
 import (

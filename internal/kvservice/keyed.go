@@ -494,8 +494,7 @@ func (s *KeyedService) writeLive(idx int, key, val []byte) {
 }
 
 // IsReadOnly implements statemachine.Service. Decided from the op bytes
-// alone (the upcall runs on the protocol loop while Execute may run on
-// the staged executor).
+// alone.
 func (s *KeyedService) IsReadOnly(op []byte) bool {
 	if len(op) == 0 {
 		return false

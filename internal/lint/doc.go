@@ -1,8 +1,8 @@
 // Package lint is bftlint: a go/analysis suite that machine-enforces the
 // concurrency, aliasing, and determinism invariants this replica's safety
 // argument rests on. PBFT (§4.2, §A) assumes protocol-state access is
-// serialized; with verification on receive goroutines and execution on the
-// stage-3 executor, that assumption lives in goroutine ownership
+// serialized; with verification on receive goroutines and durable logging
+// on the WAL writer, that assumption lives in goroutine ownership
 // rules that used to exist only in comments and one runtime CAS — and that
 // have been violated in shipped code twice (the PR 2 qset-aliasing bug,
 // the PR 4 map-order nondeterminism). bftlint turns those rules into
@@ -33,7 +33,7 @@
 // One space may follow the "//". Anything after the first whitespace
 // inside the directive body is human commentary and is ignored, so
 //
-//	// bftlint:owner=executor   (sole mutator: the stage-3 goroutine)
+//	// bftlint:owner=eventloop   (sole mutator: the replica event loop)
 //
 // is a well-formed owner directive. Unknown domains are themselves
 // diagnosed; unknown keys are reserved for future analyzers and ignored.
@@ -56,12 +56,12 @@
 //	                    so the annotation is a claim to audit, like any
 //	                    suppression.
 //	entrypoint=DOMAIN   function. Its body executes in DOMAIN (a receive
-//	                    goroutine callback, the executor loop). The bftowner
+//	                    goroutine callback, the WAL writer). The bftowner
 //	                    analyzer checks everything statically reachable
 //	                    from it against the ownership rules.
 //	rendezvous          function or interface method. Closures passed to
-//	                    it run serialized against every owner (Sync,
-//	                    execSync); their bodies are exempt.
+//	                    it run serialized against every owner; their
+//	                    bodies are exempt.
 //	runs=DOMAIN         function or interface method. Function-literal
 //	                    arguments passed to it execute in DOMAIN
 //	                    (transport attach handlers, ingress sinks); their
@@ -108,7 +108,7 @@
 //
 //	allow=NAME[,NAME]   suppress the named analyzers (bftowner, bftalias,
 //	                    bftbufown, bftrand, bfttime, bftmaporder, bftwire,
-//	                    bftquorum, bfttaint, bftsync) here.
+//	                    bftquorum, bfttaint) here.
 //	deepcopy            shorthand for allow=bftalias: "this store is a
 //	                    deep copy / the alias is intended".
 //	reuse-ok            shorthand for allow=bftbufown: "this reuse is
@@ -119,9 +119,9 @@
 //   - bftowner: call-graph reachability from entrypoint-annotated
 //     functions (and runs=-spawned closures) to owner-annotated state;
 //     reports any touch of state the entry domain does not own. Facts
-//     propagate summaries across packages, so an executor entry point in
-//     internal/executor reaching event-loop state in internal/pbft through
-//     three calls is still caught. Interface dispatch is statically
+//     propagate summaries across packages, so an entry point in one
+//     package reaching owned state in another through three calls is
+//     still caught. Interface dispatch is statically
 //     invisible; annotate the concrete implementations of cross-goroutine
 //     interfaces as entrypoints to close that hole.
 //   - bftalias: the PR 2 qset bug shape — caller-provided slice/map
@@ -139,8 +139,7 @@
 //     a bftlint:send function in the body (iteration order reaches the
 //     wire) or select a winner via early exit with the key/value escaping
 //     (iteration order picks the replier/digest/sequence). Iterate sorted
-//     keys instead; see ownCkptList or statefetch's retry path for the
-//     idiom.
+//     keys instead; see statefetch's retry path for the idiom.
 //   - bftwire: wire/digest coverage. Every struct with a
 //     marshalBody/unmarshalBody pair must reference each field from BOTH
 //     codec sides (or neither, with nowire=REASON), and for digest-bearing
@@ -160,12 +159,6 @@
 //     bounds check (a comparison on the same expression, a min/max clamp,
 //     or a modulo) is a finding. Calls are sanitizing boundaries unless
 //     annotated bftlint:untrusted.
-//   - bftsync: rendezvous self-deadlock. Code running on the executor
-//     goroutine (entrypoint=executor, runs=executor) must never reach a
-//     bftlint:rendezvous call, and a closure passed to a rendezvous must
-//     not rendezvous again — the Sync-inside-Sync shape the runtime CAS
-//     panic catches only when it fires, reported at build time with the
-//     witness call chain.
 //
 // All analyzers skip _test.go files: tests exercise nondeterminism and
 // aliasing on purpose, and `go vet` analyzes test variants of every

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/lint/alias"
 	"repro/internal/lint/bufown"
-	"repro/internal/lint/deadlock"
 	"repro/internal/lint/det"
 	"repro/internal/lint/owner"
 	"repro/internal/lint/quorum"
@@ -16,8 +15,7 @@ import (
 // Analyzers is the full bftlint suite, in the order findings are most
 // useful to read: ownership first (the structural invariant), then the
 // memory contracts, then determinism, then the protocol-shape analyzers
-// (wire/digest coverage, quorum arithmetic, Byzantine-input taint,
-// rendezvous deadlock).
+// (wire/digest coverage, quorum arithmetic, Byzantine-input taint).
 var Analyzers = []*analysis.Analyzer{
 	owner.Analyzer,
 	alias.Analyzer,
@@ -28,5 +26,4 @@ var Analyzers = []*analysis.Analyzer{
 	wire.Analyzer,
 	quorum.Analyzer,
 	taint.Analyzer,
-	deadlock.Analyzer,
 }

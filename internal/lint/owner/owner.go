@@ -1,10 +1,10 @@
 // Package owner implements bftowner, the ownership analyzer of the bftlint
 // suite: it machine-checks the replica's goroutine-ownership contract that
 // PRs 1-3 established and that the safety argument of Castro & Liskov
-// (§4.2) silently assumes — protocol state is event-loop-owned, execution
-// state (Region, checkpoint manager, reply cache) belongs to the stage-3
-// executor goroutine, and the transport receive goroutines (where ingress
-// verification runs) touch neither.
+// (§4.2) silently assumes — protocol and execution state (Region,
+// checkpoint manager, reply cache) are event-loop-owned, the WAL writer
+// goroutine owns its segment files, and the transport receive goroutines
+// (where ingress verification runs) touch neither.
 //
 // The rules are declared with the annotation grammar of internal/lint/doc.go:
 //
@@ -14,8 +14,8 @@
 //   - `bftlint:entrypoint=<domain>` on a function declares that its body
 //     runs in that domain (a receive-goroutine callback, the executor loop).
 //   - `bftlint:rendezvous` on a function declares that closures passed to
-//     it run with mutual exclusion against every owner (Sync/execSync), so
-//     their bodies are exempt.
+//     it run with mutual exclusion against every owner, so their bodies are
+//     exempt.
 //   - `bftlint:runs=<domain>` on a function declares that function-literal
 //     arguments execute in that domain (transport attach handlers, pool
 //     sinks); their bodies are checked under it.
@@ -255,7 +255,7 @@ func (c *ctx) report(pos token.Pos, domain, label string, acc Access) {
 		via = " via " + strings.Join(acc.Chain, " -> ")
 	}
 	c.pass.Reportf(pos,
-		"%s-context %s reaches %s-owned %s%s; only the %s goroutine may touch it outside a bftlint:rendezvous (Sync/execSync)",
+		"%s-context %s reaches %s-owned %s%s; only the %s goroutine may touch it outside a bftlint:rendezvous",
 		domain, label, acc.Owner, acc.Desc, via, acc.Owner)
 }
 

@@ -32,7 +32,7 @@ type cache struct {
 // bftlint:owner=shared
 func (c *cache) Len() int { return len(c.m) }
 
-// sync mimics execSync: closures run serialized against every owner.
+// sync is a rendezvous: closures run serialized against every owner.
 //
 // bftlint:rendezvous
 func sync(fn func()) { fn() }

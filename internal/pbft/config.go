@@ -7,18 +7,19 @@
 // retransmission, hierarchical checkpointing and state transfer, and
 // non-determinism agreement.
 //
-// One replica is one goroutine: the event loop owns all protocol state and
-// consumes authenticated messages and timer ticks from channels, mirroring
-// the I/O-automaton structure of the thesis's implementation (§6.1). A
-// datagram is decoded and authenticated on the transport's receive
-// goroutine before it reaches the loop (internal/ingress), and an outbound
-// message is sealed and transmitted on the goroutine that sends it
-// (internal/egress); neither path has a queue or worker pool of its own.
+// One replica is one goroutine: the event loop owns all protocol and
+// execution state and consumes authenticated messages and timer ticks from
+// channels, mirroring the I/O-automaton structure of the thesis's
+// implementation (§6.1). A datagram is decoded and authenticated on the
+// transport's receive goroutine before it reaches the loop
+// (internal/ingress); a batch is executed, its replies built and its
+// checkpoint digested on the loop itself (internal/executor); an outbound
+// message is sealed and transmitted on the loop (internal/egress). None of
+// the three stages has a queue or goroutine of its own.
 package pbft
 
 import (
 	"crypto/ed25519"
-	"runtime"
 	"sync"
 	"time"
 
@@ -106,23 +107,9 @@ type Options struct {
 	// partition. 1 reproduces the serial engine (the ablation baseline);
 	// 0 means the default of 8.
 	FetchWindow int
-	// ExecPipeline is stage 3 of the replica pipeline: state-machine
-	// execution, checkpoint digesting, and reply construction move off the
-	// event loop onto a single ordered executor goroutine
-	// (internal/executor) that exclusively owns the service Region, the
-	// checkpoint manager, and the reply cache. Agreement for batch n+1
-	// then overlaps execution of batch n. Protocol state stays
-	// single-threaded on the event loop; rare paths that must observe
-	// execution state (view-change rollback, state transfer, recovery
-	// state checking) rendezvous with the executor.
-	ExecPipeline bool
 }
 
 // DefaultOptions enables everything, like the thesis's BFT configuration.
-// The executor stage is enabled when more than one core is available; on a
-// single core the extra goroutine only adds scheduling overhead, so
-// execution stays on the event loop (set ExecPipeline explicitly to force
-// either way).
 func DefaultOptions() Options {
 	return Options{
 		DigestReplies:    true,
@@ -137,19 +124,18 @@ func DefaultOptions() Options {
 		SeparateRequests: true,
 		InlineThreshold:  255,
 		FetchWindow:      8,
-		ExecPipeline:     runtime.GOMAXPROCS(0) > 1,
 	}
 }
 
 // WithoutOptimizations returns a copy of o with every Chapter 5 protocol
 // optimization disabled — digest replies, tentative execution, read-only
 // operations, batching, and separate request transmission — while leaving
-// the engine stages (the executor stage, the state-transfer fetch window)
-// untouched. Those are implementation plumbing, not paper optimizations: a
-// measurement run that wants the unoptimized PROTOCOL must still run the
-// engine at full speed, or the ablation conflates the two. (Setting
-// Opt = Options{} by hand silently turned the executor stage off too; use
-// this instead.)
+// the engine's own settings (the batch limits, the agreement window, the
+// state-transfer fetch window) untouched. Those are implementation
+// plumbing, not paper optimizations: a measurement run that wants the
+// unoptimized PROTOCOL must still run the engine at full speed, or the
+// ablation conflates the two. (Setting Opt = Options{} by hand also
+// zeroes those; use this instead.)
 func (o Options) WithoutOptimizations() Options {
 	o.DigestReplies = false
 	o.TentativeExec = false
@@ -204,9 +190,6 @@ type Config struct {
 	ViewChangeTimeout time.Duration
 	// StatusInterval is the period of status multicasts (§5.2).
 	StatusInterval time.Duration
-	// IdleStatus suppresses status messages while nothing is missing.
-	// (Always on; field kept for tests that want chatter.)
-	ChattyStatus bool
 
 	// StateSize and PageSize shape the service memory region; Fanout shapes
 	// the partition tree (§5.3.1).

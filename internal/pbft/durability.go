@@ -56,7 +56,6 @@ func (r *Replica) initWAL() {
 	t0 := time.Now()
 	r.muted.Store(true)
 	pendingVC := r.replayRecovered(recov)
-	r.syncExecEvents() // drain replayed execution before un-muting
 	r.metrics.ReplayTime = time.Since(t0)
 
 	w, err := wal.Open(backend, recov, wal.Options{
@@ -96,25 +95,18 @@ func (r *Replica) initWAL() {
 func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 	if snap := recov.Snap; snap != nil {
 		seq := message.Seq(snap.Seq)
-		var root crypto.Digest
-		var extra []byte
-		r.execSync(func() {
-			np := r.region.NumPages()
-			ps := r.region.PageSize()
-			for i := range snap.Pages {
-				p := &snap.Pages[i]
-				// Index and size come off disk: bound them before they touch
-				// the region (InstallPage panics on a size mismatch).
-				if int(p.Index) >= np || len(p.Content) != ps {
-					continue
-				}
-				r.ckpt.InstallPage(int(p.Index), message.Seq(p.LastMod), p.Content)
+		np := r.region.NumPages()
+		ps := r.region.PageSize()
+		for i := range snap.Pages {
+			p := &snap.Pages[i]
+			// Index and size come off disk: bound them before they touch
+			// the region (InstallPage panics on a size mismatch).
+			if int(p.Index) >= np || len(p.Content) != ps {
+				continue
 			}
-			sealed := r.ckpt.SealFetched(seq, snap.Extra)
-			root = sealed.Root
-			extra = sealed.Extra
-			r.setRepliesFromCheckpoint(extra)
-		})
+			r.ckpt.InstallPage(int(p.Index), message.Seq(p.LastMod), p.Content)
+		}
+		r.replyCache.Install(r.ckpt.SealFetched(seq, snap.Extra).Extra)
 		// A root that disagrees with snap.Root (possible only through silent
 		// page corruption the per-blob CRC cannot see) is left for the
 		// checkpoint protocol: the group's next stable certificate will not
@@ -123,9 +115,6 @@ func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 		r.lastCommitted = seq
 		r.seqno = seq
 		r.log.Reset(seq)
-		if r.staged() {
-			r.xs.myCkpts = map[message.Seq]crypto.Digest{seq: ckptDigest(root, extra)}
-		}
 	}
 
 	var pendingVC message.View
@@ -506,35 +495,28 @@ func (r *Replica) persistStable(seq message.Seq) {
 	if !r.walEnabled() {
 		return
 	}
-	var ws *wal.Snapshot
 	rotate := r.wal.Stats().Bytes-r.walRotated >= uint64(r.rotateBytes())
-	r.execSync(func() {
-		snap, ok := r.ckpt.Snapshot(seq)
-		if !ok {
-			return
-		}
-		s := &wal.Snapshot{
-			Seq:   uint64(seq),
-			Root:  snap.Root,
-			Extra: append([]byte(nil), snap.Extra...),
-		}
-		if rotate {
-			for p := 0; p < r.region.NumPages(); p++ {
-				content, lm, ok := r.ckpt.PageAt(seq, p)
-				if !ok {
-					return
-				}
-				s.Pages = append(s.Pages, wal.Page{
-					Index:   uint32(p),
-					LastMod: uint64(lm),
-					Content: append([]byte(nil), content...),
-				})
-			}
-		}
-		ws = s
-	})
-	if ws == nil {
+	snap, ok := r.ckpt.Snapshot(seq)
+	if !ok {
 		return
+	}
+	ws := &wal.Snapshot{
+		Seq:   uint64(seq),
+		Root:  snap.Root,
+		Extra: append([]byte(nil), snap.Extra...),
+	}
+	if rotate {
+		for p := 0; p < r.region.NumPages(); p++ {
+			content, lm, ok := r.ckpt.PageAt(seq, p)
+			if !ok {
+				return
+			}
+			ws.Pages = append(ws.Pages, wal.Page{
+				Index:   uint32(p),
+				LastMod: uint64(lm),
+				Content: append([]byte(nil), content...),
+			})
+		}
 	}
 	r.wal.Append(wal.Record{
 		Kind:   wal.KindStable,
@@ -573,12 +555,9 @@ func (r *Replica) Kill() {
 		return // already stopped
 	default:
 	}
-	r.muted.Store(true) // in-flight executor replies die with the process
+	r.muted.Store(true) // what the event loop finishes now never reaches the network
 	close(r.stopC)
 	r.wg.Wait()
-	if r.xs != nil {
-		r.xs.ex.Close()
-	}
 	r.out.Close()
 	if r.wal != nil {
 		r.wal.Crash()

@@ -77,26 +77,20 @@ func verifiesAt(t *testing.T, rx *Replica, wire []byte) bool {
 }
 
 func TestSerialEgressInvoke(t *testing.T) {
-	// Replies are sealed on the executor goroutine when the executor stage
-	// is on and on the event loop when it is off; both must reach the
-	// client, and nothing is refused on the way.
-	for _, staged := range []bool{true, false} {
-		cfg := testConfig()
-		cfg.Opt.ExecPipeline = staged
-		c := newTestCluster(t, 4, cfg, nil)
-		cl := c.NewClient()
-		for i := 1; i <= 5; i++ {
-			res := mustInvoke(t, cl, kvservice.Incr(), false)
-			if got := kvservice.DecodeU64(res); got != uint64(i) {
-				t.Fatalf("staged=%v: incr %d returned %d", staged, i, got)
-			}
+	// Replies are sealed on the event loop; they must reach the client, and
+	// nothing is refused on the way.
+	c := newTestCluster(t, 4, testConfig(), nil)
+	cl := c.NewClient()
+	for i := 1; i <= 5; i++ {
+		res := mustInvoke(t, cl, kvservice.Incr(), false)
+		if got := kvservice.DecodeU64(res); got != uint64(i) {
+			t.Fatalf("incr %d returned %d", i, got)
 		}
-		for i := 0; i < 4; i++ {
-			if d := c.Replica(i).Metrics().OutboxDrops; d != 0 {
-				t.Fatalf("staged=%v: replica %d refused %d sends", staged, i, d)
-			}
+	}
+	for i := 0; i < 4; i++ {
+		if d := c.Replica(i).Metrics().OutboxDrops; d != 0 {
+			t.Fatalf("replica %d refused %d sends", i, d)
 		}
-		c.Stop()
 	}
 }
 
@@ -226,7 +220,7 @@ func TestEgressAllocationBudget(t *testing.T) {
 
 func TestEgressSurvivesKeyRefresh(t *testing.T) {
 	// Key refreshment (§4.3.1) rotates the copy-on-write key store while
-	// the event loop and the executor seal; every send uses the keys
+	// the event loop seals; every send uses the keys
 	// current when it is sealed, so the protocol keeps making progress
 	// across aggressive refresh intervals.
 	cfg := testConfig()

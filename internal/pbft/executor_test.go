@@ -1,9 +1,8 @@
 package pbft
 
-// Tests for the stage-3 executor integration: the serial (inline) execution
-// path that the staged suite no longer exercises, the §5.1.3 read-only
-// quiescence rule under asynchronous execution, and the tentative-
-// checkpoint rollback regression.
+// Tests for execution at the replica: the checkpoint metrics, the §5.1.3
+// read-only quiescence rule, and the tentative-checkpoint rollback
+// regression.
 
 import (
 	"testing"
@@ -14,102 +13,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// TestInlineExecutionPath covers the ExecPipeline=false ablation row: the
-// serial execution path must still work end to end (the main suite forces
-// the staged path).
-func TestInlineExecutionPath(t *testing.T) {
-	cfg := testConfig()
-	cfg.Opt.ExecPipeline = false
-	c := newTestCluster(t, 4, cfg, nil)
-	cl := c.NewClient()
-	for i := 1; i <= 5; i++ {
-		res := mustInvoke(t, cl, kvservice.Incr(), false)
-		if got := kvservice.DecodeU64(res); got != uint64(i) {
-			t.Fatalf("incr %d returned %d", i, got)
-		}
-	}
-	res := mustInvoke(t, cl, kvservice.Get(), true)
-	if got := kvservice.DecodeU64(res); got != 5 {
-		t.Fatalf("read-only get returned %d, want 5", got)
-	}
-	m := c.Replica(0).Metrics()
-	if m.ExecQueueDepth != 0 || m.ExecStalls != 0 {
-		t.Fatalf("inline path reported executor metrics: %+v", m)
-	}
-	if m.PagesDigested == 0 && m.CheckpointsTaken > 0 {
-		t.Fatalf("inline path lost manager metrics: %+v", m)
-	}
-}
-
-func TestPipelineSerialAgreement(t *testing.T) {
-	// The executor stage applies batches in the order the event loop
-	// dispatches them, so staged and inline execution must produce
-	// identical execution histories for the same workload.
-	run := func(staged bool) []uint64 {
-		cfg := testConfig()
-		cfg.Opt.ExecPipeline = staged
-		c := NewLocalCluster(4, cfg, kvservice.Factory, nil)
-		c.Start()
-		defer c.Stop()
-		cl := c.NewClient()
-		var out []uint64
-		for i := 0; i < 10; i++ {
-			res := mustInvoke(t, cl, kvservice.AppendLog(), false)
-			out = append(out, kvservice.DecodeU64(res))
-		}
-		return out
-	}
-	inline, staged := run(false), run(true)
-	for i := range inline {
-		if inline[i] != staged[i] {
-			t.Fatalf("histories diverge at op %d: inline=%d staged=%d",
-				i, inline[i], staged[i])
-		}
-	}
-}
-
-func TestPipelineMixedClusterAgreement(t *testing.T) {
-	// Staged and inline executors interoperate in one group: replies and
-	// checkpoints are built by the same code (executor.BuildReply, the
-	// checkpoint manager), so certificates form across the two.
-	cfg := testConfig()
-	cfg.CheckpointInterval = 4
-	cfg.LogWindow = 8
-	net := simnet.New(simnet.WithSeed(cfg.Seed + 7))
-	t.Cleanup(func() { net.Close() })
-	cfg.N = 4
-	cfg.Validate()
-	dir := NewDirectory(4)
-	var reps []*Replica
-	for i := 0; i < 4; i++ {
-		rc := cfg
-		rc.ID = message.NodeID(i)
-		rc.Opt.ExecPipeline = i%2 == 0 // replicas 0,2 staged; 1,3 inline
-		r := NewReplica(rc, dir, net, kvservice.Factory)
-		reps = append(reps, r)
-		r.Start()
-	}
-	t.Cleanup(func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	})
-	cl := NewClient(message.ClientIDBase, dir, net, cfg.Mode, cfg.Opt)
-	t.Cleanup(cl.Close)
-	for i := 1; i <= 12; i++ {
-		res, err := cl.Invoke(kvservice.Incr(), false)
-		if err != nil {
-			t.Fatalf("invoke %d: %v", i, err)
-		}
-		if got := kvservice.DecodeU64(res); got != uint64(i) {
-			t.Fatalf("incr %d -> %d", i, got)
-		}
-	}
-}
-
-// TestExecMetricsSurface pins the staged-path metrics plumbing: checkpoint
-// manager counters and digest latency must reach Replica.Metrics() without
-// touching the manager off the executor goroutine.
+// TestExecMetricsSurface pins the execution metrics plumbing: checkpoint
+// manager counters and digest latency must reach Replica.Metrics().
 func TestExecMetricsSurface(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckpointInterval = 4
@@ -150,12 +55,11 @@ func dropCommits(src, dst message.NodeID, p []byte) ([]byte, bool) {
 	return p, true
 }
 
-// TestReadOnlyWaitsForCommitUnderStagedExecutor is the §5.1.3 quiescence
-// rule with asynchronous execution: a queued read-only request whose
-// arrival mark covers a tentative (uncommitted) write must NOT be answered
-// — even though the executor has long since applied the write — until the
-// prefix commits.
-func TestReadOnlyWaitsForCommitUnderStagedExecutor(t *testing.T) {
+// TestReadOnlyWaitsForCommit is the §5.1.3 quiescence rule: a queued
+// read-only request whose arrival mark covers a tentative (uncommitted)
+// write must NOT be answered — even though the replica has long since
+// applied the write — until the prefix commits.
+func TestReadOnlyWaitsForCommit(t *testing.T) {
 	cfg := testConfig()
 	// Backups now treat a tentatively-executed batch whose commits never
 	// arrive as grounds for a view change (§2.3.5 liveness); this test
@@ -202,7 +106,7 @@ func TestReadOnlyWaitsForCommitUnderStagedExecutor(t *testing.T) {
 		return n > 0
 	})
 
-	// The executor applied the write long ago; the reply must still be
+	// The replica applied the write long ago; the reply must still be
 	// withheld while the write is uncommitted.
 	select {
 	case r := <-done:
@@ -277,9 +181,7 @@ func TestTentativeCheckpointRollback(t *testing.T) {
 		var ok bool
 		r.do(func() {
 			_, pending := r.pendingCkpts[1]
-			var snap bool
-			r.execSync(func() { snap = r.ckpt.HasSnapshot(1) })
-			ok = r.lastExec == 1 && r.lastCommitted == 0 && pending && snap
+			ok = r.lastExec == 1 && r.lastCommitted == 0 && pending && r.ckpt.HasSnapshot(1)
 		})
 		return ok
 	})
@@ -311,9 +213,7 @@ func TestTentativeCheckpointRollback(t *testing.T) {
 			if _, ok := r.pendingCkpts[1]; ok {
 				t.Errorf("replica %d: rolled-back tentative checkpoint still pending", i)
 			}
-			var snap bool
-			r.execSync(func() { snap = r.ckpt.HasSnapshot(1) })
-			if snap {
+			if r.ckpt.HasSnapshot(1) {
 				t.Errorf("replica %d: manager snapshot at seq 1 survived the rollback", i)
 			}
 			if r.lastExec != 0 {

@@ -110,49 +110,38 @@ func TestStaleVerdictReverified(t *testing.T) {
 func TestInboxOverflowCounted(t *testing.T) {
 	// Flood an unstarted replica (its event loop consumes nothing) past its
 	// tiny inbox: every datagram is verified on the receive goroutine, and
-	// the verdicts that do not fit must be counted. The receive path is the
-	// same whether execution runs on the event loop ("serial") or on the
-	// executor stage ("pipelined"); both must count and report the drops.
-	for _, staged := range []bool{false, true} {
-		name := "serial"
-		if staged {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			net := simnet.New(simnet.WithSeed(1))
-			t.Cleanup(func() { net.Close() })
-			cfg := testConfig()
-			cfg.ID = 0
-			cfg.N = 4
-			cfg.InboxCap = 4
-			cfg.Opt.ExecPipeline = staged
-			dir := NewDirectory(4)
-			r := NewReplica(cfg, dir, net, kvservice.Factory) // not started yet
-			t.Cleanup(r.Stop)                                 // Stop without Start is safe
+	// the verdicts that do not fit must be counted.
+	net := simnet.New(simnet.WithSeed(1))
+	t.Cleanup(func() { net.Close() })
+	cfg := testConfig()
+	cfg.ID = 0
+	cfg.N = 4
+	cfg.InboxCap = 4
+	dir := NewDirectory(4)
+	r := NewReplica(cfg, dir, net, kvservice.Factory) // not started yet
+	t.Cleanup(r.Stop)                                 // Stop without Start is safe
 
-			attacker := newRawSender(net, message.ClientIDBase+9)
-			payload := (&message.Request{
-				Client:    message.ClientIDBase + 9,
-				Timestamp: 1,
-				Replier:   message.NoNode,
-				Op:        kvservice.Get(),
-			}).Marshal()
-			for i := 0; i < 256; i++ {
-				attacker.trans.Send(0, payload)
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for r.inboxDrops.Load() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("no inbox drops counted after flooding a full inbox")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			// The counter must surface through the public snapshot too.
-			r.Start()
-			m := r.Metrics()
-			if m.InboxDrops == 0 {
-				t.Fatal("Metrics().InboxDrops = 0 after overflow")
-			}
-		})
+	attacker := newRawSender(net, message.ClientIDBase+9)
+	payload := (&message.Request{
+		Client:    message.ClientIDBase + 9,
+		Timestamp: 1,
+		Replier:   message.NoNode,
+		Op:        kvservice.Get(),
+	}).Marshal()
+	for i := 0; i < 256; i++ {
+		attacker.trans.Send(0, payload)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.inboxDrops.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no inbox drops counted after flooding a full inbox")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The counter must surface through the public snapshot too.
+	r.Start()
+	m := r.Metrics()
+	if m.InboxDrops == 0 {
+		t.Fatal("Metrics().InboxDrops = 0 after overflow")
 	}
 }

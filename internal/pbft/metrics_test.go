@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -43,6 +44,35 @@ func TestMetricsMergeSemantics(t *testing.T) {
 	// 80 requests over 40 batches = 2.0 — NOT the mean of 4.0 and 1.33.
 	if m.BatchFillAvg != 2.0 {
 		t.Fatalf("fill avg must be recomputed from totals: %v", m.BatchFillAvg)
+	}
+}
+
+// TestMetricsMergeCoversEveryField sets every field of a snapshot to a
+// distinct non-zero value and merges it into a zero Metrics: a field added
+// to Metrics without a line in Merge stays zero and fails here.
+func TestMetricsMergeCoversEveryField(t *testing.T) {
+	var other Metrics
+	v := reflect.ValueOf(&other).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Int64: // time.Duration
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i + 1))
+		default:
+			t.Fatalf("field %s has kind %s; extend this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var m Metrics
+	m.Merge(other)
+	got := reflect.ValueOf(m)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).IsZero() {
+			t.Errorf("Merge drops field %s", got.Type().Field(i).Name)
+		}
 	}
 }
 

@@ -29,14 +29,13 @@ func (r *Replica) onRequest(req *message.Request) {
 	}
 
 	// Exactly-once: replay the cached reply for the last executed timestamp,
-	// drop anything older (§2.3.3). On the staged path the check reads the
-	// event-loop mirror; the executor serves the actual retransmission.
+	// drop anything older (§2.3.3).
 	if ts, ok := r.lastReplied(client); ok {
 		if req.Timestamp < ts {
 			return
 		}
 		if req.Timestamp == ts {
-			r.resendCachedReply(client)
+			r.ex.ResendReply(client, r.view)
 			return
 		}
 	}
@@ -93,14 +92,13 @@ func (r *Replica) dequeueExecuted(client message.NodeID, d crypto.Digest) {
 	r.queue.Remove(client, d)
 }
 
-func (r *Replica) resendCachedReply(client message.NodeID) {
-	if r.staged() {
-		r.xs.ex.ResendReply(client, r.view)
-		return
-	}
+// lastReplied returns the timestamp of the last reply sent to client, if
+// any — the exactly-once check (§2.3.3).
+func (r *Replica) lastReplied(client message.NodeID) (uint64, bool) {
 	if cr := r.replyCache.Get(client); cr != nil {
-		r.sendTo(client, executor.CachedReply(r.id, r.view, client, cr))
+		return cr.Timestamp, true
 	}
+	return 0, false
 }
 
 // ---------------------------------------------------------------------------
@@ -685,21 +683,33 @@ func (r *Replica) batchRequests(pp *message.PrePrepare) []*message.Request {
 
 // execBatch executes every request of the batch at slot s against the
 // service state and replies to clients. tentative selects §5.1.2 semantics.
-// With the stage-3 executor, the state-machine half (Service.Execute,
-// reply construction, checkpoint digesting) is dispatched as ordered
-// commands and overlaps the protocol work for subsequent batches; all
-// protocol bookkeeping below stays on the event loop either way.
 func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 	pp := s.PrePrepare
 	seq := s.Seq
-	if r.staged() {
-		r.dispatchBatch(pp, seq, tentative)
-	} else {
-		for _, req := range r.batchRequests(pp) {
-			if req == nil {
-				continue // null request: no-op (§2.3.5)
-			}
-			r.execOne(req, pp.NonDet, tentative, seq)
+	entries := make([]executor.Entry, 0, len(pp.Inline)+len(pp.Digests))
+	for _, req := range r.batchRequests(pp) {
+		if req == nil {
+			continue // null request: no-op (§2.3.5)
+		}
+		d := req.Digest()
+		r.log.MarkRequestExecuted(d, seq)
+		r.dequeueExecuted(req.Client, d)
+		ent := executor.Entry{Req: req}
+		if req.Recovery() {
+			// A recovery request's result is its sequence number; its
+			// protocol effects run below, once it has executed (§4.3.2).
+			ent.Pre, ent.HasPre = recoveryResult(seq), true
+		}
+		entries = append(entries, ent)
+	}
+	r.ex.ExecBatch(seq, r.view, pp.NonDet, tentative, entries)
+	for i := range entries {
+		if !entries[i].Executed {
+			continue
+		}
+		r.metrics.RequestsExecuted++
+		if req := entries[i].Req; req.Recovery() {
+			r.recoveryRequestEffects(req, seq)
 		}
 	}
 	r.lastExec = seq
@@ -717,20 +727,14 @@ func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 	}
 
 	// Checkpoint right after (tentative) execution of a multiple of K; the
-	// checkpoint message goes out only once the batch commits (§5.1.2). On
-	// the staged path the digest comes back as an event (onCkptTaken),
-	// which broadcasts or defers by the commit state at report time.
+	// checkpoint message goes out only once the batch commits (§5.1.2).
 	if seq%r.cfg.CheckpointInterval == 0 {
-		if r.staged() {
-			r.metrics.CheckpointsTaken++
-			r.xs.ex.TakeCheckpoint(seq, r.xs.epoch)
+		d := r.ex.TakeCheckpoint(seq, 0)
+		r.metrics.CheckpointsTaken++
+		if tentative {
+			r.pendingCkpts[seq] = d
 		} else {
-			d := r.takeCheckpointNow(seq)
-			if tentative {
-				r.pendingCkpts[seq] = d
-			} else {
-				r.broadcastCheckpoint(seq, d)
-			}
+			r.broadcastCheckpoint(seq, d)
 		}
 	}
 }
@@ -745,70 +749,12 @@ func (r *Replica) finalizeBatch(s *vlog.Slot) {
 	}
 	// The batch's replies are no longer tentative.
 	if s.PrePrepare != nil {
-		var finals []executor.Final
-		for _, req := range r.batchRequests(s.PrePrepare) {
-			if req == nil {
-				continue
-			}
-			if r.staged() {
-				if mark, ok := r.xs.repMarks[req.Client]; ok &&
-					mark.ts == req.Timestamp && mark.tentative {
-					mark.tentative = false
-					// Updates an existing reply-cache entry (guarded by the
-					// lookup above); no new key is ever inserted here.
-					r.xs.repMarks[req.Client] = mark // bftlint:allow=bfttaint
-					finals = append(finals, executor.Final{
-						Client: req.Client, Timestamp: req.Timestamp})
-				}
-			} else {
-				r.replyCache.MarkFinal(req.Client, req.Timestamp)
-			}
-		}
-		if len(finals) > 0 {
-			r.xs.ex.Finalize(finals)
-		}
+		r.ex.Finalize(r.batchRequests(s.PrePrepare))
 	}
 	if d, ok := r.pendingCkpts[s.Seq]; ok {
 		delete(r.pendingCkpts, s.Seq)
 		r.broadcastCheckpoint(s.Seq, d)
 	}
-}
-
-// execOne applies a single request and sends the reply (serial path; the
-// staged twin is dispatchBatch + executor execOne).
-func (r *Replica) execOne(req *message.Request, nondet []byte, tentative bool, seq message.Seq) {
-	client := req.Client
-	d := req.Digest()
-	defer func() {
-		r.log.MarkRequestExecuted(d, seq)
-		r.dequeueExecuted(client, d)
-	}()
-
-	if cr := r.replyCache.Get(client); cr != nil && req.Timestamp <= cr.Timestamp {
-		if req.Timestamp == cr.Timestamp {
-			r.resendCachedReply(client)
-		}
-		return
-	}
-
-	var result []byte
-	if req.Recovery() {
-		result = r.executeRecoveryRequest(req, seq)
-	} else {
-		result = r.service.Execute(client, req.Op, nondet)
-	}
-	r.metrics.RequestsExecuted++
-	r.replyTo(req, result, tentative)
-}
-
-// replyTo builds, caches, and sends the reply for an executed request.
-func (r *Replica) replyTo(req *message.Request, result []byte, tentative bool) {
-	// Cache the canonical (timestamp, result) for retransmissions; the
-	// protocol envelope (view, tentative) is rebuilt when resending so the
-	// checkpointed reply cache is identical across replicas.
-	r.replyCache.Set(req.Client, req.Timestamp, result, tentative)
-	r.sendTo(req.Client, executor.BuildReply(r.id, r.cfg.Opt.DigestReplies,
-		smallResultThreshold, r.view, req, result, tentative))
 }
 
 // drainReadOnly answers queued read-only requests once the state reflects
@@ -832,17 +778,7 @@ func (r *Replica) drainReadOnly() {
 			r.roQueue = append(r.roQueue, e)
 			continue
 		}
-		req := e.req
-		if r.staged() {
-			// Eligibility was decided here on protocol state; command order
-			// guarantees the executor answers from a state reflecting
-			// exactly the dispatched prefix.
-			r.xs.ex.ExecReadOnly(req, r.view)
-			continue
-		}
-		result := r.service.Execute(req.Client, req.Op, nil)
-		r.sendTo(req.Client, executor.BuildReply(r.id, r.cfg.Opt.DigestReplies,
-			smallResultThreshold, r.view, req, result, false))
+		r.ex.ExecReadOnly(e.req, r.view)
 	}
 }
 
@@ -860,15 +796,14 @@ func ckptDigest(root crypto.Digest, extra []byte) crypto.Digest {
 	return checkpoint.CombinedDigest(root, extra)
 }
 
-// takeCheckpointNow snapshots the state and returns the checkpoint digest
-// (serial path; the staged path dispatches TakeCheckpoint to the executor).
-func (r *Replica) takeCheckpointNow(seq message.Seq) crypto.Digest {
-	t0 := time.Now()
-	extra := r.replyCache.Marshal()
-	snap := r.ckpt.Take(seq, extra)
-	r.metrics.CheckpointsTaken++
-	r.metrics.CkptDigestTime += time.Since(t0)
-	return ckptDigest(snap.Root, snap.Extra)
+// ownCkptDigest returns this replica's digest for the checkpoint at seq, if
+// it holds that snapshot.
+func (r *Replica) ownCkptDigest(seq message.Seq) (crypto.Digest, bool) {
+	snap, ok := r.ckpt.Snapshot(seq)
+	if !ok {
+		return crypto.Digest{}, false
+	}
+	return ckptDigest(snap.Root, snap.Extra), true
 }
 
 func (r *Replica) broadcastCheckpoint(seq message.Seq, d crypto.Digest) {
@@ -907,9 +842,6 @@ func (r *Replica) checkCkptStable(seq message.Seq) {
 	if seq <= r.log.Low() {
 		return
 	}
-	// Our own digest for seq: from the manager on the serial path, from
-	// the digest mirror on the staged path (absent until the executor's
-	// report arrives; the report re-runs this check).
 	mine, ok := r.ownCkptDigest(seq)
 	if !ok {
 		return
@@ -933,7 +865,7 @@ func (r *Replica) makeStable(seq message.Seq) {
 		return
 	}
 	r.log.AdvanceLow(seq)
-	r.discardCkptsBefore(seq)
+	r.ex.Discard(seq)
 	for s := range r.ckptVotes {
 		if s <= seq {
 			delete(r.ckptVotes, s)
@@ -976,7 +908,7 @@ func (r *Replica) makeStable(seq message.Seq) {
 // cluster-wide and the transfer must be re-pointed — refusing it wedged the
 // fetcher on a Fetch nobody could ever serve.
 func (r *Replica) maybeStartTransfer(seq message.Seq) {
-	if seq <= r.latestCkptSeq() || seq <= r.lastExec {
+	if seq <= r.ckpt.Latest().Seq || seq <= r.lastExec {
 		return
 	}
 	if r.fetch.active && seq <= r.fetch.target {

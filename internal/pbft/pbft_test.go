@@ -13,15 +13,10 @@ import (
 )
 
 // testConfig returns a small, fast configuration for integration tests.
-// The executor stage is forced on (DefaultOptions adapts it to the core
-// count) so the whole protocol suite exercises the staged path on any
-// machine; executor_test.go covers inline execution explicitly.
 func testConfig() Config {
-	opt := DefaultOptions()
-	opt.ExecPipeline = true
 	return Config{
 		Mode:               ModeMAC,
-		Opt:                opt,
+		Opt:                DefaultOptions(),
 		CheckpointInterval: 16,
 		LogWindow:          32,
 		ViewChangeTimeout:  150 * time.Millisecond,

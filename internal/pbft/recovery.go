@@ -310,20 +310,11 @@ func (r *Replica) noteRecoveryRequest(req *message.Request) {
 	r.rec.lastRecoveryFrom[req.Client] = time.Now() // bftlint:allow=bfttaint
 }
 
-// executeRecoveryRequest runs when a recovery request commits and executes
-// (§4.3.2): every other replica refreshes its session keys, and the result
-// tells the recovering replica the request's sequence number. The staged
-// path splits it: the result is precomputed at dispatch (recoveryResult)
-// and the protocol effects run on the event loop after the batch command
-// ships (recoveryRequestEffects) — recovery requests never touch the
-// Region, so nothing of theirs belongs on the executor.
-func (r *Replica) executeRecoveryRequest(req *message.Request, seq message.Seq) []byte {
-	r.recoveryRequestEffects(req, seq)
-	return recoveryResult(seq)
-}
-
-// recoveryRequestEffects applies the protocol-side effects of an executed
-// recovery request.
+// recoveryRequestEffects applies the protocol-side effects of a recovery
+// request that executed at seq (§4.3.2): every other replica refreshes its
+// session keys, and the recovering replica learns the request's sequence
+// number. Its reply carries recoveryResult(seq); recovery requests never
+// touch the Region.
 func (r *Replica) recoveryRequestEffects(req *message.Request, seq message.Seq) {
 	recoverer := req.Client
 	if recoverer != r.id {
@@ -409,13 +400,10 @@ func maxSeq(a, b message.Seq) message.Seq {
 }
 
 // startStateCheck verifies the local state against the partition tree and
-// repairs corruption via state transfer (§5.3.3). The digest sweep and the
-// page invalidation run on the executor (rendezvous) on the staged path;
-// the transfer itself is driven from the event loop as usual.
+// repairs corruption via state transfer (§5.3.3).
 func (r *Replica) startStateCheck() {
 	r.rec.phase = recChecking
-	var bad []int
-	r.execSync(func() { bad = r.ckpt.RecomputeFull() })
+	bad := r.ckpt.RecomputeFull()
 	if len(bad) > 0 {
 		// Pages whose content no longer matches their digest were corrupted
 		// behind the library's back. Fetch the latest stable checkpoint;
@@ -425,11 +413,9 @@ func (r *Replica) startStateCheck() {
 		if d, ok := r.ownCkptDigest(low); ok {
 			// Invalidate the bad pages' live digests so the transfer diff
 			// sees them as stale.
-			r.execSync(func() {
-				for _, p := range bad {
-					r.ckpt.InstallPage(p, 0, r.region.Page(p))
-				}
-			})
+			for _, p := range bad {
+				r.ckpt.InstallPage(p, 0, r.region.Page(p))
+			}
 			r.startStateTransfer(low, d)
 		}
 	}

@@ -50,9 +50,8 @@ type Metrics struct {
 	// only once the replica is stopping. A refused send is simply never
 	// transmitted, like a datagram lost on the wire.
 	OutboxDrops uint64
-	// ExecQueueDepth samples the stage-3 executor's command-queue depth at
-	// snapshot time; ExecStalls counts event-loop dispatches that found
-	// the queue full and had to block. Both zero when ExecPipeline is off.
+	// ExecQueueDepth and ExecStalls are always zero: execution runs on the
+	// event loop, with no queue to sample or fill.
 	ExecQueueDepth uint64
 	ExecStalls     uint64
 	// PagesCopied / PagesDigested surface the checkpoint manager's
@@ -110,7 +109,7 @@ type queuedRO struct {
 // goes through control thunks. The shared carve-outs are immutable
 // configuration, thread-safe crypto state, channels/atomics, and the
 // ingress/egress stages, which are exactly what the transport's receive
-// goroutine and the executor's reply path touch.
+// goroutine touches.
 //
 // bftlint:owner=eventloop
 // bftlint:longlived
@@ -132,8 +131,7 @@ type Replica struct {
 	inbox      chan inbound      // bftlint:owner=shared
 	pipe       *ingress.Pipeline // bftlint:owner=shared
 	inboxDrops atomic.Uint64     // bftlint:owner=shared
-	// out seals and transmits outbound messages on the calling goroutine
-	// (the event loop, or the executor for replies).
+	// out seals and transmits outbound messages on the event loop.
 	out   *egress.Pipeline // bftlint:owner=shared
 	ctrl  chan func()      // bftlint:owner=shared
 	stopC chan struct{}    // bftlint:owner=shared
@@ -149,22 +147,15 @@ type Replica struct {
 	lastCommitted message.Seq // highest seq with all <= it committed+executed
 	execRecords   map[message.Seq]execRecord
 
-	// Execution state. On the serial path all four are event-loop-owned;
-	// with cfg.Opt.ExecPipeline the region, service (its Execute), the
-	// checkpoint manager, and the reply cache belong to the stage-3
-	// executor goroutine (r.xs), and the event loop touches them only
-	// inside execSync rendezvous. service's IsReadOnly / ProposeNonDet /
-	// CheckNonDet stay callable from the event loop (see the
-	// statemachine.Service contract).
-	region  *statemachine.Region // bftlint:owner=executor
-	service statemachine.Service // bftlint:owner=executor
-	ckpt    *checkpoint.Manager  // bftlint:owner=executor
-
-	replyCache *executor.ReplyCache // bftlint:owner=executor
-	// xs is the staged-executor state; nil when ExecPipeline is off. The
-	// pointer itself is shared (set once in NewReplica); ownership of the
-	// fields behind it is declared on execState.
-	xs *execState // bftlint:owner=shared
+	// Execution state. ex executes requests, builds replies and takes
+	// checkpoints over the other four; the rare paths that rebuild
+	// execution state (rollback, state transfer, WAL replay, recovery
+	// state checking) use them directly.
+	region     *statemachine.Region
+	service    statemachine.Service
+	ckpt       *checkpoint.Manager
+	replyCache *executor.ReplyCache
+	ex         *executor.Executor
 
 	// Checkpoint protocol.
 	ckptVotes    map[message.Seq]map[message.NodeID]crypto.Digest
@@ -294,15 +285,17 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 		r.pipe.Submit(p)
 	})
 	r.out = egress.New(0, 0, &sealer{mode: cfg.Mode, n: cfg.N, ks: r.ks, kp: r.kp}, r.trans)
-	if cfg.Opt.ExecPipeline {
-		// Stage 3: execution, checkpoint digesting, and reply construction
-		// move onto the executor goroutine, which takes ownership of the
-		// region, service execution, checkpoint manager, and reply cache.
-		// Created last: its replies go out through the egress stage above.
-		r.startExecutor()
-	}
-	// Durability last: replay needs the executor (state installs rendezvous
-	// through it) and the muted send paths above.
+	r.ex = executor.New(executor.Config{
+		Self:          r.id,
+		DigestReplies: cfg.Opt.DigestReplies,
+		SmallResult:   smallResultThreshold,
+		Service:       r.service,
+		Ckpt:          r.ckpt,
+		Cache:         r.replyCache,
+		Out:           (*replyOut)(r),
+	})
+	// Durability last: replay re-executes through the executor with the
+	// send paths above muted.
 	r.initWAL()
 	return r
 }
@@ -332,11 +325,6 @@ func (r *Replica) Stop() {
 	}
 	close(r.stopC)
 	r.wg.Wait()
-	if r.xs != nil {
-		// After the event loop (no more dispatchers), before the egress
-		// stage and transport (in-flight replies go out through them).
-		r.xs.ex.Close()
-	}
 	r.out.Close()
 	if r.wal != nil {
 		r.wal.Close() // clean shutdown flushes; only Kill abandons the tail
@@ -372,22 +360,13 @@ func (r *Replica) Metrics() Metrics {
 		if m.BatchesProposed > 0 {
 			m.BatchFillAvg = float64(m.RequestsProposed) / float64(m.BatchesProposed)
 		}
-		if r.xs == nil {
-			// Serial path: the manager is event-loop-owned, read directly.
-			m.PagesCopied = r.ckpt.PagesCopied
-			m.PagesDigested = r.ckpt.PagesDigested
-		}
-	})
-	m.InboxDrops = r.inboxDrops.Load()
-	m.OutboxDrops = r.out.Stats().Rejected
-	if r.xs != nil {
-		s := r.xs.ex.Stats()
-		m.ExecQueueDepth = uint64(s.Depth)
-		m.ExecStalls = s.Stalls
+		s := r.ex.Stats()
 		m.PagesCopied = s.PagesCopied
 		m.PagesDigested = s.PagesDigested
 		m.CkptDigestTime = s.CkptTime
-	}
+	})
+	m.InboxDrops = r.inboxDrops.Load()
+	m.OutboxDrops = r.out.Stats().Rejected
 	if r.wal != nil {
 		ws := r.wal.Stats()
 		m.WALAppends = ws.Appends
@@ -421,20 +400,20 @@ func (r *Replica) LowWaterMark() message.Seq {
 // StateDigest returns the live state root digest.
 func (r *Replica) StateDigest() crypto.Digest {
 	var d crypto.Digest
-	r.do(func() { r.execSync(func() { d = r.ckpt.RootDigest() }) })
+	r.do(func() { d = r.ckpt.RootDigest() })
 	return d
 }
 
-// InspectService calls fn with the replica's service instance while both
-// the event loop and the executor are quiesced (read-only use in tests).
+// InspectService calls fn with the replica's service instance on the event
+// loop (read-only use in tests).
 func (r *Replica) InspectService(fn func(statemachine.Service)) {
-	r.do(func() { r.execSync(func() { fn(r.service) }) })
+	r.do(func() { fn(r.service) })
 }
 
 // CorruptStatePage simulates an attacker flipping state bytes behind the
 // library's back; the state-checking pass of recovery must find it.
 func (r *Replica) CorruptStatePage(page int) {
-	r.do(func() { r.execSync(func() { r.ckpt.CorruptLivePage(page) }) })
+	r.do(func() { r.ckpt.CorruptLivePage(page) })
 }
 
 const tickInterval = 2 * time.Millisecond
@@ -452,18 +431,8 @@ func (r *Replica) run() {
 	}
 	ticker := time.NewTicker(tickInterval)
 	defer ticker.Stop()
-	// execEvC is the stage-3 executor's doorbell; nil (never ready) when
-	// the executor is off.
-	var execEvC chan struct{}
-	if r.xs != nil {
-		execEvC = r.xs.evC
-	}
 	for {
 		select {
-		case <-execEvC:
-			for _, ev := range r.takeExecEvents() {
-				r.onCkptTaken(ev)
-			}
 		case im := <-r.inbox:
 			r.onInbound(im)
 		case <-r.batchTimer.C:
@@ -639,6 +608,13 @@ func (r *Replica) sendTo(dst message.NodeID, m message.Message) {
 	r.behaviorMangle(m)
 	r.out.Send(dst, m, egress.Point)
 }
+
+// replyOut sends the executor's replies point-authenticated to their
+// clients.
+type replyOut Replica
+
+// SendReply implements executor.Outbound.
+func (o *replyOut) SendReply(rep *message.Reply) { (*Replica)(o).sendTo(rep.Client, rep) }
 
 // sendRaw sends an already-authenticated message (retransmissions of stored
 // messages keep their original authenticators so relays work).

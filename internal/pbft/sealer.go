@@ -9,8 +9,8 @@ import (
 // sealer is the state-free authentication core of the send path — the
 // outbound twin of verifier. It owns no protocol state: it reads the
 // copy-on-write key-store snapshots and the immutable mode/group size, so
-// Seal is safe on the event loop, the executor, and a client's invoking
-// goroutine, concurrently with key refresh.
+// Seal is safe on the event loop and on a client's invoking goroutine,
+// concurrently with key refresh.
 //
 // Seal never writes into the message: the computed trailer goes straight
 // into the wire buffer (message.AppendAuth), so a stored protocol object

@@ -183,8 +183,7 @@ func (r *Replica) assignReplier(not message.NodeID) message.NodeID {
 }
 
 // fillFetchWindow refills the in-flight window from the queue, skipping
-// partitions that already match locally. The skip-scan reads live tree
-// digests, so one executor rendezvous prices the whole refill, not one item.
+// partitions that already match locally.
 func (r *Replica) fillFetchWindow() {
 	f := &r.fetch
 	if !f.active {
@@ -192,18 +191,14 @@ func (r *Replica) fillFetchWindow() {
 	}
 	want := r.fetchWindow() - len(f.inflight)
 	var admit []fetchItem
-	if want > 0 && len(f.queue) > 0 {
-		r.execSync(func() {
-			for len(f.queue) > 0 && len(admit) < want {
-				item := f.queue[0]
-				f.queue = f.queue[1:]
-				// Skip partitions that already match locally.
-				if item.level > 0 && r.ckpt.LiveDigest(item.level, int(item.index)) == item.digest {
-					continue
-				}
-				admit = append(admit, item)
-			}
-		})
+	for len(f.queue) > 0 && len(admit) < want {
+		item := f.queue[0]
+		f.queue = f.queue[1:]
+		// Skip partitions that already match locally.
+		if item.level > 0 && r.ckpt.LiveDigest(item.level, int(item.index)) == item.digest {
+			continue
+		}
+		admit = append(admit, item)
 	}
 	now := time.Now()
 	for i := range admit {
@@ -224,7 +219,7 @@ func (r *Replica) sendFetchItem(item *fetchItem) {
 	r.multicastReplicas(&message.Fetch{
 		Level:     uint8(item.level),
 		Index:     item.index,
-		LastKnown: r.latestCkptSeq(),
+		LastKnown: r.ckpt.Latest().Seq,
 		Target:    r.fetch.target,
 		Replier:   item.replier,
 		Replica:   r.id,
@@ -321,44 +316,36 @@ func (r *Replica) restartFetchFromRoot() {
 	r.fillFetchWindow()
 }
 
-// onFetch serves state to a fetching replica (§5.3.2). The whole serving
-// path reads snapshot overlays and live pages, so on the staged path it
-// runs as one executor rendezvous (serving is rare — only while a peer is
-// fetching — so stalling the dispatch loop briefly is fine).
+// onFetch serves state to a fetching replica (§5.3.2).
 func (r *Replica) onFetch(m *message.Fetch) {
 	if m.Replica == r.id {
 		return
 	}
-	var voteFor message.Seq
-	r.execSync(func() {
-		snap, ok := r.ckpt.Snapshot(m.Target)
-		if m.Replier == r.id && ok {
-			r.serveFetch(m, snap.Seq)
-			return
-		}
-		// Non-designated replicas (or ones that discarded the checkpoint)
-		// offer their latest stable checkpoint if it is fresher than what
-		// the requester has (guarantees progress when m.Target was
-		// collected): the meta-data is useful wherever partitions did not
-		// change between the doomed target and our stable checkpoint.
-		low := r.log.Low()
-		if low > m.LastKnown && low > m.Target {
-			if s2, ok2 := r.ckpt.Snapshot(low); ok2 {
-				r.serveFetch(m, s2.Seq)
-			}
-			voteFor = low
-		}
-	})
-	if voteFor != 0 {
-		// Resend our Checkpoint vote for the stable checkpoint we CAN serve
-		// (fresh authenticator, §5.2). The fetcher assembles a weak
-		// certificate from f+1 such votes and re-targets its transfer —
-		// without this, a fetcher whose target was collected cluster-wide
-		// re-sends the same doomed Fetch forever while its peers' fallback
-		// meta-data is dropped for digest mismatch.
-		if d, ok := r.ownCkptDigest(voteFor); ok {
-			r.resendOwn(m.Replica, &message.Checkpoint{Seq: voteFor, Digest: d, Replica: r.id})
-		}
+	snap, ok := r.ckpt.Snapshot(m.Target)
+	if m.Replier == r.id && ok {
+		r.serveFetch(m, snap.Seq)
+		return
+	}
+	// Non-designated replicas (or ones that discarded the checkpoint)
+	// offer their latest stable checkpoint if it is fresher than what
+	// the requester has (guarantees progress when m.Target was
+	// collected): the meta-data is useful wherever partitions did not
+	// change between the doomed target and our stable checkpoint.
+	low := r.log.Low()
+	if low <= m.LastKnown || low <= m.Target {
+		return
+	}
+	if s2, ok2 := r.ckpt.Snapshot(low); ok2 {
+		r.serveFetch(m, s2.Seq)
+	}
+	// Resend our Checkpoint vote for the stable checkpoint we CAN serve
+	// (fresh authenticator, §5.2). The fetcher assembles a weak
+	// certificate from f+1 such votes and re-targets its transfer —
+	// without this, a fetcher whose target was collected cluster-wide
+	// re-sends the same doomed Fetch forever while its peers' fallback
+	// meta-data is dropped for digest mismatch.
+	if d, ok := r.ownCkptDigest(low); ok {
+		r.resendOwn(m.Replica, &message.Checkpoint{Seq: low, Digest: d, Replica: r.id})
 	}
 }
 
@@ -452,14 +439,9 @@ func (r *Replica) onMetaData(md *message.MetaData) {
 	} else if computed != item.digest {
 		return
 	}
-	// Enqueue children that differ from our live state — one rendezvous
-	// covers the whole child set on the staged path.
-	live := make([]crypto.Digest, 0, len(md.Parts))
-	r.execSync(func() {
-		live = r.ckpt.AppendLiveDigests(live, item.level+1, md.Parts)
-	})
-	for i, p := range md.Parts {
-		if live[i] == p.Digest {
+	// Enqueue children that differ from our live state.
+	for _, p := range md.Parts {
+		if r.ckpt.LiveDigest(item.level+1, int(p.Index)) == p.Digest {
 			continue
 		}
 		// Note p.LastMod is NOT carried into the item: the interior digest
@@ -500,7 +482,7 @@ func (r *Replica) onData(d *message.Data) {
 		checkpoint.LeafDigest(int(d.Index), d.LastMod, d.Page) != item.digest {
 		return
 	}
-	r.execSync(func() { r.ckpt.InstallPage(int(d.Index), d.LastMod, d.Page) })
+	r.ckpt.InstallPage(int(d.Index), d.LastMod, d.Page)
 	r.metrics.PagesFetched++
 	r.metrics.TransferBytes += uint64(len(d.Page))
 	// Decay the ASSIGNMENT, not d.Replica: the claim is unauthenticated, so
@@ -515,20 +497,13 @@ func (r *Replica) finishFetchIfDone() {
 	if !f.active || len(f.queue) != 0 || len(f.inflight) != 0 || !f.rootVerified {
 		return
 	}
-	rootOK := false
-	r.execSync(func() {
-		if ckptDigest(r.ckpt.RootDigest(), f.extra) != f.targetDigest {
-			return
-		}
-		rootOK = true
-		r.ckpt.SealFetched(f.target, f.extra)
-		r.setRepliesFromCheckpoint(f.extra)
-	})
-	if !rootOK {
+	if ckptDigest(r.ckpt.RootDigest(), f.extra) != f.targetDigest {
 		// Shouldn't happen: every page verified. Restart from the root.
 		r.restartFetchFromRoot()
 		return
 	}
+	r.ckpt.SealFetched(f.target, f.extra)
+	r.replyCache.Install(f.extra)
 	if f.target > f.prevExec {
 		// Transfer observability: wall clock from the first startStateTransfer
 		// (re-targets keep the clock) to the seal, for transfers that
@@ -541,13 +516,6 @@ func (r *Replica) finishFetchIfDone() {
 	target := f.target
 	f.active = false
 
-	if r.staged() {
-		// SealFetched replaced every snapshot with the fetched one; reports
-		// in flight for destroyed snapshots must not land, and the digest
-		// mirror now holds exactly the verified target.
-		r.xs.epoch++
-		r.xs.myCkpts = map[message.Seq]crypto.Digest{target: f.targetDigest}
-	}
 	if target > r.log.Low() {
 		r.log.AdvanceLow(target)
 		for s := range r.ckptVotes {

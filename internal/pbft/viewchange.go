@@ -134,11 +134,6 @@ func (r *Replica) startViewChange(nv message.View) {
 	}
 	r.metrics.ViewChanges++
 
-	// Make the checkpoint mirror current before it feeds buildViewChange's
-	// C component (a report still in flight would under-report a retained
-	// checkpoint, weakening the decision procedure's checkpoint selection).
-	r.syncExecEvents()
-
 	// Abort tentative executions: revert to the newest snapshot at or below
 	// the last committed batch (§5.1.2).
 	r.rollbackTentative()
@@ -193,59 +188,47 @@ func (r *Replica) startViewChange(nv message.View) {
 }
 
 // rollbackTentative undoes tentative executions that may abort (§5.1.2).
-// It runs as an executor rendezvous on the staged path: the closure sees
-// every dispatched batch applied and excludes concurrent execution, so the
-// revert target and the reverted state are exactly what the serial path
-// would compute.
 func (r *Replica) rollbackTentative() {
 	if r.lastExec <= r.lastCommitted {
 		return
 	}
-	r.execSync(func() {
-		// Find the newest snapshot at or below lastCommitted.
-		var target message.Seq
-		found := false
-		for s := r.lastCommitted; ; s-- {
-			if _, ok := r.ckpt.Snapshot(s); ok {
-				target = s
-				found = true
-				break
-			}
-			if s == 0 {
-				break
-			}
+	// Find the newest snapshot at or below lastCommitted.
+	var target message.Seq
+	found := false
+	for s := r.lastCommitted; ; s-- {
+		if _, ok := r.ckpt.Snapshot(s); ok {
+			target = s
+			found = true
+			break
 		}
-		if !found {
-			return
+		if s == 0 {
+			break
 		}
-		extra, ok := r.ckpt.RevertTo(target)
-		if !ok {
-			return
+	}
+	if !found {
+		return
+	}
+	extra, ok := r.ckpt.RevertTo(target)
+	if !ok {
+		return
+	}
+	r.replyCache.Install(extra)
+	r.lastExec = target
+	r.lastCommitted = target
+	// Requests whose only execution was rolled back must not be GC'd:
+	// the new view may reassign them to higher sequence numbers.
+	r.log.UnmarkExecutedAbove(target)
+	for s := range r.execRecords {
+		if s > target {
+			delete(r.execRecords, s)
 		}
-		r.setRepliesFromCheckpoint(extra)
-		r.lastExec = target
-		r.lastCommitted = target
-		// Requests whose only execution was rolled back must not be GC'd:
-		// the new view may reassign them to higher sequence numbers.
-		r.log.UnmarkExecutedAbove(target)
-		for s := range r.execRecords {
-			if s > target {
-				delete(r.execRecords, s)
-			}
+	}
+	for s := range r.pendingCkpts {
+		if s > target {
+			delete(r.pendingCkpts, s)
 		}
-		for s := range r.pendingCkpts {
-			if s > target {
-				delete(r.pendingCkpts, s)
-			}
-		}
-		if r.staged() {
-			// Snapshots above the target are gone; invalidate any
-			// checkpoint-digest report still in flight for them.
-			r.pruneCkptsAbove(target)
-			r.xs.epoch++
-		}
-		r.metrics.Rollbacks++
-	})
+	}
+	r.metrics.Rollbacks++
 }
 
 // computePQ folds the current log into PSet and QSet per Fig 3-2.
@@ -296,9 +279,14 @@ func (r *Replica) computePQ() {
 // buildViewChange assembles ⟨VIEW-CHANGE, nv, h, C, P, Q, i⟩.
 func (r *Replica) buildViewChange(nv message.View) *message.ViewChange {
 	vc := &message.ViewChange{NewView: nv, H: r.log.Low(), Replica: r.id}
-	// C: every retained checkpoint (seq, digest) — from the manager on the
-	// serial path, from the digest mirror on the staged path.
-	vc.Ckpts = r.ownCkptList()
+	// C: every retained checkpoint (seq, digest) at or above the low water
+	// mark, ascending.
+	latest := r.ckpt.Latest().Seq
+	for s := r.log.Low(); s <= latest; s += r.cfg.CheckpointInterval {
+		if d, ok := r.ownCkptDigest(s); ok {
+			vc.Ckpts = append(vc.Ckpts, message.CkptInfo{Seq: s, Digest: d})
+		}
+	}
 	// Deterministic order by seq for P and Q.
 	seqs := make([]message.Seq, 0, len(r.vc.pset))
 	for s := range r.vc.pset {
@@ -867,13 +855,8 @@ func (r *Replica) enterNewView(nv *message.NewView) {
 	h := nv.CkptSeq
 
 	// If the chosen checkpoint is ahead of us, fetch it (§5.3.2); the slots
-	// are installed regardless so the protocol can proceed. The mirror must
-	// be current first: deciding on an in-flight report would start a
-	// transfer for a checkpoint this replica already took.
-	if r.latestCkptSeq() < h || r.lastExec < h {
-		r.syncExecEvents()
-	}
-	if r.latestCkptSeq() < h || r.lastExec < h {
+	// are installed regardless so the protocol can proceed.
+	if r.ckpt.Latest().Seq < h || r.lastExec < h {
 		if _, ok := r.ownCkptDigest(h); !ok {
 			r.startStateTransfer(h, nv.CkptDigest)
 		}

@@ -130,7 +130,7 @@ func TestRestartPreservesReplyCache(t *testing.T) {
 	var cachedResult []byte
 	r.InspectService(func(s statemachine.Service) {
 		counter = kvservice.DecodeU64(s.Execute(message.ClientIDBase+9999, kvservice.Get(), nil))
-		// Loop and executor are quiesced here; the cache is safe to read.
+		// InspectService runs on the event loop; the cache is safe to read.
 		if cr := r.replyCache.Get(message.ClientIDBase); cr != nil {
 			cachedTS = cr.Timestamp
 			cachedResult = append([]byte(nil), cr.Result...)

@@ -28,12 +28,8 @@ type Service interface {
 	// passed so the service can enforce access control (§2.4.2). nondet is
 	// the value agreed through the protocol for this batch (§5.4).
 	//
-	// Concurrency: when the replica's staged executor is enabled
-	// (Config.Opt.ExecPipeline), Execute runs on the executor goroutine
-	// while IsReadOnly, ProposeNonDet, and CheckNonDet keep running on the
-	// protocol event loop. Those three must therefore not read Region
-	// state (decide from the operation bytes and local clocks, as
-	// kvservice and bfs do) or must synchronize internally.
+	// Concurrency: a replica calls all four methods on its event loop, one
+	// call at a time, so an implementation needs no locking of its own.
 	Execute(client message.NodeID, op []byte, nondet []byte) []byte
 
 	// IsReadOnly reports whether op does not modify state. It is the
@@ -54,15 +50,12 @@ type Service interface {
 // Region is the paged state of one replica. The zero offset layout is owned
 // entirely by the service; the replication library only sees pages.
 //
-// Ownership: a Region belongs to exactly one goroutine at a time — the
-// replica event loop on the serial path, or the stage-3 executor goroutine
-// once Config.Opt.ExecPipeline hands execution off (other goroutines may
-// then touch it only inside executor Sync rendezvous). The mutGuard below
-// turns a violated handoff into a panic even without the race detector;
-// the owner annotation lets bftowner report the same violations at build
-// time.
+// Ownership: a replica's Region belongs to its event loop. The mutGuard
+// below turns a mutation from another goroutine into a panic even without
+// the race detector; the owner annotation lets bftowner report the same
+// violations at build time.
 //
-// bftlint:owner=executor
+// bftlint:owner=eventloop
 type Region struct {
 	pageSize int
 	data     []byte

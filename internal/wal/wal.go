@@ -180,8 +180,7 @@ type wcmd struct {
 
 // Writer is the async group-commit log writer. Append enqueues and
 // returns; a dedicated goroutine coalesces queued records into one
-// write+fsync per group (the fsync-batching twin of the replica's
-// executor stage). Barrier blocks until every
+// write+fsync per group. Barrier blocks until every
 // record enqueued before it is durable — the protocol calls it right
 // before the sends the paper requires to be stable.
 //
