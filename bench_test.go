@@ -1,10 +1,11 @@
 package repro
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md's experiment index). The experiment drivers in
-// internal/experiments print the regenerated tables (visible with -v); the
-// per-operation micro benchmarks report conventional ns/op so `go test
-// -bench . -benchmem` gives comparable numbers run to run.
+// evaluation. The experiment drivers in internal/experiments print the
+// regenerated tables (visible with -v); the per-operation micro benchmarks
+// report conventional ns/op so `go test -bench . -benchmem` gives
+// comparable numbers run to run. Throughput, batching and durability are
+// measured by the repository benchmark instead (bench/README.md).
 //
 // Run everything:
 //
@@ -54,19 +55,13 @@ func BenchmarkE10Model(b *testing.B)        { runExperiment(b, experiments.E10Mo
 func BenchmarkE11AuthCrossover(b *testing.B) {
 	runExperiment(b, experiments.E11AuthCrossover)
 }
-func BenchmarkE12Batching(b *testing.B) { runExperiment(b, experiments.E12Batching) }
 
 // ---------------------------------------------------------------------------
 // Conventional per-operation micro benchmarks (ns/op comparable across
 // runs). These are the operations behind Figures 8-2..8-9.
 // ---------------------------------------------------------------------------
 
-func benchCluster(b *testing.B, mode pbft.Mode, n int) (*pbft.Cluster, *pbft.Client) {
-	return benchClusterOpt(b, mode, n, nil)
-}
-
-func benchClusterOpt(b *testing.B, mode pbft.Mode, n int,
-	mut func(*pbft.Config)) (*pbft.Cluster, *pbft.Client) {
+func benchCluster(b *testing.B, mode pbft.Mode, n int) *pbft.Client {
 	b.Helper()
 	cfg := pbft.Config{
 		Mode:               mode,
@@ -78,15 +73,12 @@ func benchClusterOpt(b *testing.B, mode pbft.Mode, n int,
 		StateSize:          kvservice.MinStateSize + 128*1024,
 		Seed:               1,
 	}
-	if mut != nil {
-		mut(&cfg)
-	}
 	c := pbft.NewLocalCluster(n, cfg, kvservice.Factory, nil)
 	c.Start()
 	b.Cleanup(c.Stop)
 	cl := c.NewClient()
 	cl.RetryTimeout = time.Second
-	return c, cl
+	return cl
 }
 
 func benchInvoke(b *testing.B, cl *pbft.Client, op []byte, ro bool) {
@@ -103,89 +95,41 @@ func benchInvoke(b *testing.B, cl *pbft.Client, op []byte, ro bool) {
 }
 
 func BenchmarkOp00ReadWrite(b *testing.B) {
-	_, cl := benchCluster(b, pbft.ModeMAC, 4)
+	cl := benchCluster(b, pbft.ModeMAC, 4)
 	benchInvoke(b, cl, kvservice.Noop(), false)
 }
 
 func BenchmarkOp00ReadWritePK(b *testing.B) {
-	_, cl := benchCluster(b, pbft.ModePK, 4)
+	cl := benchCluster(b, pbft.ModePK, 4)
 	benchInvoke(b, cl, kvservice.Noop(), false)
 }
 
 func BenchmarkOp40ReadWrite(b *testing.B) {
-	_, cl := benchCluster(b, pbft.ModeMAC, 4)
+	cl := benchCluster(b, pbft.ModeMAC, 4)
 	b.SetBytes(4096)
 	benchInvoke(b, cl, kvservice.WriteBlob(make([]byte, 4096)), false)
 }
 
 func BenchmarkOp04ReadOnly(b *testing.B) {
-	_, cl := benchCluster(b, pbft.ModeMAC, 4)
+	cl := benchCluster(b, pbft.ModeMAC, 4)
 	b.SetBytes(4096)
 	benchInvoke(b, cl, kvservice.ReadBlob(4096), true)
 }
 
 func BenchmarkOp04ReadWrite(b *testing.B) {
-	_, cl := benchCluster(b, pbft.ModeMAC, 4)
+	cl := benchCluster(b, pbft.ModeMAC, 4)
 	b.SetBytes(4096)
 	benchInvoke(b, cl, kvservice.ReadBlob(4096), false)
 }
 
 func BenchmarkOp00N7(b *testing.B) {
-	_, cl := benchCluster(b, pbft.ModeMAC, 7)
+	cl := benchCluster(b, pbft.ModeMAC, 7)
 	benchInvoke(b, cl, kvservice.Noop(), false)
 }
 
 func BenchmarkOp00N13(b *testing.B) {
-	_, cl := benchCluster(b, pbft.ModeMAC, 13)
+	cl := benchCluster(b, pbft.ModeMAC, 13)
 	benchInvoke(b, cl, kvservice.Noop(), false)
-}
-
-// BenchmarkThroughput00 measures saturated throughput with 10 closed-loop
-// clients; ops/sec appears as the custom metric.
-func BenchmarkThroughput00(b *testing.B) {
-	c, _ := benchCluster(b, pbft.ModeMAC, 4)
-	b.ResetTimer()
-	var total float64
-	for i := 0; i < b.N; i++ {
-		st := workload.RunClosed(func() workload.Invoker {
-			cl := c.NewClient()
-			cl.RetryTimeout = time.Second
-			return cl
-		}, 10, 30, func(int) ([]byte, bool) { return kvservice.Noop(), false })
-		total += st.Throughput()
-	}
-	b.ReportMetric(total/float64(b.N), "ops/s")
-}
-
-// BenchmarkThroughput00Batch1 / Batch16Fixed / BatchAdaptive pin the
-// primary's proposal policy (§5.1.4): serial issues one pre-prepare per
-// request, fixed drains up to BatchRequests per proposal, adaptive tracks
-// the AIMD fill target (the default).
-func BenchmarkThroughput00Batch1(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.Batching = false })
-}
-
-func BenchmarkThroughput00Batch16Fixed(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.AdaptiveBatch = false })
-}
-
-func BenchmarkThroughput00BatchAdaptive(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) {})
-}
-
-func benchThroughputOpt(b *testing.B, mut func(*pbft.Config)) {
-	c, _ := benchClusterOpt(b, pbft.ModeMAC, 4, mut)
-	b.ResetTimer()
-	var total float64
-	for i := 0; i < b.N; i++ {
-		st := workload.RunClosed(func() workload.Invoker {
-			cl := c.NewClient()
-			cl.RetryTimeout = time.Second
-			return cl
-		}, 10, 30, func(int) ([]byte, bool) { return kvservice.Noop(), false })
-		total += st.Throughput()
-	}
-	b.ReportMetric(total/float64(b.N), "ops/s")
 }
 
 // BenchmarkStateTransferWindow1 / BenchmarkStateTransferWindow8 measure one

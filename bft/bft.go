@@ -159,13 +159,6 @@ type Options struct {
 	// execution frontier and the newest pre-prepare (§5.1.4 pipelining).
 	// Default 8; must not exceed the effective LogWindow.
 	AgreementWindow int
-	// DisableBatching turns off §5.1.4 batching alone (one request per
-	// pre-prepare), leaving the other optimizations on — the ablation's
-	// serial baseline. FixedBatching keeps batching on but disables the
-	// adaptive fill target, so every batch tries to fill to BatchRequests
-	// (the thesis's fixed-cap behavior).
-	DisableBatching bool
-	FixedBatching   bool
 	// FetchWindow bounds parallel state-transfer partition fetches in
 	// flight (§6.2.2). Default 8; 1 reproduces the serial fetch engine.
 	FetchWindow int
@@ -215,23 +208,19 @@ func (o Options) Validate() error {
 	if o.Replicas != 0 && o.Replicas < 4 {
 		return fmt.Errorf("bft: Replicas=%d; the protocol needs n ≥ 4 (n=3f+1, f ≥ 1)", o.Replicas)
 	}
-	// Compare LogWindow against the EFFECTIVE checkpoint interval: an
-	// explicit L below a defaulted K=128 would wedge the cluster (the
-	// window could never contain a checkpoint, so it could never advance).
-	k := o.CheckpointInterval
-	if k == 0 {
-		k = 128
-	}
+	// The checks below use the EFFECTIVE K and L, which the engine defaults
+	// when they are zero; validating the lowered config applies them.
+	eff := o.lower()
+	eff.Validate()
+	k, l := uint64(eff.CheckpointInterval), uint64(eff.LogWindow)
+	// An explicit L below a defaulted K would wedge the cluster (the window
+	// could never contain a checkpoint, so it could never advance).
 	if o.LogWindow != 0 && o.LogWindow < k {
 		return fmt.Errorf("bft: LogWindow=%d < CheckpointInterval=%d; the water-mark window must cover at least one checkpoint interval", o.LogWindow, k)
 	}
 	// The agreement window is measured in batches but bounded by the
 	// water-mark window in sequence numbers: pre-prepares beyond L are
 	// refused, so W > L could never be honored.
-	l := o.LogWindow
-	if l == 0 {
-		l = 2 * k
-	}
 	if o.AgreementWindow > 0 && uint64(o.AgreementWindow) > l {
 		return fmt.Errorf("bft: AgreementWindow=%d > LogWindow=%d; the agreement window cannot exceed the water-mark window", o.AgreementWindow, l)
 	}
@@ -281,13 +270,19 @@ func (o Options) maxClients() int {
 	return o.MaxClients
 }
 
-// engineConfig lowers public Options onto the engine's per-replica Config.
-// Engine stage defaults always come from pbft.DefaultOptions;
-// DisableOptimizations strips only the Chapter 5 protocol optimizations.
+// engineConfig validates public Options and lowers them onto the engine's
+// per-replica Config.
 func (o Options) engineConfig() pbft.Config {
 	if err := o.Validate(); err != nil {
 		panic(err)
 	}
+	return o.lower()
+}
+
+// lower maps Options onto a pbft.Config without validating them. Engine
+// stage defaults always come from pbft.DefaultOptions;
+// DisableOptimizations strips only the Chapter 5 protocol optimizations.
+func (o Options) lower() pbft.Config {
 	opt := pbft.DefaultOptions()
 	if o.DisableOptimizations {
 		opt = opt.WithoutOptimizations()
@@ -303,12 +298,6 @@ func (o Options) engineConfig() pbft.Config {
 	}
 	if o.AgreementWindow > 0 {
 		opt.AgreementWindow = o.AgreementWindow
-	}
-	if o.DisableBatching {
-		opt.Batching = false
-	}
-	if o.FixedBatching {
-		opt.AdaptiveBatch = false
 	}
 	if o.FetchWindow > 0 {
 		opt.FetchWindow = o.FetchWindow

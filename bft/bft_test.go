@@ -8,7 +8,6 @@ import (
 
 	"repro/bft"
 	"repro/bft/kv"
-	"repro/internal/workload"
 )
 
 func ctxb() context.Context { return context.Background() }
@@ -208,34 +207,6 @@ func TestClientPoolConcurrency(t *testing.T) {
 	}
 	if got := kv.DecodeU64(res); got != ops {
 		t.Fatalf("counter=%d want %d", got, ops)
-	}
-}
-
-// TestOpenLoopOverPool runs the workload package's open-loop driver over a
-// public ClientPool — the pool-backed open-loop path the benchmarks use.
-func TestOpenLoopOverPool(t *testing.T) {
-	cluster := bft.NewCluster(bft.Options{Replicas: 4, Seed: 7}, kv.Factory)
-	cluster.Start()
-	defer cluster.Stop()
-	pool := cluster.NewClientPool(8)
-
-	st := workload.RunOpenLoop(ctxb(), pool, 400, 250*time.Millisecond,
-		func(int) ([]byte, bool) { return kv.Incr(), false })
-	if st.Offered == 0 {
-		t.Fatal("no operations offered")
-	}
-	if st.N == 0 {
-		t.Fatal("no operations completed")
-	}
-	if st.Errors != 0 {
-		t.Fatalf("%d errors", st.Errors)
-	}
-	res, err := cluster.NewClient().Invoke(ctxb(), kv.Get(), bft.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := kv.DecodeU64(res); got != uint64(st.N) {
-		t.Fatalf("counter=%d but %d completions", got, st.N)
 	}
 }
 

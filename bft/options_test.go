@@ -71,13 +71,6 @@ func TestOptionsKnobsReachEngine(t *testing.T) {
 	if got := EngineConfig(Options{Behavior: WrongResult}).Behavior; got != WrongResult {
 		t.Fatalf("Behavior lowering lost: %v", got)
 	}
-	if cfg := EngineConfig(Options{DisableBatching: true}); cfg.Opt.Batching {
-		t.Fatal("DisableBatching did not reach the engine")
-	}
-	if cfg := EngineConfig(Options{FixedBatching: true}); cfg.Opt.AdaptiveBatch || !cfg.Opt.Batching {
-		t.Fatalf("FixedBatching lowering: adaptive=%v batching=%v",
-			cfg.Opt.AdaptiveBatch, cfg.Opt.Batching)
-	}
 	if cfg := EngineConfig(Options{BatchWait: -time.Nanosecond}); cfg.Opt.BatchWait >= 0 {
 		t.Fatalf("negative BatchWait (timer disabled) lost: %v", cfg.Opt.BatchWait)
 	}

@@ -49,7 +49,7 @@ func (cl *Client) shard(ctx context.Context, g int, op []byte, readOnly bool) ([
 
 // InvokeContext routes a single-key keyed-store op to the owning group —
 // the library-wide invoker contract, so a sharded client drops into any
-// driver a bft.Client fits (including workload.RunOpenLoop).
+// driver a bft.Client fits.
 func (cl *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([]byte, error) {
 	key, ok := kv.KeyOf(op)
 	if !ok {

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,10 +22,9 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (E1..E14) or 'all'")
-		scale   = flag.Int("scale", 1, "work multiplier (>=1)")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonOut = flag.String("json", "", "write the machine-readable report of a JSON-capable experiment (E12, E13, E14) to this path")
+		exp   = flag.String("exp", "all", "experiment id (E1..E11) or 'all'")
+		scale = flag.Int("scale", 1, "work multiplier (>=1)")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -53,43 +51,11 @@ func main() {
 		specs = []experiments.Spec{s}
 	}
 
-	// The perf-trajectory experiments double as recorders: with -json they
-	// print their table AND persist a machine-readable report.
-	reporters := map[string]func(scale int) (*experiments.Table, interface{}){
-		"E12": func(scale int) (*experiments.Table, interface{}) {
-			t, rep := experiments.E12BatchingReport(scale)
-			return t, rep
-		},
-		"E13": func(scale int) (*experiments.Table, interface{}) {
-			t, rep := experiments.E13ShardingReport(scale)
-			return t, rep
-		},
-		"E14": func(scale int) (*experiments.Table, interface{}) {
-			t, rep := experiments.E14WALReport(scale)
-			return t, rep
-		},
-	}
-
 	for _, s := range specs {
 		fmt.Printf("--- %s: %s (reproduces %s) ---\n", s.ID, s.What, s.Paper)
 		start := time.Now()
-		if reporter, ok := reporters[strings.ToUpper(s.ID)]; ok && *jsonOut != "" {
-			t, rep := reporter(*scale)
+		for _, t := range s.Run(*scale) {
 			fmt.Println(t.String())
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "marshal report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		} else {
-			for _, t := range s.Run(*scale) {
-				fmt.Println(t.String())
-			}
 		}
 		fmt.Printf("(%s took %v)\n\n", s.ID, time.Since(start).Round(time.Millisecond))
 	}

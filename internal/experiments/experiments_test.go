@@ -35,8 +35,8 @@ func TestHelpers(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 14 {
-		t.Fatalf("%d experiments, want 14", len(all))
+	if len(all) != 11 {
+		t.Fatalf("%d experiments, want 11", len(all))
 	}
 	seen := map[string]bool{}
 	for _, s := range all {

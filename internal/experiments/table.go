@@ -111,9 +111,6 @@ func All() []Spec {
 		{"E9", "proactive recovery", "§8.6.3, Figs 8-18/8-19", E9Recovery},
 		{"E10", "analytic model vs measurement", "Ch. 7 vs Ch. 8", E10Model},
 		{"E11", "authenticators vs signatures as n grows", "§3.2.1, §8.3.3", E11AuthCrossover},
-		{"E12", "request batching knee: serial vs fixed vs adaptive", "§5.1.4-§5.1.5", E12Batching},
-		{"E13", "sharded scale-out: throughput vs shard count k", "beyond the paper: §5.1.4 ceiling × k groups", E13Sharding},
-		{"E14", "write-ahead log: durability cost + crash-restart time", "beyond the paper: durable replicas (cf. §6.2 non-volatile discussion)", E14WAL},
 	}
 }
 

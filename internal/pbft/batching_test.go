@@ -126,7 +126,7 @@ func TestAdaptiveBatchConverges(t *testing.T) {
 }
 
 func TestAdaptiveRampsUnderWindowPressure(t *testing.T) {
-	// Mid-load regression (BENCH_batching, 10 clients): the backlog is
+	// Mid-load regression (seen at 10 open-loop clients): the backlog is
 	// shorter than the agreement window, but the window itself is saturated.
 	// Dividing the queue by the WHOLE window pins desired at 1 and adaptive
 	// degenerates to serial agreement; the target must instead size batches

@@ -227,15 +227,6 @@ type Config struct {
 	WALSyncWait    time.Duration
 	WALRotateBytes int64
 
-	// QSetBound, when positive, bounds the number of (digest, view) pairs
-	// retained per sequence number in the QSet — the bounded-space view
-	// change of §3.2.5 (the thesis suggests a small constant like 2). Zero
-	// keeps the unbounded base protocol. The bound discards the lowest-view
-	// pair; the full not-committed (NCSet) machinery §3.2.5 adds to
-	// preserve liveness under adversarial repeated view changes is not
-	// reproduced (documented deviation).
-	QSetBound int
-
 	// Behavior injects a fault personality.
 	Behavior Behavior
 
@@ -269,17 +260,19 @@ func (c *Config) Validate() {
 	if c.Fanout == 0 {
 		c.Fanout = 16
 	}
+	// Zero engine numbers take their DefaultOptions value.
+	def := DefaultOptions()
 	if c.Opt.BatchRequests == 0 {
-		c.Opt.BatchRequests = 16
+		c.Opt.BatchRequests = def.BatchRequests
 	}
 	if c.Opt.BatchBytes == 0 {
-		c.Opt.BatchBytes = 64 << 10
+		c.Opt.BatchBytes = def.BatchBytes
 	}
 	if c.Opt.BatchWait == 0 {
-		c.Opt.BatchWait = time.Millisecond
+		c.Opt.BatchWait = def.BatchWait
 	}
 	if c.Opt.AgreementWindow == 0 {
-		c.Opt.AgreementWindow = 8
+		c.Opt.AgreementWindow = def.AgreementWindow
 	}
 	// The agreement window cannot usefully exceed the water-mark window:
 	// pre-prepares beyond L are refused anyway, so clamp rather than wedge.
@@ -287,10 +280,10 @@ func (c *Config) Validate() {
 		c.Opt.AgreementWindow = int(c.LogWindow)
 	}
 	if c.Opt.InlineThreshold == 0 {
-		c.Opt.InlineThreshold = 255
+		c.Opt.InlineThreshold = def.InlineThreshold
 	}
 	if c.Opt.FetchWindow == 0 {
-		c.Opt.FetchWindow = 8
+		c.Opt.FetchWindow = def.FetchWindow
 	}
 	if c.InboxCap == 0 {
 		c.InboxCap = 8192

@@ -15,7 +15,7 @@ package pbft
 // replica that crashed just BEFORE voting would be in. (A vote sent but
 // lost to the crash can, combined with f simultaneously Byzantine peers,
 // fall outside the fault model; Config.WALSyncEvery closes that window at
-// the cost the E14 experiment measures.)
+// the cost of one fsync per record.)
 //
 // The log truncates at each stable checkpoint: makeStable persists the
 // checkpoint's pages and reply cache as a snapshot, the writer rotates to a

@@ -176,11 +176,11 @@ func (r *Replica) fillTarget() int {
 	// depth alone is the mid-load failure mode: at ~10 closed-loop clients
 	// the window hovers just below full, every arrival sees queue≈1,
 	// ceil(queue/W) sits at 1, and adaptive degenerates to serial agreement
-	// right where batching should start paying (BENCH_batching.json,
-	// 2026-08: adaptive 1091 ops/s vs serial 1117 with fill avg pinned at
-	// 1.0). In-flight work is the steady-state concurrency signal: those
-	// clients re-request the moment they are answered, so a target that
-	// ignores them starves the next wave.
+	// right where batching should start paying (measured once at 10
+	// open-loop clients: adaptive 1091 ops/s vs serial 1117 with fill avg
+	// pinned at 1.0). In-flight work is the steady-state concurrency
+	// signal: those clients re-request the moment they are answered, so a
+	// target that ignores them starves the next wave.
 	inflight := int(r.seqno - r.lastExec)
 	free := r.cfg.Opt.AgreementWindow - inflight
 	if free < 1 {

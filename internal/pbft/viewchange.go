@@ -258,19 +258,6 @@ func (r *Replica) computePQ() {
 			if !found {
 				entries = append(entries, message.DV{Digest: s.Digest, View: s.View})
 			}
-			// Bounded-space view change (§3.2.5): keep only the QSetBound
-			// most recent pre-prepared digests per sequence number.
-			if b := r.cfg.QSetBound; b > 0 {
-				for len(entries) > b {
-					lowest := 0
-					for i := 1; i < len(entries); i++ {
-						if entries[i].View < entries[lowest].View {
-							lowest = i
-						}
-					}
-					entries = append(entries[:lowest], entries[lowest+1:]...)
-				}
-			}
 			r.vc.qset[seq] = entries
 		}
 	}

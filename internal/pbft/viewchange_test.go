@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/kvservice"
 	"repro/internal/message"
 	"repro/internal/simnet"
@@ -167,7 +166,7 @@ func TestClientTracksViewAcrossFailover(t *testing.T) {
 	}
 }
 
-func TestQSetBoundedGrowth(t *testing.T) {
+func TestQSetGrowthBounded(t *testing.T) {
 	// Repeated view changes without progress must not grow P/Q entries
 	// per sequence number without bound for the same digest.
 	cfg := testConfig()
@@ -224,44 +223,6 @@ func TestDecisionProcedureDeterminism(t *testing.T) {
 			t.Fatalf("decision X[%d] differs", i)
 		}
 	}
-}
-
-func TestQSetBoundEnforced(t *testing.T) {
-	cfg := testConfig()
-	cfg.QSetBound = 2
-	c := NewLocalCluster(4, cfg, kvservice.Factory, nil)
-	c.Start()
-	t.Cleanup(c.Stop)
-	cl := c.NewClient()
-	cl.MaxRetries = 40
-	mustInvoke(t, cl, kvservice.Incr(), false)
-
-	r := c.Replica(2)
-	r.do(func() {
-		// Fabricate pre-prepared slots across many views, then fold them
-		// into the QSet repeatedly.
-		for v := message.View(1); v <= 6; v++ {
-			slot := r.log.Slot(r.log.Low() + 1)
-			if slot == nil {
-				t.Error("no slot")
-				return
-			}
-			slot.AddDigestOnly(v, crypto.DigestOf([]byte{byte(v)}))
-			slot.PrePrepared = true
-			r.computePQ()
-		}
-		for seq, entries := range r.vc.qset {
-			if len(entries) > 2 {
-				t.Errorf("qset[%d] holds %d entries, bound is 2", seq, len(entries))
-			}
-			// The retained entries must be the most recent views.
-			for _, e := range entries {
-				if e.View < 5 && len(entries) == 2 {
-					t.Errorf("qset[%d] kept a stale view %d", seq, e.View)
-				}
-			}
-		}
-	})
 }
 
 // TestNewViewWaitSurvivesClientRequest is the regression test for the

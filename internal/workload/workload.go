@@ -5,7 +5,6 @@
 package workload
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -17,15 +16,6 @@ import (
 // Invoker is the minimal execution interface (BFT client, baseline client).
 type Invoker interface {
 	Invoke(op []byte, readOnly bool) ([]byte, error)
-}
-
-// ContextInvoker is the library-wide cancellable invocation contract.
-// bft.Client, bft.ClientPool, the engine client, and the baseline all
-// satisfy it; the open-loop driver requires it because open-loop load only
-// makes sense against something that can serve invocations concurrently —
-// a pool of client principals.
-type ContextInvoker interface {
-	InvokeContext(ctx context.Context, op []byte, readOnly bool) ([]byte, error)
 }
 
 // OpGen produces the i-th operation for one client. Returning a nil op
@@ -135,93 +125,6 @@ func RunClosed(mkClient func() Invoker, nClients, opsEach int, gen OpGen) *Stats
 		total.Merge(p)
 	}
 	return total
-}
-
-// OpenStats extends Stats with open-loop accounting.
-type OpenStats struct {
-	Stats
-	// Offered is the number of operations injected by the arrival process
-	// (rate × duration, independent of completions). Every offered
-	// operation resolves before the driver returns — successes land in N,
-	// failures (including invocations aborted by ctx cancellation) in
-	// Errors — so Offered = N + Errors; the interesting open-loop signal
-	// is the latency distribution, which includes queueing delay whenever
-	// arrivals outpace completions.
-	Offered int
-}
-
-// RunOpenLoop drives OPEN-LOOP load: operations arrive at a fixed rate
-// (ops/sec) for the given duration regardless of completions — the
-// arrival process of a production front door, as opposed to RunClosed's
-// think-time-free closed loop. Each arrival invokes through inv, which
-// must multiplex concurrent invocations (a bft.ClientPool fans them
-// across k distinct client principals; arrivals beyond k queue on the
-// pool, and their latency includes the queueing delay, as open-loop
-// latency should). After the last arrival the driver waits for every
-// in-flight invocation to resolve — each is bounded by its client's own
-// retry budget; give ctx a deadline (or cancel it) to cut stragglers
-// short, which lands them in Errors.
-func RunOpenLoop(ctx context.Context, inv ContextInvoker, rate float64, duration time.Duration, gen OpGen) *OpenStats {
-	if rate <= 0 {
-		return &OpenStats{}
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	st := &OpenStats{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-
-	start := time.Now()
-	end := start.Add(duration)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-
-	i := 0
-inject:
-	for {
-		now := time.Now()
-		if !now.Before(end) {
-			break
-		}
-		// Inject every arrival the nominal schedule owes by now (arrival i
-		// is due at start + i·interval). A busy host can starve this
-		// goroutine between ticks, and the ticker coalesces missed fires;
-		// without catch-up the "open-loop" rate silently degrades toward
-		// the completion rate — a closed loop in disguise.
-		due := int(now.Sub(start)/interval) + 1
-		for i < due {
-			op, ro := gen(i)
-			i++
-			if op == nil {
-				break inject
-			}
-			st.Offered++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t0 := time.Now()
-				_, err := inv.InvokeContext(ctx, op, ro)
-				d := time.Since(t0)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					st.Errors++
-					return
-				}
-				st.Add(d)
-			}()
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			break inject
-		}
-	}
-	wg.Wait()
-	st.Elapsed = time.Since(start)
-	return st
 }
 
 // MeasureLatency runs n sequential operations on one client and returns

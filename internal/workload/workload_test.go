@@ -3,7 +3,6 @@ package workload
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -95,90 +94,6 @@ func TestRunClosedRecordsErrors(t *testing.T) {
 		2, 3, func(int) ([]byte, bool) { return []byte{1}, false })
 	if st.N != 0 || st.Errors != 6 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-// fakePool is a ContextInvoker with a bounded number of concurrent slots,
-// shaped like a bft.ClientPool.
-type fakePool struct {
-	slots chan struct{}
-	delay time.Duration
-
-	mu      sync.Mutex
-	calls   int
-	maxBusy int
-	busy    int
-}
-
-func newFakePool(k int, delay time.Duration) *fakePool {
-	p := &fakePool{slots: make(chan struct{}, k), delay: delay}
-	for i := 0; i < k; i++ {
-		p.slots <- struct{}{}
-	}
-	return p
-}
-
-func (p *fakePool) InvokeContext(ctx context.Context, op []byte, ro bool) ([]byte, error) {
-	select {
-	case <-p.slots:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { p.slots <- struct{}{} }()
-	p.mu.Lock()
-	p.calls++
-	p.busy++
-	if p.busy > p.maxBusy {
-		p.maxBusy = p.busy
-	}
-	p.mu.Unlock()
-	time.Sleep(p.delay)
-	p.mu.Lock()
-	p.busy--
-	p.mu.Unlock()
-	return []byte("ok"), nil
-}
-
-func TestRunOpenLoopOffersAtRate(t *testing.T) {
-	pool := newFakePool(8, time.Millisecond)
-	st := RunOpenLoop(context.Background(), pool, 500, 200*time.Millisecond,
-		func(int) ([]byte, bool) { return []byte{1}, false })
-	if st.Offered == 0 || st.N == 0 {
-		t.Fatalf("no load ran: %+v", st)
-	}
-	if st.N != st.Offered {
-		t.Fatalf("completions %d != offered %d with an idle pool", st.N, st.Offered)
-	}
-	if st.Errors != 0 {
-		t.Fatalf("%d errors", st.Errors)
-	}
-	// 500/s for 200ms ≈ 100 arrivals; allow wide scheduling slack but
-	// catch a driver that ignores the rate entirely.
-	if st.Offered < 20 || st.Offered > 120 {
-		t.Fatalf("offered %d, want ≈100", st.Offered)
-	}
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	if pool.maxBusy < 2 {
-		t.Fatalf("open-loop never overlapped invocations (maxBusy=%d)", pool.maxBusy)
-	}
-}
-
-func TestRunOpenLoopHonorsCancellation(t *testing.T) {
-	pool := newFakePool(1, 50*time.Millisecond) // 1 slot: arrivals pile up
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	st := RunOpenLoop(ctx, pool, 1000, time.Second,
-		func(int) ([]byte, bool) { return []byte{1}, false })
-	if waited := time.Since(start); waited > 500*time.Millisecond {
-		t.Fatalf("driver kept running %v after cancel", waited)
-	}
-	if st.Offered == 0 {
-		t.Fatal("nothing offered before cancel")
 	}
 }
 
