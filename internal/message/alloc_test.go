@@ -8,7 +8,8 @@ import (
 
 // TestAuthPathAllocationBudget pins what the authentication hot path may
 // allocate: nothing per tag, at most the returned vector per authenticator,
-// and for a received prepare only the message object itself.
+// and for a received prepare or 4 KiB request only the message object
+// itself: decoding copies no bytes.
 func TestAuthPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
@@ -27,6 +28,9 @@ func TestAuthPathAllocationBudget(t *testing.T) {
 	prep := &Prepare{View: 2, Seq: 9, Digest: crypto.DigestOf(payload), Replica: 1}
 	prep.Auth = Auth{Kind: AuthVector, Vector: tx.MakeAuthenticator(4, prep.Payload())}
 	datagram := prep.Marshal()
+	req := &Request{Client: ClientIDBase, Timestamp: 1, Op: make([]byte, 4096)}
+	req.Auth = Auth{Kind: AuthVector, Vector: tx.MakeAuthenticator(4, req.Payload())}
+	reqDatagram := req.Marshal()
 
 	for _, c := range []struct {
 		name string
@@ -55,6 +59,15 @@ func TestAuthPathAllocationBudget(t *testing.T) {
 			}
 			if !rx.CheckAuthenticator(uint32(m.Sender()), m.Payload(), m.AuthTrailer().Vector) {
 				t.Fatal("authentic prepare rejected")
+			}
+		}},
+		{"decode+verify 4 KiB request", 1, func() {
+			m, err := Unmarshal(reqDatagram)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rx.CheckAuthenticator(1, m.Payload(), m.AuthTrailer().Vector) {
+				t.Fatal("authentic request rejected")
 			}
 		}},
 	} {

@@ -13,9 +13,19 @@
 //
 // Decoding is strict — every value has one encoding — so the bytes a message
 // was decoded from are the bytes it encodes to. Unmarshal relies on that to
-// keep the received body (read-only; receivers may share one datagram) for
-// Payload, which lets verification authenticate the datagram in place, and
-// to compute request and batch digests once, where the message is decoded.
+// keep the received body for Payload, which lets verification authenticate
+// the datagram in place, and to compute request and batch digests once,
+// where the message is decoded.
+//
+// Decoding copies no bytes. Every variable-length byte field of a decoded
+// message — Request.Op, Reply.Result, PrePrepare.NonDet, Data.Page,
+// MetaData.Extra, the status bitmaps, NewKey.Keys, BatchBody.Batch and
+// Auth.Sig — is a read-only view of the datagram it was decoded from, and
+// so are the requests inlined in a pre-prepare. Receivers may share one
+// datagram (the simulator hands one payload to every destination), so code
+// that keeps such a field may read it for as long as it likes but must
+// never write into it; a holder that needs to change the bytes copies them
+// first. The views are clipped to their length, so append reallocates.
 package message
 
 import (
@@ -151,20 +161,11 @@ func (r *reader) mac() crypto.MAC {
 	return m
 }
 
-// bytes reads a length-prefixed byte slice into fresh storage.
+// bytes reads a length-prefixed byte slice without copying: the result is
+// a view of the input, clipped to its length so that appending to it
+// reallocates instead of overwriting what follows. Callers must only read
+// it.
 func (r *reader) bytes() []byte {
-	v := r.view()
-	if r.err != nil {
-		return nil
-	}
-	p := make([]byte, len(v))
-	copy(p, v)
-	return p
-}
-
-// view reads a length-prefixed byte slice without copying: the result
-// aliases the input and must only be read.
-func (r *reader) view() []byte {
 	n := int(r.u32())
 	if r.err != nil {
 		return nil

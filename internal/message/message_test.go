@@ -131,6 +131,52 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedBytesAliasDatagram pins the zero-copy decode: a decoded
+// operation, result or page is a view of the datagram it came from, clipped
+// to its length, not a copy.
+func TestDecodedBytesAliasDatagram(t *testing.T) {
+	page := bytes.Repeat([]byte{7}, 4096)
+	for _, c := range []struct {
+		m     Message
+		field func(Message) []byte
+	}{
+		{&Request{Client: ClientIDBase, Timestamp: 1, Op: page},
+			func(m Message) []byte { return m.(*Request).Op }},
+		{&Reply{Client: ClientIDBase, HasResult: true, Result: page},
+			func(m Message) []byte { return m.(*Reply).Result }},
+		{&Data{Index: 3, Page: page},
+			func(m Message) []byte { return m.(*Data).Page }},
+		{&PrePrepare{Inline: []Request{{Client: ClientIDBase, Timestamp: 1, Op: page}}},
+			func(m Message) []byte { return m.(*PrePrepare).Inline[0].Op }},
+	} {
+		datagram := c.m.Marshal()
+		got, err := Unmarshal(datagram)
+		if err != nil {
+			t.Fatalf("%s: %v", c.m.MsgType(), err)
+		}
+		f := c.field(got)
+		if !bytes.Equal(f, page) {
+			t.Fatalf("%s: decoded field differs from the one sent", c.m.MsgType())
+		}
+		if !within(f, datagram) {
+			t.Errorf("%s: decoded field is a copy, want a view of the datagram", c.m.MsgType())
+		}
+		if cap(f) != len(f) {
+			t.Errorf("%s: view has capacity %d beyond its length %d", c.m.MsgType(), cap(f), len(f))
+		}
+	}
+}
+
+// within reports whether p starts inside buf's bytes.
+func within(p, buf []byte) bool {
+	for i := range buf {
+		if &buf[i] == &p[0] {
+			return true
+		}
+	}
+	return false
+}
+
 func TestPrePrepareRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 30; i++ {

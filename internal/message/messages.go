@@ -276,9 +276,9 @@ func (m *PrePrepare) unmarshalBody(r *reader) {
 	ni := r.sliceLen(8) // lower bound: each inline request takes >= 8 bytes
 	m.Inline = make([]Request, 0, min(ni, 1024))
 	for i := 0; i < ni && r.err == nil; i++ {
-		// Decode from the datagram itself (no copy): the request's retained
-		// body then aliases the pre-prepare's bytes, like any decoded body.
-		rb := r.view()
+		// Decode from the datagram itself (no copy): the request's fields
+		// and retained body are views of the pre-prepare's bytes.
+		rb := r.bytes()
 		m.Inline = append(m.Inline, Request{})
 		if r.err != nil || unmarshalInto(&m.Inline[i], rb) != nil {
 			r.fail()

@@ -42,11 +42,6 @@ type Client struct {
 	RetryTimeout time.Duration
 	// MaxRetries bounds retransmissions before Invoke fails.
 	MaxRetries int
-	// MulticastThreshold mirrors the library's separate-request-transmission
-	// cutoff (§5.1.5): operations larger than this are multicast to every
-	// replica up front, because the primary's pre-prepare will carry only
-	// their digest.
-	MulticastThreshold int
 
 	mu        sync.Mutex
 	timestamp uint64
@@ -76,16 +71,15 @@ type pendingInvoke struct {
 // derive from the same offline setup replicas use.
 func NewClient(id message.NodeID, dir *Directory, net Network, mode Mode, opt Options) *Client {
 	c := &Client{
-		id:                 id,
-		dir:                dir,
-		mode:               mode,
-		opt:                opt,
-		ks:                 crypto.NewKeyStore(uint32(id)),
-		kp:                 crypto.GenerateKeyPair(crypto.DeriveKey("client-identity", uint64(id))),
-		RetryTimeout:       150 * time.Millisecond,
-		MaxRetries:         10,
-		MulticastThreshold: 255,
-		nextReplier:        uint64(id), // stagger start across clients
+		id:           id,
+		dir:          dir,
+		mode:         mode,
+		opt:          opt.withDefaults(),
+		ks:           crypto.NewKeyStore(uint32(id)),
+		kp:           crypto.GenerateKeyPair(crypto.DeriveKey("client-identity", uint64(id))),
+		RetryTimeout: 150 * time.Millisecond,
+		MaxRetries:   10,
+		nextReplier:  uint64(id), // stagger start across clients
 	}
 	dir.Register(id, c.kp.Public)
 	for i := 0; i < dir.N(); i++ {
@@ -121,6 +115,10 @@ func (c *Client) f() int { return quorum.F(c.dir.N()) }
 // Invoke executes an operation on the replicated service and returns its
 // result (§6.2's Byz_invoke). readOnly requests use the single-round-trip
 // optimization when the library has it enabled.
+//
+// The result is a view of the reply datagram that carried it (decoding
+// copies nothing). A reply is addressed to this client alone and no one
+// else writes its datagram, so the result belongs to the caller.
 func (c *Client) Invoke(op []byte, readOnly bool) ([]byte, error) {
 	return c.InvokeContext(context.Background(), op, readOnly)
 }
@@ -174,10 +172,10 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 		req.Replier = message.NoNode
 	}
 
-	// First transmission: read-only requests and large requests (separate
-	// request transmission, §5.1.5) go to everyone; small read-write
-	// requests go to the believed primary (§2.3.2).
-	if useRO || (c.opt.SeparateRequests && len(op) > c.MulticastThreshold) {
+	// First transmission: read-only requests and separately transmitted
+	// ones (§5.1.5) go to everyone; inline-sized read-write requests go to
+	// the believed primary (§2.3.2).
+	if useRO || c.opt.separate(len(op)) {
 		c.sendRequest(req, message.NoNode)
 	} else {
 		c.sendRequest(req, c.dir.Primary(view))

@@ -95,7 +95,7 @@ type Options struct {
 	AgreementWindow int
 	// SeparateRequests: requests larger than InlineThreshold travel
 	// directly from client to all replicas and only their digests ride in
-	// pre-prepares (§5.1.5).
+	// pre-prepares (§5.1.5); backups never relay them to the primary.
 	SeparateRequests bool
 	// InlineThreshold is the size cutoff for inlining (thesis: 255 bytes).
 	InlineThreshold int
@@ -125,6 +125,39 @@ func DefaultOptions() Options {
 		InlineThreshold:  255,
 		FetchWindow:      8,
 	}
+}
+
+// withDefaults returns o with every zero engine number replaced by its
+// DefaultOptions value.
+func (o Options) withDefaults() Options {
+	def := DefaultOptions()
+	if o.BatchRequests == 0 {
+		o.BatchRequests = def.BatchRequests
+	}
+	if o.BatchBytes == 0 {
+		o.BatchBytes = def.BatchBytes
+	}
+	if o.BatchWait == 0 {
+		o.BatchWait = def.BatchWait
+	}
+	if o.AgreementWindow == 0 {
+		o.AgreementWindow = def.AgreementWindow
+	}
+	if o.InlineThreshold == 0 {
+		o.InlineThreshold = def.InlineThreshold
+	}
+	if o.FetchWindow == 0 {
+		o.FetchWindow = def.FetchWindow
+	}
+	return o
+}
+
+// separate reports whether a request whose operation is opLen bytes long
+// is transmitted separately (§5.1.5): the client multicasts it to every
+// replica on each transmission, and pre-prepares carry only its digest.
+// The client, the primary and the backups all decide with this one test.
+func (o Options) separate(opLen int) bool {
+	return o.SeparateRequests && opLen > o.InlineThreshold
 }
 
 // WithoutOptimizations returns a copy of o with every Chapter 5 protocol
@@ -260,30 +293,11 @@ func (c *Config) Validate() {
 	if c.Fanout == 0 {
 		c.Fanout = 16
 	}
-	// Zero engine numbers take their DefaultOptions value.
-	def := DefaultOptions()
-	if c.Opt.BatchRequests == 0 {
-		c.Opt.BatchRequests = def.BatchRequests
-	}
-	if c.Opt.BatchBytes == 0 {
-		c.Opt.BatchBytes = def.BatchBytes
-	}
-	if c.Opt.BatchWait == 0 {
-		c.Opt.BatchWait = def.BatchWait
-	}
-	if c.Opt.AgreementWindow == 0 {
-		c.Opt.AgreementWindow = def.AgreementWindow
-	}
+	c.Opt = c.Opt.withDefaults()
 	// The agreement window cannot usefully exceed the water-mark window:
 	// pre-prepares beyond L are refused anyway, so clamp rather than wedge.
 	if w := message.Seq(c.Opt.AgreementWindow); w > c.LogWindow {
 		c.Opt.AgreementWindow = int(c.LogWindow)
-	}
-	if c.Opt.InlineThreshold == 0 {
-		c.Opt.InlineThreshold = def.InlineThreshold
-	}
-	if c.Opt.FetchWindow == 0 {
-		c.Opt.FetchWindow = def.FetchWindow
 	}
 	if c.InboxCap == 0 {
 		c.InboxCap = 8192

@@ -68,11 +68,16 @@ func (r *Replica) onRequest(req *message.Request) {
 	}
 	if r.isPrimary() && r.active {
 		r.tryIssuePrePrepares()
-	} else if isNew {
-		// Relay to the primary (it may not have received it) and arm the
-		// view-change timer: we are now waiting for this request (§2.3.5).
+	} else if isNew && !r.cfg.Opt.separate(len(req.Op)) {
+		// Relay to the primary, which may not have received it (§4.1): the
+		// client's first transmission of an inline-sized request goes to
+		// the primary alone, so a backup sees one only on a retransmission.
+		// A separately transmitted request reaches the primary directly on
+		// every transmission, so relaying it would only send the primary a
+		// copy it already has.
 		r.sendRaw(r.primary(r.view), req)
 	}
+	// Either way we are now waiting for this request (§2.3.5).
 	r.updateVCTimer()
 
 	// A request body arriving may unblock a buffered pre-prepare (§5.1.5).
@@ -339,7 +344,7 @@ func (r *Replica) issueBatch(batch []*message.Request) {
 func (r *Replica) buildPrePrepare(v message.View, seq message.Seq, batch []*message.Request) *message.PrePrepare {
 	pp := &message.PrePrepare{View: v, Seq: seq, Replica: r.id, NonDet: r.service.ProposeNonDet()}
 	for _, req := range batch {
-		if r.cfg.Opt.SeparateRequests && len(req.Op) > r.cfg.Opt.InlineThreshold {
+		if r.cfg.Opt.separate(len(req.Op)) {
 			pp.Digests = append(pp.Digests, req.Digest())
 		} else {
 			pp.Inline = append(pp.Inline, *req)

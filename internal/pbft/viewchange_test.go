@@ -248,9 +248,10 @@ func TestNewViewWaitSurvivesClientRequest(t *testing.T) {
 	t.Cleanup(cancel)
 	request := func() {
 		cl := c.NewClient()
-		cl.MulticastThreshold = 0     // every replica receives the request
-		cl.RetryTimeout = time.Minute // and no retransmission follows it
-		go cl.InvokeContext(ctx, kvservice.Incr(), false)
+		cl.RetryTimeout = time.Minute // no retransmission follows it
+		// A 4 KiB write is transmitted separately, so every replica
+		// receives it.
+		go cl.InvokeContext(ctx, kvservice.WriteBlob(make([]byte, 4096)), false)
 	}
 
 	// 1-2. The silent primary of view 0 leaves a request unordered, so the

@@ -21,6 +21,12 @@ import "repro/internal/message"
 // invokes it from a single goroutine per endpoint, in arrival order; while
 // it runs, later datagrams wait in the receive queue (exactly like a UDP
 // socket buffer), so it must not block.
+//
+// The handler owns payload: the network never writes it afterwards, so a
+// decoded message may keep views of it for as long as it likes (see
+// internal/message). udpnet copies each datagram out of its read buffer.
+// simnet may hand one buffer to every receiver of a multicast, so handlers
+// only read what they are given.
 type Handler func(payload []byte)
 
 // Transport is the sending half an endpoint uses.

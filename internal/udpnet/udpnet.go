@@ -2,8 +2,8 @@
 // in-process simulator: UDP datagrams between principals, exactly like the
 // thesis's implementation (§6.1 "point-to-point communication between nodes
 // is implemented using UDP"). It exists so the same replica code can run
-// across processes; the benchmark harness uses simnet for control over the
-// link model.
+// across processes; the repository benchmark runs its loopback workloads
+// over it and the rest over simnet.
 package udpnet
 
 import (
@@ -145,6 +145,8 @@ func Listen(self message.NodeID, book *AddressBook, h transport.Handler) (*Endpo
 			if err != nil {
 				return // closed
 			}
+			// The handler owns what it is given, and buf is read into
+			// again: hand it a copy.
 			p := make([]byte, n)
 			copy(p, buf[:n])
 			h(p)
