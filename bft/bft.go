@@ -72,18 +72,12 @@ const (
 	BFTPK = pbft.ModePK
 )
 
-// Metrics is the per-replica counter snapshot returned by Replica.Metrics:
+// Metrics is one replica's counter snapshot, returned by Replica.Metrics:
 // protocol events (batches, view changes, checkpoints, state transfers,
 // recoveries) and engine-stage health (inbox/outbox drops). It is a plain
-// value — reading it never perturbs the replica.
+// value — reading it never perturbs the replica — and it describes that
+// replica only; a group's view is the snapshots of its replicas.
 type Metrics = pbft.Metrics
-
-// SumMetrics folds any set of Metrics snapshots (replicas, groups, whole
-// shards) into one rollup: event counters add, backlog gauges add,
-// "last observed" durations and the adaptive batch target take the max,
-// and BatchFillAvg is recomputed from the summed proposal tallies.
-// Metrics.Merge is the in-place form.
-func SumMetrics(snaps ...Metrics) Metrics { return pbft.SumMetrics(snaps...) }
 
 // Digest is a SHA-256 state or message digest.
 type Digest = crypto.Digest

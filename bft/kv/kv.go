@@ -15,7 +15,8 @@ import (
 )
 
 // MinStateSize is the smallest Options.StateSize that fits the service's
-// fixed layout plus one blob page.
+// fixed layout plus one blob page. Factory and TimestampFactory panic on a
+// smaller region.
 const MinStateSize = kvservice.MinStateSize
 
 // Factory builds one service instance per replica; pass it to

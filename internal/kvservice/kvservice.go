@@ -40,8 +40,8 @@ const (
 	offBlob    = offLog + logCap*8
 )
 
-// MinStateSize is the smallest region that fits the fixed layout plus one
-// blob page.
+// MinStateSize is the smallest region New accepts: the fixed layout plus
+// one blob page.
 const MinStateSize = offBlob + 4096
 
 // Service implements statemachine.Service over a Region.
@@ -57,8 +57,14 @@ type Service struct {
 	Clock func() int64
 }
 
-// New creates the service bound to a region.
+// New creates the service bound to a region. It panics if the region is
+// smaller than MinStateSize: like a bad option, a region that cannot hold
+// the layout is a construction-time fault, not a panic in Execute on the
+// first write past its end.
 func New(r *statemachine.Region) *Service {
+	if r.Size() < MinStateSize {
+		panic("kvservice: region below MinStateSize")
+	}
 	return &Service{r: r, Tolerance: 10 * time.Second, Clock: func() int64 { return time.Now().UnixNano() }}
 }
 
@@ -110,9 +116,6 @@ func (s *Service) Execute(client message.NodeID, op []byte, nondet []byte) []byt
 			return nil
 		}
 		blobArea := s.r.Size() - offBlob
-		if blobArea <= 0 {
-			return nil
-		}
 		cur := int(s.u64(offCursor)) % blobArea
 		n := len(body)
 		if n > blobArea {
@@ -136,7 +139,7 @@ func (s *Service) Execute(client message.NodeID, op []byte, nondet []byte) []byt
 		}
 		n := int(binary.LittleEndian.Uint32(body))
 		blobArea := s.r.Size() - offBlob
-		if n < 0 || blobArea <= 0 {
+		if n < 0 {
 			return nil
 		}
 		if n > blobArea {

@@ -65,15 +65,41 @@ func TestBlobWraparound(t *testing.T) {
 	r := statemachine.NewRegion(MinStateSize+2048, 1024)
 	s := New(r)
 	blobArea := r.Size() - offBlob
-	if blobArea <= 0 {
-		t.Skip("layout leaves no blob area")
-	}
 	// Write more than the blob area in two chunks; must not panic and must
 	// keep the cursor in range.
 	s.Execute(cli, WriteBlob(bytes.Repeat([]byte{1}, blobArea-10)), nil)
 	s.Execute(cli, WriteBlob(bytes.Repeat([]byte{2}, 100)), nil)
 	if got := int(s.u64(offCursor)); got < 0 || got >= blobArea {
 		t.Fatalf("cursor %d out of range", got)
+	}
+}
+
+// TestRegionSizeGuard pins New's construction-time check: a region below
+// MinStateSize is refused, and one of exactly MinStateSize holds every
+// write the operations can make — a full order log, the last register and
+// a blob write wider than the blob area. One-byte pages keep NewRegion from
+// rounding the sizes up.
+func TestRegionSizeGuard(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("New accepted a region below MinStateSize")
+			}
+		}()
+		New(statemachine.NewRegion(MinStateSize-1, 1))
+	}()
+
+	s := New(statemachine.NewRegion(MinStateSize, 1))
+	for i := 0; i <= logCap; i++ {
+		s.Execute(cli, AppendLog(), nil)
+	}
+	s.Execute(cli, SetReg(255, 9), nil)
+	s.Execute(cli, WriteBlob(bytes.Repeat([]byte{3}, 4097)), nil)
+	if got := len(s.Execute(cli, ReadLog(), nil)); got != 8*logCap {
+		t.Fatalf("order log holds %d bytes, want %d", got, 8*logCap)
+	}
+	if got := DecodeU64(s.Execute(cli, GetReg(255), nil)); got != 9 {
+		t.Fatalf("reg255 = %d", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 package pbft
 
-// Metrics aggregation. A sharded deployment snapshots many replicas
-// across many groups; Merge folds snapshots into one rollup with
-// deployment-meaningful semantics per field:
+// Metrics aggregation. Merge folds replica snapshots into one rollup
+// with per-field semantics; nothing outside this package's tests calls
+// it since the sharded cluster, its only user, was deleted:
 //
 //   - event counters (executions, view changes, drops, batching tallies,
 //     cumulative digest time) add,
