@@ -27,35 +27,29 @@ func main() {
 		nRep   = flag.Int("n", 4, "replicas for bfs/strict")
 	)
 	flag.Parse()
+	opts := clusterOptions(*nRep, *scale)
+	if err := checkFlags(*target, *scale, opts); err != nil {
+		fmt.Fprintf(os.Stderr, "bfsbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	var fc *fs.Client
 	var cleanup func()
 
 	switch *target {
 	case "bfs", "strict":
-		cluster := bft.NewCluster(bft.Options{
-			Replicas:           *nRep,
-			CheckpointInterval: 64,
-			LogWindow:          128,
-			ViewChangeTimeout:  2 * time.Second,
-			StateSize:          fs.MinRegionSize(8192 * *scale),
-			MaxRetries:         20,
-			Seed:               1,
-		}, fs.Factory)
+		cluster := bft.NewCluster(opts, fs.Factory)
 		cluster.Start()
 		fc = fs.NewClient(cluster.NewClient())
 		fc.Strict = *target == "strict"
 		cleanup = cluster.Stop
 	case "norep":
 		net := simnet.New(simnet.WithSeed(1))
-		srv := baseline.NewServer(net, fs.MinRegionSize(8192**scale), 4096, fs.Factory)
+		srv := baseline.NewServer(net, opts.StateSize, 4096, fs.Factory)
 		srv.Start()
 		cl := baseline.NewClient(message.ClientIDBase, net)
 		fc = fs.NewClient(cl)
 		cleanup = func() { cl.Close(); srv.Stop(); net.Close() }
-	default:
-		fmt.Fprintf(os.Stderr, "unknown target %q\n", *target)
-		os.Exit(2)
 	}
 	defer cleanup()
 
@@ -69,4 +63,32 @@ func main() {
 		fmt.Printf("  phase %-8s %10.3f ms\n", name, float64(at.Phase[i].Microseconds())/1000)
 	}
 	fmt.Printf("  total         %10.3f ms\n", float64(at.Total.Microseconds())/1000)
+}
+
+// clusterOptions sizes the replicated file system for n replicas and the
+// given benchmark scale; the NO-REP server uses the same region size.
+func clusterOptions(n, scale int) bft.Options {
+	return bft.Options{
+		Replicas:           n,
+		CheckpointInterval: 64,
+		LogWindow:          128,
+		ViewChangeTimeout:  2 * time.Second,
+		StateSize:          fs.MinRegionSize(8192 * scale),
+		MaxRetries:         20,
+		Seed:               1,
+	}
+}
+
+// checkFlags rejects command-line input the benchmark cannot run, so a bad
+// flag is a one-line usage error rather than a panic or a failed phase.
+func checkFlags(target string, scale int, opts bft.Options) error {
+	switch target {
+	case "bfs", "strict", "norep":
+	default:
+		return fmt.Errorf("unknown target %q (want bfs, strict or norep)", target)
+	}
+	if scale < 1 {
+		return fmt.Errorf("-scale %d: must be at least 1", scale)
+	}
+	return opts.Validate()
 }

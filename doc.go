@@ -7,10 +7,8 @@
 // typed fault injection, and metrics. Two complete replicated services ship
 // publicly: repro/bft/kv (counter/KV demo) and repro/bft/fs (the BFS file
 // system of Chapter 6). The protocol engine and every substrate (network
-// simulator, crypto, checkpointing, state transfer, baselines, the analytic
-// performance model, and the benchmark harness) live under repro/internal.
+// simulator, crypto, checkpointing, state transfer, the NO-REP baseline,
+// and the analytic performance model) live under repro/internal.
 // See README.md for a tour, bench/README.md for the repository benchmark,
-// and CHANGES.md for the measurements each change recorded. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation chapter.
+// and CHANGES.md for the measurements each change recorded.
 package repro

@@ -9,35 +9,28 @@ import (
 	"testing"
 	"time"
 
+	"repro/bft"
 	"repro/internal/bfs"
-	"repro/internal/message"
-	"repro/internal/pbft"
 )
 
-func replicatedFS(t testing.TB, behaviors map[message.NodeID]pbft.Behavior) (*pbft.Cluster, *bfs.Client) {
+func replicatedFS(t testing.TB, copts ...bft.ClusterOption) (*bft.Cluster, *bfs.Client) {
 	t.Helper()
-	cfg := pbft.Config{
-		Mode:               pbft.ModeMAC,
-		Opt:                pbft.DefaultOptions(),
+	c := bft.NewCluster(bft.Options{
 		CheckpointInterval: 16,
 		LogWindow:          32,
 		ViewChangeTimeout:  200 * time.Millisecond,
-		StatusInterval:     30 * time.Millisecond,
 		StateSize:          bfs.MinRegionSize(2048),
 		PageSize:           4096,
-		Fanout:             16,
+		MaxRetries:         20,
 		Seed:               11,
-	}
-	c := pbft.NewLocalCluster(4, cfg, bfs.Factory, behaviors)
+	}, bfs.Factory, copts...)
 	c.Start()
 	t.Cleanup(c.Stop)
-	cl := c.NewClient()
-	cl.MaxRetries = 20
-	return c, bfs.NewClient(cl)
+	return c, bfs.NewClient(c.NewClient())
 }
 
 func TestReplicatedFileSystem(t *testing.T) {
-	_, fc := replicatedFS(t, nil)
+	_, fc := replicatedFS(t)
 
 	dir, err := fc.Mkdir(bfs.RootIno, "docs")
 	if err != nil {
@@ -65,7 +58,7 @@ func TestReplicatedFileSystem(t *testing.T) {
 }
 
 func TestReplicatedFSWithFaultyReplica(t *testing.T) {
-	_, fc := replicatedFS(t, map[message.NodeID]pbft.Behavior{2: pbft.WrongResult})
+	_, fc := replicatedFS(t, bft.WithBehavior(2, bft.WrongResult))
 	dir, err := fc.Mkdir(bfs.RootIno, "d")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +76,7 @@ func TestReplicatedFSWithFaultyReplica(t *testing.T) {
 }
 
 func TestReplicatedFSSurvivesPrimaryFailure(t *testing.T) {
-	c, fc := replicatedFS(t, nil)
+	c, fc := replicatedFS(t)
 	dir, err := fc.Mkdir(bfs.RootIno, "work")
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +84,9 @@ func TestReplicatedFSSurvivesPrimaryFailure(t *testing.T) {
 	if _, err := fc.WriteFile(dir.Ino, "before", []byte("pre-failure")); err != nil {
 		t.Fatal(err)
 	}
-	c.Net.Isolate(0) // primary of view 0 dies
+	if err := c.Isolate(0); err != nil { // primary of view 0 dies
+		t.Fatal(err)
+	}
 	if _, err := fc.WriteFile(dir.Ino, "after", []byte("post-failure")); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +101,7 @@ func TestReplicatedFSSurvivesPrimaryFailure(t *testing.T) {
 }
 
 func TestReplicatedFSStrictMode(t *testing.T) {
-	_, fc := replicatedFS(t, nil)
+	_, fc := replicatedFS(t)
 	fc.Strict = true // BFS-strict: no read-only optimization (§8.6.2)
 	dir, err := fc.Mkdir(bfs.RootIno, "s")
 	if err != nil {
@@ -128,7 +123,7 @@ func TestReplicatedFSStrictMode(t *testing.T) {
 func TestReplicatedFSRecoveryAfterCorruption(t *testing.T) {
 	// An attacker corrupts one replica's file-system state; proactive
 	// recovery's state check finds and repairs the damaged pages.
-	c, fc := replicatedFS(t, nil)
+	c, fc := replicatedFS(t)
 	dir, err := fc.Mkdir(bfs.RootIno, "data")
 	if err != nil {
 		t.Fatal(err)

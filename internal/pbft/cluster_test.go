@@ -11,8 +11,8 @@ import (
 )
 
 // Cluster wires n replicas and any number of clients onto one network. It
-// exists so tests, examples, and the benchmark harness share the same setup
-// path.
+// exists so the engine's tests share one setup path; everything outside this
+// package builds clusters with bft.NewCluster.
 type Cluster struct {
 	Net      *simnet.Network
 	Dir      *Directory

@@ -48,8 +48,9 @@ func (m Mode) String() string {
 	return "BFT"
 }
 
-// Options toggles the Chapter 5 optimizations independently so the ablation
-// experiment (§8.3.3) can measure each one's impact.
+// Options toggles the Chapter 5 optimizations independently (the thesis
+// ablates each one in §8.3.3) and sets the engine's batching, agreement
+// and fetch windows.
 type Options struct {
 	// DigestReplies: only the designated replier returns the full result
 	// (§5.1.1).

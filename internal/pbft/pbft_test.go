@@ -3,12 +3,12 @@ package pbft
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/kvservice"
 	"repro/internal/message"
+	"repro/internal/simnet"
 	"repro/internal/statemachine"
 )
 
@@ -302,18 +302,13 @@ func TestExactlyOnceUnderRetransmission(t *testing.T) {
 	// not be applied twice.
 	cfg := testConfig()
 	c := NewLocalCluster(4, cfg, kvservice.Factory, nil)
-	c.Net.SetFilter(nil)
 	c.Start()
 	t.Cleanup(c.Stop)
 
-	// Drop ~30% of everything.
-	var drop atomic.Int64
-	c.Net.SetFilter(func(src, dst message.NodeID, p []byte) ([]byte, bool) {
-		if drop.Add(1)%3 == 0 {
-			return nil, false
-		}
-		return p, true
-	})
+	// Drop a third of everything by the network's seeded PRNG. (A
+	// counter that drops every third datagram locks into phase with the
+	// n−1 multicast fan-out, so the same retransmissions drop every time.)
+	c.Net.SetDefaults(simnet.LinkConfig{LossRate: 1.0 / 3})
 	cl := c.NewClient()
 	cl.RetryTimeout = 60 * time.Millisecond
 	// Budget retries from the timeout rather than a fixed count: under -race
@@ -329,7 +324,7 @@ func TestExactlyOnceUnderRetransmission(t *testing.T) {
 			t.Fatalf("incr %d returned %d (duplicate or lost execution)", i, got)
 		}
 	}
-	c.Net.SetFilter(nil)
+	c.Net.SetDefaults(simnet.LinkConfig{})
 	res := mustInvoke(t, cl, kvservice.Get(), true)
 	if got := kvservice.DecodeU64(res); got != n {
 		t.Fatalf("counter = %d, want %d", got, n)

@@ -229,8 +229,8 @@ func TestLossyAndDuplicatingNetwork(t *testing.T) {
 
 func TestWANProfileCluster(t *testing.T) {
 	// A wide-area link model (10ms +- 2ms, 1 Gbit/s): the protocol must
-	// still complete, just slower — sanity for the latency model used in
-	// the experiments.
+	// still complete, just slower — sanity for simnet's latency and
+	// bandwidth model.
 	cfg := testConfig()
 	cfg.ViewChangeTimeout = 2 * time.Second
 	net := simnet.New(simnet.WithSeed(13), simnet.WithDefaults(simnet.LinkConfig{

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kvservice"
 	"repro/internal/message"
+	"repro/internal/simnet"
 )
 
 // dropServeTraffic installs a simnet filter that drops MetaData and Data
@@ -271,4 +272,69 @@ func TestFetchWindowDefault(t *testing.T) {
 	if w := DefaultOptions().FetchWindow; w != 8 {
 		t.Fatalf("DefaultOptions().FetchWindow = %d, want 8", w)
 	}
+}
+
+// BenchmarkStateTransferWindow1 / BenchmarkStateTransferWindow8 measure one
+// collected-log rejoin on a simnet with 1 ms links: the laggard's only way
+// back is a hierarchical state transfer (§5.3.2). The serial ablation
+// (window=1) pays roughly one round trip per differing partition; the
+// windowed engine keeps 8 fetches in flight across distinct repliers, so
+// the same transfer completes in measurably fewer round-trip cycles.
+func BenchmarkStateTransferWindow1(b *testing.B) { benchStateTransfer(b, 1) }
+func BenchmarkStateTransferWindow8(b *testing.B) { benchStateTransfer(b, 8) }
+
+func benchStateTransfer(b *testing.B, window int) {
+	var total time.Duration
+	var retries uint64
+	for i := 0; i < b.N; i++ {
+		cfg := Config{
+			Mode:               ModeMAC,
+			Opt:                DefaultOptions(),
+			CheckpointInterval: 8,
+			LogWindow:          16,
+			ViewChangeTimeout:  5 * time.Second,
+			StatusInterval:     50 * time.Millisecond,
+			StateSize:          kvservice.MinStateSize + 128*1024,
+			Seed:               1,
+		}
+		cfg.Opt.FetchWindow = window
+		net := simnet.New(simnet.WithSeed(int64(13+i)),
+			simnet.WithDefaults(simnet.LinkConfig{Latency: time.Millisecond}))
+		c := NewCluster(net, cfg, 4, kvservice.Factory, nil)
+		c.Start()
+		cl := c.NewClient()
+		cl.RetryTimeout = time.Second
+		cl.MaxRetries = 20
+
+		c.Net.Isolate(3)
+		blob := make([]byte, 2048)
+		for j := 0; j < 40; j++ {
+			blob[0] = byte(j)
+			if _, err := cl.Invoke(kvservice.WriteBlob(blob), false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for c.Replica(0).LowWaterMark() < 32 {
+			if time.Now().After(deadline) {
+				b.Fatal("group never collected the laggard's window")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		target := c.Replica(0).LastExecuted()
+		heal := time.Now()
+		c.Net.Heal()
+		for c.Replica(3).LastExecuted() < target {
+			if time.Since(heal) > 30*time.Second {
+				b.Fatal("laggard never caught up")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		total += time.Since(heal)
+		retries += c.Replica(3).Metrics().FetchRetries
+		c.Stop()
+		net.Close()
+	}
+	b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "ms/catchup")
+	b.ReportMetric(float64(retries)/float64(b.N), "retries/catchup")
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/kvservice"
 )
 
-// TestSequentialLargeRequestsStress reproduces an intermittent wedge seen in
-// the E1 experiment: sequential 4 KB (separately-transmitted) requests from
-// one client must never stall.
+// TestSequentialLargeRequestsStress reproduces an intermittent wedge seen
+// while measuring latency with 4 KB arguments: sequential 4 KB
+// (separately-transmitted) requests from one client must never stall.
 func TestSequentialLargeRequestsStress(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckpointInterval = 64
@@ -31,8 +31,9 @@ func TestSequentialLargeRequestsStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentLargeRequestsStress reproduces the E2 wedge: several
-// closed-loop clients with separately-transmitted 4 KB requests.
+// TestConcurrentLargeRequestsStress reproduces a wedge seen while
+// measuring throughput: several closed-loop clients with
+// separately-transmitted 4 KB requests.
 func TestConcurrentLargeRequestsStress(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		cfg := testConfig()

@@ -5,8 +5,9 @@
 //
 // The thesis calibrates the model on its testbed (PII/600, 100 Mbit
 // Ethernet); here Calibrate measures the same components on the host and
-// the in-process network, so the model predicts what the harness should
-// measure (experiment E10 compares the two).
+// the in-process network, so the model predicts what the benchmark should
+// measure. Nothing outside this package's tests calls it yet; ROADMAP item
+// E2 is to compare its predictions with bench/'s per-layer metrics.
 package perfmodel
 
 import (

@@ -1,153 +1,14 @@
-// Package workload provides the load generators and measurement helpers the
-// benchmark harness uses: closed-loop client drivers for the micro
-// benchmarks of §8.1 (a/0 and 0/b operations), latency statistics, and a
-// scaled Andrew-benchmark workalike for the BFS evaluation of §8.6.
+// Package workload is the scaled Andrew-benchmark workalike for the BFS
+// evaluation of §8.6 ("we scaled up the benchmark"). cmd/bfsbench runs it
+// against BFS, BFS-strict and the unreplicated NO-REP baseline.
 package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/bfs"
 )
-
-// Invoker is the minimal execution interface (BFT client, baseline client).
-type Invoker interface {
-	Invoke(op []byte, readOnly bool) ([]byte, error)
-}
-
-// OpGen produces the i-th operation for one client. Returning a nil op
-// ends that client's stream early (used by duration-bounded runs).
-type OpGen func(i int) (op []byte, readOnly bool)
-
-// Stats summarizes a run.
-type Stats struct {
-	N         int
-	Errors    int
-	Elapsed   time.Duration
-	latencies []time.Duration
-	sorted    bool
-}
-
-// Add records one sample.
-func (s *Stats) Add(d time.Duration) {
-	s.latencies = append(s.latencies, d)
-	s.N++
-	s.sorted = false
-}
-
-// Merge folds another Stats in.
-func (s *Stats) Merge(o *Stats) {
-	s.latencies = append(s.latencies, o.latencies...)
-	s.N += o.N
-	s.Errors += o.Errors
-	s.sorted = false
-}
-
-func (s *Stats) sort() {
-	if !s.sorted {
-		sort.Slice(s.latencies, func(i, j int) bool { return s.latencies[i] < s.latencies[j] })
-		s.sorted = true
-	}
-}
-
-// Mean returns the average latency.
-func (s *Stats) Mean() time.Duration {
-	if len(s.latencies) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s.latencies {
-		sum += d
-	}
-	return sum / time.Duration(len(s.latencies))
-}
-
-// Percentile returns the p-th percentile latency (p in [0,100]).
-func (s *Stats) Percentile(p float64) time.Duration {
-	if len(s.latencies) == 0 {
-		return 0
-	}
-	s.sort()
-	idx := int(p / 100 * float64(len(s.latencies)-1))
-	return s.latencies[idx]
-}
-
-// Median returns the 50th percentile.
-func (s *Stats) Median() time.Duration { return s.Percentile(50) }
-
-// Throughput returns completed operations per second.
-func (s *Stats) Throughput() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.N) / s.Elapsed.Seconds()
-}
-
-// String formats the headline numbers.
-func (s *Stats) String() string {
-	return fmt.Sprintf("n=%d err=%d mean=%v p50=%v p95=%v tput=%.0f/s",
-		s.N, s.Errors, s.Mean(), s.Median(), s.Percentile(95), s.Throughput())
-}
-
-// RunClosed drives nClients closed-loop clients, each executing opsEach
-// operations produced by gen, and returns merged statistics.
-func RunClosed(mkClient func() Invoker, nClients, opsEach int, gen OpGen) *Stats {
-	var wg sync.WaitGroup
-	parts := make([]*Stats, nClients)
-	start := time.Now()
-	for c := 0; c < nClients; c++ {
-		inv := mkClient()
-		st := &Stats{}
-		parts[c] = st
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < opsEach; i++ {
-				op, ro := gen(i)
-				if op == nil {
-					return
-				}
-				t0 := time.Now()
-				if _, err := inv.Invoke(op, ro); err != nil {
-					st.Errors++
-					continue
-				}
-				st.Add(time.Since(t0))
-			}
-		}()
-	}
-	wg.Wait()
-	total := &Stats{Elapsed: time.Since(start)}
-	for _, p := range parts {
-		total.Merge(p)
-	}
-	return total
-}
-
-// MeasureLatency runs n sequential operations on one client and returns
-// per-op statistics (the paper's latency micro-benchmark shape, §8.3.1).
-func MeasureLatency(inv Invoker, n int, gen OpGen) *Stats {
-	st := &Stats{}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		op, ro := gen(i)
-		t0 := time.Now()
-		if _, err := inv.Invoke(op, ro); err != nil {
-			st.Errors++
-			continue
-		}
-		st.Add(time.Since(t0))
-	}
-	st.Elapsed = time.Since(start)
-	return st
-}
-
-// ---------------------------------------------------------------------------
-// Andrew-benchmark workalike (§8.6: "we scaled up the benchmark")
-// ---------------------------------------------------------------------------
 
 // AndrewTimes holds per-phase wall-clock times.
 type AndrewTimes struct {
