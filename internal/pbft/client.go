@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -53,18 +52,60 @@ type Client struct {
 	nextReplier uint64
 }
 
+// replyVote is one replica's latest reply to the pending request; the zero
+// value means the replica has not replied.
 type replyVote struct {
 	digest    crypto.Digest
 	tentative bool
+	voted     bool
+}
+
+// replyResult is the full result one replica returned, checked against its
+// digest; the zero value means none.
+type replyResult struct {
+	digest crypto.Digest
+	data   []byte
+	ok     bool
 }
 
 type pendingInvoke struct {
 	timestamp uint64
-	need      int // matching replies required
-	votes     map[message.NodeID]replyVote
-	results   map[crypto.Digest][]byte // full results received, by digest
+	need      int           // matching replies required
+	votes     []replyVote   // latest vote, by replica
+	results   []replyResult // latest full result, by replica
 	done      chan []byte
 	readOnly  bool
+}
+
+// newPendingInvoke sizes the per-replica tallies for a group of n.
+func newPendingInvoke(ts uint64, need, n int, readOnly bool) *pendingInvoke {
+	return &pendingInvoke{
+		timestamp: ts,
+		need:      need,
+		votes:     make([]replyVote, n),
+		results:   make([]replyResult, n),
+		done:      make(chan []byte, 1),
+		readOnly:  readOnly,
+	}
+}
+
+// demote turns a read-only invocation into a read-write one (§5.1.3): the
+// read-only votes no longer count, but the full results still match by
+// digest, so they stay.
+func (p *pendingInvoke) demote(need int) {
+	p.readOnly = false
+	p.need = need
+	clear(p.votes)
+}
+
+// result returns a full result whose digest is d.
+func (p *pendingInvoke) result(d crypto.Digest) ([]byte, bool) {
+	for _, r := range p.results {
+		if r.ok && r.digest == d {
+			return r.data, true
+		}
+	}
+	return nil, false
 }
 
 // NewClient attaches a client to the network. Session keys with each replica
@@ -147,14 +188,7 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 	if useRO {
 		need = quorum.Strong(c.f())
 	}
-	p := &pendingInvoke{
-		timestamp: ts,
-		need:      need,
-		votes:     make(map[message.NodeID]replyVote),
-		results:   make(map[crypto.Digest][]byte),
-		done:      make(chan []byte, 1),
-		readOnly:  useRO,
-	}
+	p := newPendingInvoke(ts, need, c.dir.N(), useRO)
 	c.pending = p
 	c.mu.Unlock()
 
@@ -209,10 +243,7 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 		}
 		c.mu.Lock()
 		if p.readOnly {
-			p.readOnly = false
-			p.need = quorum.Weak(c.f())
-			p.votes = make(map[message.NodeID]replyVote)
-			// Keep results: digests can still match.
+			p.demote(quorum.Weak(c.f()))
 		}
 		c.mu.Unlock()
 		c.sendRequest(retry, message.NoNode)
@@ -277,56 +308,71 @@ func (c *Client) onReply(rep *message.Reply) {
 		return
 	}
 	// verifyReply proved key possession for the claimed sender, not group
-	// membership; bound the replica ID before it keys the vote map.
-	if int(rep.Replica) >= c.dir.N() {
+	// membership; bound the replica ID before it indexes the tallies.
+	if rep.Replica < 0 || int(rep.Replica) >= len(p.votes) {
 		return
 	}
 	if rep.HasResult {
 		if crypto.DigestOf(rep.Result) != rep.ResultDigest {
 			return // inconsistent reply
 		}
-		p.results[rep.ResultDigest] = rep.Result
+		p.results[rep.Replica] = replyResult{digest: rep.ResultDigest, data: rep.Result, ok: true}
 	}
-	p.votes[rep.Replica] = replyVote{digest: rep.ResultDigest, tentative: rep.Tentative}
+	p.votes[rep.Replica] = replyVote{digest: rep.ResultDigest, tentative: rep.Tentative, voted: true}
 
-	// Count votes per digest. Tentative replies need a quorum; final
-	// replies need only a weak certificate — a final vote also supports a
-	// tentative count (it is strictly stronger).
-	counts := make(map[crypto.Digest]int)
-	finals := make(map[crypto.Digest]int)
-	for _, v := range p.votes {
-		counts[v.digest]++
-		if !v.tentative {
-			finals[v.digest]++
+	// Count votes per digest, each digest once at its first voter.
+	// Tentative replies need a quorum; final replies need only a weak
+	// certificate — a final vote also supports a tentative count (it is
+	// strictly stronger). In read-only mode two digests can complete at
+	// once (honest replicas answering from different execution prefixes);
+	// the smallest digest with a full result wins, so the accepted result
+	// never depends on arrival order.
+	strong := quorum.Strong(c.f())
+	var best crypto.Digest
+	var bestRes []byte
+	found := false
+	for i, v := range p.votes {
+		if !v.voted || counted(p.votes[:i], v.digest) {
+			continue
 		}
-	}
-	// In read-only mode two digests can complete a weak certificate at once
-	// (honest replicas answering from different execution prefixes); iterate
-	// digests in sorted order so the accepted result never depends on map
-	// iteration order.
-	ds := make([]crypto.Digest, 0, len(counts))
-	for d := range counts {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return bytes.Compare(ds[i][:], ds[j][:]) < 0 })
-	for _, d := range ds {
-		n := counts[d]
-		enough := n >= quorum.Strong(c.f()) || finals[d] >= p.need
+		n, finals := 0, 0
+		for _, u := range p.votes[i:] {
+			if u.voted && u.digest == v.digest {
+				n++
+				if !u.tentative {
+					finals++
+				}
+			}
+		}
+		enough := n >= strong || finals >= p.need
 		if p.readOnly {
 			enough = n >= p.need
 		}
-		if enough {
-			if res, ok := p.results[d]; ok {
-				select {
-				case p.done <- res:
-				default:
-				}
-				return
-			}
-			// Certificate complete but no full result yet: keep waiting (a
-			// retransmission will request full replies from everyone).
+		if !enough || (found && bytes.Compare(v.digest[:], best[:]) >= 0) {
+			continue
+		}
+		// A complete certificate without a full result keeps waiting (a
+		// retransmission will request full replies from everyone).
+		if res, ok := p.result(v.digest); ok {
+			best, bestRes, found = v.digest, res, true
 		}
 	}
+	if found {
+		select {
+		case p.done <- bestRes:
+		default:
+		}
+	}
+}
+
+// counted reports whether some vote in votes is for d.
+func counted(votes []replyVote, d crypto.Digest) bool {
+	for _, v := range votes {
+		if v.voted && v.digest == d {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *Client) verifyReply(rep *message.Reply) bool {

@@ -24,7 +24,8 @@ import "repro/internal/message"
 //
 // The handler owns payload: the network never writes it afterwards, so a
 // decoded message may keep views of it for as long as it likes (see
-// internal/message). udpnet copies each datagram out of its read buffer.
+// internal/message). udpnet hands out a view of a receive slab, with its
+// capacity clipped to the datagram, and never writes that region again.
 // simnet may hand one buffer to every receiver of a multicast, so handlers
 // only read what they are given.
 type Handler func(payload []byte)

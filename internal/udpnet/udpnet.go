@@ -27,6 +27,10 @@ const MaxDatagram = 64 * 1024
 // net.core.rmem_max.
 const readBuffer = 4 << 20
 
+// recvSlab is the size of the receive slabs Listen copies datagrams into.
+// It is MaxDatagram so that any datagram fits in a fresh slab.
+const recvSlab = MaxDatagram
+
 // AddressBook maps principals to UDP addresses.
 type AddressBook struct {
 	mu    sync.RWMutex
@@ -36,24 +40,6 @@ type AddressBook struct {
 // NewAddressBook creates an empty book.
 func NewAddressBook() *AddressBook {
 	return &AddressBook{addrs: make(map[message.NodeID]*net.UDPAddr)}
-}
-
-// LocalBook maps replicas 0..n-1 (and clients from message.ClientIDBase) to
-// consecutive loopback ports starting at basePort.
-func LocalBook(n int, basePort int, clients int) (*AddressBook, error) {
-	b := NewAddressBook()
-	for i := 0; i < n; i++ {
-		if err := b.Set(message.NodeID(i), fmt.Sprintf("127.0.0.1:%d", basePort+i)); err != nil {
-			return nil, err
-		}
-	}
-	for c := 0; c < clients; c++ {
-		id := message.ClientIDBase + message.NodeID(c)
-		if err := b.Set(id, fmt.Sprintf("127.0.0.1:%d", basePort+n+c)); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
 }
 
 // LoopbackBook maps replicas 0..n-1 and clients 0..clients-1 (from
@@ -123,6 +109,13 @@ var _ transport.Multicaster = (*Endpoint)(nil)
 
 // Listen binds the principal's socket and starts delivering inbound
 // datagrams to h.
+//
+// Each datagram is copied out of the one read buffer into a shared receive
+// slab, and h gets a view of it whose capacity is clipped to its length, so
+// an append reallocates rather than writing into the next datagram. The read
+// loop never writes a slab region again once it has handed it out. A view
+// the handler keeps pins its whole slab, so kept views hold at most
+// recvSlab (64 KiB) of memory each.
 func Listen(self message.NodeID, book *AddressBook, h transport.Handler) (*Endpoint, error) {
 	addr, ok := book.Lookup(self)
 	if !ok {
@@ -140,15 +133,20 @@ func Listen(self message.NodeID, book *AddressBook, h transport.Handler) (*Endpo
 	go func() {
 		defer ep.wg.Done()
 		buf := make([]byte, MaxDatagram)
+		var slab []byte // unused tail of the current slab; the first is lazy
 		for {
-			n, _, err := conn.ReadFromUDP(buf)
+			// The AddrPort form returns the sender by value; ReadFromUDP
+			// allocates its IP on every call.
+			n, _, err := conn.ReadFromUDPAddrPort(buf)
 			if err != nil {
 				return // closed
 			}
-			// The handler owns what it is given, and buf is read into
-			// again: hand it a copy.
-			p := make([]byte, n)
+			if len(slab) < n {
+				slab = make([]byte, recvSlab)
+			}
+			p := slab[:n:n]
 			copy(p, buf[:n])
+			slab = slab[n:]
 			h(p)
 		}
 	}()

@@ -1,6 +1,9 @@
 package udpnet
 
 import (
+	"bytes"
+	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +13,7 @@ import (
 )
 
 func TestLocalBookAndRoundTrip(t *testing.T) {
-	book, err := LocalBook(2, 34711, 1)
+	book, err := LoopbackBook(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func TestLocalBookAndRoundTrip(t *testing.T) {
 }
 
 func TestMulticastSkipsSelfUDP(t *testing.T) {
-	book, err := LocalBook(3, 34761, 0)
+	book, err := LoopbackBook(3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestMulticastSkipsSelfUDP(t *testing.T) {
 }
 
 func TestSendToUnknownIsNoop(t *testing.T) {
-	book, err := LocalBook(1, 34791, 0)
+	book, err := LoopbackBook(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,5 +112,121 @@ func TestAddressBookErrors(t *testing.T) {
 	}
 	if _, ok := b.Lookup(0); ok {
 		t.Fatal("phantom address")
+	}
+}
+
+// dialer returns a socket connected to principal id's address, for tests
+// that send raw datagrams without an endpoint of their own.
+func dialer(t *testing.T, book *AddressBook, id message.NodeID) *net.UDPConn {
+	t.Helper()
+	addr, ok := book.Lookup(id)
+	if !ok {
+		t.Fatalf("no address for %d", id)
+	}
+	conn, err := net.DialUDP("udp", nil, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// TestReceivedDatagramsStayIntact checks the receive slab's ownership
+// contract: every payload the handler keeps still holds what was sent
+// after later datagrams arrived, including one that did not fit in the
+// current slab's remainder, and none can be appended to in place.
+func TestReceivedDatagramsStayIntact(t *testing.T) {
+	book, err := LoopbackBook(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []byte, 64)
+	ep, err := Listen(0, book, func(p []byte) { got <- p })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	conn := dialer(t, book, 0)
+
+	// The first four datagrams leave 5,235 bytes of the first 64 KiB slab,
+	// so the 10,000-byte one opens a second slab; the small ones then share
+	// it, and the largest opens a third.
+	sizes := []int{1, 300, 30000, 30000, 10000, 7, 4096, 0, 4800, MaxDatagram - 65}
+	var sent, kept [][]byte
+	for i, n := range sizes {
+		p := bytes.Repeat([]byte{byte(i + 1)}, n)
+		if n > 0 {
+			p[n-1] = byte(n) // distinct trailer so neighbours cannot alias unseen
+		}
+		if _, err := conn.Write(p); err != nil {
+			t.Fatalf("send %d bytes: %v", n, err)
+		}
+		select {
+		case q := <-got:
+			kept = append(kept, q)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("datagram %d (%d bytes) not delivered", i, n)
+		}
+		sent = append(sent, p)
+	}
+	for i, q := range kept {
+		if !bytes.Equal(q, sent[i]) {
+			t.Errorf("datagram %d (%d bytes) changed after later receives", i, sizes[i])
+		}
+		if cap(q) != len(q) {
+			t.Errorf("datagram %d: cap %d, len %d; an append could overwrite its neighbour", i, cap(q), len(q))
+		}
+	}
+}
+
+// TestReceiveAllocationBudget pins what receiving costs: the read loop
+// allocates only when a receive slab fills, not per datagram. 1,000
+// datagrams of 300 B fill about five 64 KiB slabs; a per-datagram copy or
+// sender address would cost at least 1,000 each.
+func TestReceiveAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the receive path")
+	}
+	const count, size, window = 1000, 300, 32
+	book, err := LoopbackBook(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var received atomic.Int64
+	ep, err := Listen(0, book, func([]byte) { received.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	conn := dialer(t, book, 0)
+	payload := make([]byte, size)
+
+	lost := false
+	burst := func() {
+		start := received.Load()
+		deadline := time.Now().Add(5 * time.Second)
+		for sent := int64(0); sent < count; sent++ {
+			// Keep at most window datagrams in flight so the socket buffer
+			// never overflows and every datagram is read.
+			for sent-(received.Load()-start) >= window && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			conn.Write(payload) //nolint:errcheck // a loss shows in the count below
+		}
+		for received.Load()-start < count && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if received.Load()-start < count {
+			lost = true
+		}
+	}
+	allocs := testing.AllocsPerRun(1, burst)
+	if lost {
+		t.Fatalf("datagrams lost on loopback: %d of %d arrived", received.Load(), 2*count)
+	}
+	if allocs > 20 {
+		t.Errorf("%v allocations to receive %d datagrams of %d B, want at most 20", allocs, count, size)
+	} else {
+		t.Logf("%v allocations to receive %d datagrams of %d B", allocs, count, size)
 	}
 }
