@@ -1,60 +1,53 @@
-// Command bftlint runs the repo's invariant analyzers (internal/lint).
+// Command bftlint runs the repo's invariant analyzers (internal/lint) over
+// the named packages (default ./...) and prints each finding.
 //
-// It speaks two protocols:
+//	go run ./cmd/bftlint ./...
 //
-//   - As a vet tool (go vet -vettool=$(which bftlint) ./...): the go
-//     command invokes it once per compilation unit with a *.cfg file (and
-//     probes it with -V=full for build caching); this mode delegates to
-//     the x/tools unitchecker, which handles fact serialization between
-//     units.
-//   - Standalone (go run ./cmd/bftlint [packages]): loads the named
-//     packages (default ./...) through the internal driver and prints
-//     findings, exiting 1 if there are any.
+// It exits 1 if there are findings and 2 if the packages cannot be loaded
+// or an analyzer fails.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"strings"
-
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"repro/internal/lint"
 	"repro/internal/lint/driver"
 )
 
 func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		if strings.HasSuffix(a, ".cfg") || a == "-V=full" || a == "-flags" {
-			unitchecker.Main(lint.Analyzers...) // does not return
-		}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run lints the packages matching args, relative to the working
+// directory, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	patterns := args
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bftlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "bftlint:", err)
+		return 2
 	}
 	set, err := driver.Load(wd, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bftlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "bftlint:", err)
+		return 2
 	}
 	diags, err := set.Run(lint.Analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bftlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "bftlint:", err)
+		return 2
 	}
 	for _, d := range diags {
-		fmt.Printf("%s\n", d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "bftlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bftlint: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }

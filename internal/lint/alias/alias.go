@@ -26,11 +26,8 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/lint/annot"
+	"repro/internal/lint/driver"
 )
 
 // Name is the analyzer name, used in `bftlint:allow=` suppressions
@@ -38,39 +35,35 @@ import (
 const Name = "bftalias"
 
 // Analyzer is the bftalias analysis.
-var Analyzer = &analysis.Analyzer{
-	Name:      Name,
-	Doc:       "flag caller-provided slices/maps stored into bftlint:longlived structs without a deep copy",
-	Run:       run,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*LonglivedFact)(nil)},
+var Analyzer = &driver.Analyzer{
+	Name: Name,
+	Doc:  "flag caller-provided slices/maps stored into bftlint:longlived structs without a deep copy",
+	Run:  run,
 }
 
 // LonglivedFact marks a type whose values outlive the calls that populate
 // them, so storing caller memory into them is aliasing.
 type LonglivedFact struct{}
 
-func (*LonglivedFact) AFact()         {}
-func (*LonglivedFact) String() string { return "longlived" }
+func (*LonglivedFact) AFact() {}
 
 type checker struct {
-	pass      *analysis.Pass
+	pass      *driver.Pass
 	longlived map[*types.TypeName]bool // this package's annotations
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *driver.Pass) error {
 	c := &checker{pass: pass, longlived: make(map[*types.TypeName]bool)}
 	c.collect()
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				c.checkFunc(fd)
+			}
 		}
-		c.checkFunc(fd)
-	})
-	return nil, nil
+	}
+	return nil
 }
 
 func (c *checker) collect() {
@@ -159,9 +152,6 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 				continue
 			}
 			if pos, desc, hit := c.longlivedTarget(lhs); hit {
-				if annot.InTestFile(c.pass, pos) || annot.Suppressed(c.pass, pos, Name) {
-					continue
-				}
 				c.pass.Reportf(pos,
 					"caller-provided slice/map stored into long-lived %s without a deep copy; the caller retains a mutable reference (copy it, or acknowledge with bftlint:deepcopy)",
 					desc)

@@ -17,9 +17,6 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
-	"sync"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // Directive is one parsed bftlint comment.
@@ -109,12 +106,14 @@ func Has(ds []Directive, key string) bool {
 	return ok
 }
 
-// Suppressions indexes a file's `bftlint:allow=<name>[,<name>...]`
+// Suppressions indexes a package's `bftlint:allow=<name>[,<name>...]`
 // directives (plus the analyzer-specific acknowledgment spellings, e.g.
-// `bftlint:deepcopy` which is allow=bftalias) by line, so analyzers can
-// honor per-line suppression both standalone and under go vet.
-type Suppressions struct {
-	byLine map[int][]string
+// `bftlint:deepcopy` which is allow=bftalias) by file and line.
+type Suppressions map[fileLine][]string
+
+type fileLine struct {
+	file string
+	line int
 }
 
 // ackAliases maps acknowledgment spellings to the analyzer they allow.
@@ -123,22 +122,25 @@ var ackAliases = map[string]string{
 	"reuse-ok": "bftbufown",
 }
 
-// SuppressionsFor builds the per-line suppression index for one file.
-func SuppressionsFor(fset *token.FileSet, f *ast.File) *Suppressions {
-	s := &Suppressions{byLine: make(map[int][]string)}
-	for _, cg := range f.Comments {
-		for _, d := range Parse(cg) {
-			line := fset.Position(d.Pos).Line
-			switch d.Key {
-			case "allow":
-				for _, name := range strings.Split(d.Value, ",") {
-					if name = strings.TrimSpace(name); name != "" {
-						s.byLine[line] = append(s.byLine[line], name)
+// SuppressionsFor builds the suppression index for a package's files.
+func SuppressionsFor(fset *token.FileSet, files []*ast.File) Suppressions {
+	s := make(Suppressions)
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, d := range Parse(cg) {
+				p := fset.Position(d.Pos)
+				at := fileLine{p.Filename, p.Line}
+				switch d.Key {
+				case "allow":
+					for _, name := range strings.Split(d.Value, ",") {
+						if name = strings.TrimSpace(name); name != "" {
+							s[at] = append(s[at], name)
+						}
 					}
-				}
-			default:
-				if name, ok := ackAliases[d.Key]; ok {
-					s.byLine[line] = append(s.byLine[line], name)
+				default:
+					if name, ok := ackAliases[d.Key]; ok {
+						s[at] = append(s[at], name)
+					}
 				}
 			}
 		}
@@ -149,63 +151,13 @@ func SuppressionsFor(fset *token.FileSet, f *ast.File) *Suppressions {
 // Allowed reports whether analyzer name is suppressed at pos: an allow
 // directive on the same line (trailing comment) or on the line directly
 // above (its own comment line) covers it.
-func (s *Suppressions) Allowed(fset *token.FileSet, pos token.Pos, name string) bool {
-	line := fset.Position(pos).Line
-	for _, l := range []int{line, line - 1} {
-		for _, n := range s.byLine[l] {
+func (s Suppressions) Allowed(pos token.Position, name string) bool {
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		for _, n := range s[fileLine{pos.Filename, line}] {
 			if n == name {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// Pass-scoped helpers -------------------------------------------------------
-
-// InTestFile reports whether pos lies in a _test.go file. The analyzers
-// target production code: test files exercise nondeterminism and aliasing
-// on purpose, and go vet analyzes test variants of every package.
-func InTestFile(pass *analysis.Pass, pos token.Pos) bool {
-	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
-}
-
-// fileOf returns the *ast.File of the pass containing pos.
-func fileOf(pass *analysis.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// passIndex caches per-file suppression indexes per pass. Drivers run
-// analyzers concurrently, so access is locked.
-var (
-	passMu    sync.Mutex
-	passIndex = map[*analysis.Pass]map[*ast.File]*Suppressions{}
-)
-
-// Suppressed reports whether analyzer name is suppressed at pos, building
-// and caching the file index on first use. Analyzers must call this (or
-// Allowed) before reporting so `bftlint:allow` works under every driver.
-func Suppressed(pass *analysis.Pass, pos token.Pos, name string) bool {
-	f := fileOf(pass, pos)
-	if f == nil {
-		return false
-	}
-	passMu.Lock()
-	defer passMu.Unlock()
-	files := passIndex[pass]
-	if files == nil {
-		files = make(map[*ast.File]*Suppressions)
-		passIndex[pass] = files
-	}
-	s := files[f]
-	if s == nil {
-		s = SuppressionsFor(pass.Fset, f)
-		files[f] = s
-	}
-	return s.Allowed(pass.Fset, pos, name)
 }

@@ -26,12 +26,8 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/annot"
+	"repro/internal/lint/driver"
 )
 
 // Name is the analyzer name, used in `bftlint:allow=` suppressions
@@ -39,12 +35,10 @@ import (
 const Name = "bftbufown"
 
 // Analyzer is the bftbufown analysis.
-var Analyzer = &analysis.Analyzer{
-	Name:      Name,
-	Doc:       "flag use of a payload slice after it was surrendered to a bftlint:consumes callee (SendOwned/MulticastOwned contract)",
-	Run:       run,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*ConsumesFact)(nil)},
+var Analyzer = &driver.Analyzer{
+	Name: Name,
+	Doc:  "flag use of a payload slice after it was surrendered to a bftlint:consumes callee (SendOwned/MulticastOwned contract)",
+	Run:  run,
 }
 
 // ConsumesFact records which parameter indices of a function take
@@ -52,28 +46,24 @@ var Analyzer = &analysis.Analyzer{
 type ConsumesFact struct{ Indices []int }
 
 func (*ConsumesFact) AFact() {}
-func (f *ConsumesFact) String() string {
-	return "consumes" // indices are positional; names live at the decl
-}
 
 type checker struct {
-	pass     *analysis.Pass
+	pass     *driver.Pass
 	consumes map[*types.Func][]int
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *driver.Pass) error {
 	c := &checker{pass: pass, consumes: make(map[*types.Func][]int)}
 	c.collect()
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				c.checkFunc(fd)
+			}
 		}
-		c.checkFunc(fd)
-	})
-	return nil, nil
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +157,7 @@ func (c *checker) consumedIndices(fn *types.Func) []int {
 }
 
 func (c *checker) calleeOf(call *ast.CallExpr) *types.Func {
-	if fn := typeutil.StaticCallee(c.pass.TypesInfo, call); fn != nil {
+	if fn := driver.StaticCallee(c.pass.TypesInfo, call); fn != nil {
 		return fn
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -328,9 +318,6 @@ func (c *checker) useViolates(pos token.Pos, h handoff, reassigns []token.Pos) b
 }
 
 func (c *checker) report(id *ast.Ident, h handoff) {
-	if annot.InTestFile(c.pass, id.Pos()) || annot.Suppressed(c.pass, id.Pos(), Name) {
-		return
-	}
 	where := "after"
 	if h.loop != nil {
 		where = "across loop iterations after"

@@ -25,12 +25,8 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/annot"
+	"repro/internal/lint/driver"
 )
 
 // Analyzer names, used in `bftlint:allow=` suppressions.
@@ -45,11 +41,10 @@ const (
 // ---------------------------------------------------------------------------
 
 // RandAnalyzer flags package-global math/rand use.
-var RandAnalyzer = &analysis.Analyzer{
-	Name:     RandName,
-	Doc:      "flag package-global math/rand functions; replicas must draw from a per-replica seeded source",
-	Run:      runRand,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
+var RandAnalyzer = &driver.Analyzer{
+	Name: RandName,
+	Doc:  "flag package-global math/rand functions; replicas must draw from a per-replica seeded source",
+	Run:  runRand,
 }
 
 // randConstructors are the package-level functions that build an explicit
@@ -59,36 +54,41 @@ var randConstructors = map[string]bool{
 	"NewChaCha8": true, "NewZipf": true,
 }
 
-func runRand(pass *analysis.Pass) (interface{}, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
-		id, ok := ast.Unparen(sel.X).(*ast.Ident)
-		if !ok {
-			return
-		}
-		pkg, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-		if !ok {
-			return
-		}
-		path := pkg.Imported().Path()
-		if path != "math/rand" && path != "math/rand/v2" {
-			return
-		}
-		if _, isFunc := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFunc {
-			return // types like rand.Rand, rand.Source
-		}
-		if randConstructors[sel.Sel.Name] {
-			return
-		}
-		if annot.InTestFile(pass, sel.Pos()) || annot.Suppressed(pass, sel.Pos(), RandName) {
-			return
-		}
-		pass.Reportf(sel.Sel.Pos(),
-			"package-global %s.%s draws from the shared process stream; use the per-replica seeded *rand.Rand so seeded runs stay reproducible",
-			pkg.Name(), sel.Sel.Name)
-	})
-	return nil, nil
+func runRand(pass *driver.Pass) error {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				checkRand(pass, sel)
+			}
+			return true
+		})
+	}
+	return nil
+}
+
+// checkRand reports sel if it names a package-global math/rand draw.
+func checkRand(pass *driver.Pass, sel *ast.SelectorExpr) {
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok {
+		return
+	}
+	pkg, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+	if !ok {
+		return
+	}
+	path := pkg.Imported().Path()
+	if path != "math/rand" && path != "math/rand/v2" {
+		return
+	}
+	if _, isFunc := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFunc {
+		return // types like rand.Rand, rand.Source
+	}
+	if randConstructors[sel.Sel.Name] {
+		return
+	}
+	pass.Reportf(sel.Sel.Pos(),
+		"package-global %s.%s draws from the shared process stream; use the per-replica seeded *rand.Rand so seeded runs stay reproducible",
+		pkg.Name(), sel.Sel.Name)
 }
 
 // ---------------------------------------------------------------------------
@@ -97,12 +97,10 @@ func runRand(pass *analysis.Pass) (interface{}, error) {
 
 // TimeAnalyzer checks bftlint:deterministic functions against wall-clock
 // reads.
-var TimeAnalyzer = &analysis.Analyzer{
-	Name:      TimeName,
-	Doc:       "flag bftlint:deterministic decision paths that reach time.Now/Since/Until",
-	Run:       runTime,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*TimeFact)(nil)},
+var TimeAnalyzer = &driver.Analyzer{
+	Name: TimeName,
+	Doc:  "flag bftlint:deterministic decision paths that reach time.Now/Since/Until",
+	Run:  runTime,
 }
 
 // TimeFact marks a function that (transitively) reads the wall clock,
@@ -112,8 +110,7 @@ type TimeFact struct {
 	Chain []string // call path from the function to the read
 }
 
-func (*TimeFact) AFact()           {}
-func (f *TimeFact) String() string { return "reads " + f.Desc }
+func (*TimeFact) AFact() {}
 
 // wallClockFuncs are the time package reads that break determinism.
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
@@ -128,7 +125,7 @@ type timeSummary struct {
 }
 
 type timeChecker struct {
-	pass  *analysis.Pass
+	pass  *driver.Pass
 	decls map[*types.Func]*ast.FuncDecl
 	sums  map[*types.Func]*timeSummary
 	memo  map[*types.Func]*TimeFact
@@ -136,7 +133,7 @@ type timeChecker struct {
 	det   map[*types.Func]token.Pos
 }
 
-func runTime(pass *analysis.Pass) (interface{}, error) {
+func runTime(pass *driver.Pass) error {
 	c := &timeChecker{
 		pass:  pass,
 		decls: make(map[*types.Func]*ast.FuncDecl),
@@ -145,19 +142,23 @@ func runTime(pass *analysis.Pass) (interface{}, error) {
 		stack: make(map[*types.Func]bool),
 		det:   make(map[*types.Func]token.Pos),
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if !ok || fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			c.decls[fn] = fd
+			if annot.Has(annot.FuncDirectives(fd), "deterministic") {
+				c.det[fn] = fd.Name.Pos()
+			}
+			c.sums[fn] = c.summarize(fd)
 		}
-		c.decls[fn] = fd
-		if annot.Has(annot.FuncDirectives(fd), "deterministic") {
-			c.det[fn] = fd.Name.Pos()
-		}
-		c.sums[fn] = c.summarize(fd)
-	})
+	}
 
 	// Export facts for every local clock-reader, then check the annotated
 	// deterministic functions.
@@ -186,9 +187,6 @@ func runTime(pass *analysis.Pass) (interface{}, error) {
 				}
 			}
 		}
-		if annot.InTestFile(pass, rpos) || annot.Suppressed(pass, rpos, TimeName) {
-			continue
-		}
 		via := ""
 		if len(w.Chain) > 0 {
 			via = " via " + strings.Join(w.Chain, " -> ")
@@ -197,7 +195,7 @@ func runTime(pass *analysis.Pass) (interface{}, error) {
 			"bftlint:deterministic %s reaches %s%s; wall-clock reads diverge across replicas and seeded runs — take time as a parameter",
 			fn.Name(), w.Desc, via)
 	}
-	return nil, nil
+	return nil
 }
 
 func (c *timeChecker) summarize(fd *ast.FuncDecl) *timeSummary {
@@ -208,7 +206,7 @@ func (c *timeChecker) summarize(fd *ast.FuncDecl) *timeSummary {
 		if !ok {
 			return true
 		}
-		fn := typeutil.StaticCallee(info, call)
+		fn := driver.StaticCallee(info, call)
 		if fn == nil {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				fn, _ = info.Uses[sel.Sel].(*types.Func)
@@ -275,43 +273,40 @@ func (c *timeChecker) witness(fn *types.Func) *TimeFact {
 
 // MapOrderAnalyzer flags map iteration feeding message emission or
 // selection.
-var MapOrderAnalyzer = &analysis.Analyzer{
-	Name:      MapOrderName,
-	Doc:       "flag map-range loops whose randomized order reaches the wire (bftlint:send in body) or selects a winner (early exit with escaping key/value)",
-	Run:       runMapOrder,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*SendFact)(nil)},
+var MapOrderAnalyzer = &driver.Analyzer{
+	Name: MapOrderName,
+	Doc:  "flag map-range loops whose randomized order reaches the wire (bftlint:send in body) or selects a winner (early exit with escaping key/value)",
+	Run:  runMapOrder,
 }
 
 // SendFact marks a function that emits protocol messages; calling it under
 // a map range puts iteration order on the wire.
 type SendFact struct{}
 
-func (*SendFact) AFact()         {}
-func (*SendFact) String() string { return "send" }
+func (*SendFact) AFact() {}
 
 type mapChecker struct {
-	pass  *analysis.Pass
+	pass  *driver.Pass
 	sends map[*types.Func]bool
 }
 
-func runMapOrder(pass *analysis.Pass) (interface{}, error) {
+func runMapOrder(pass *driver.Pass) error {
 	c := &mapChecker{pass: pass, sends: make(map[*types.Func]bool)}
 	c.collectSends()
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node) {
-		rs := n.(*ast.RangeStmt)
-		t := pass.TypesInfo.TypeOf(rs.X)
-		if t == nil {
-			return
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return
-		}
-		c.checkRange(rs)
-	})
-	return nil, nil
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if t := pass.TypesInfo.TypeOf(rs.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						c.checkRange(rs)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 func (c *mapChecker) collectSends() {
@@ -375,7 +370,7 @@ func (c *mapChecker) checkRange(rs *ast.RangeStmt) {
 		if !ok {
 			return true
 		}
-		fn := typeutil.StaticCallee(info, call)
+		fn := driver.StaticCallee(info, call)
 		if fn == nil {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				fn, _ = info.Uses[sel.Sel].(*types.Func)
@@ -388,7 +383,7 @@ func (c *mapChecker) checkRange(rs *ast.RangeStmt) {
 		return true
 	})
 	if sendCall != nil {
-		c.reportf(sendCall.Pos(),
+		c.pass.Reportf(sendCall.Pos(),
 			"%s emits messages inside a map range: iteration order reaches the wire; collect and sort the keys first", sendName)
 	}
 
@@ -447,16 +442,9 @@ func (c *mapChecker) checkRange(rs *ast.RangeStmt) {
 		return true
 	})
 	if escape != nil {
-		c.reportf(escape.Pos(),
+		c.pass.Reportf(escape.Pos(),
 			"map iteration order selects this result (early exit with escaping key/value); iterate sorted keys so every replica picks the same winner")
 	}
-}
-
-func (c *mapChecker) reportf(pos token.Pos, format string, args ...interface{}) {
-	if annot.InTestFile(c.pass, pos) || annot.Suppressed(c.pass, pos, MapOrderName) {
-		return
-	}
-	c.pass.Reportf(pos, format, args...)
 }
 
 // hasEarlyExit reports whether the loop body can exit before visiting every

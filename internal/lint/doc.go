@@ -1,4 +1,4 @@
-// Package lint is bftlint: a go/analysis suite that machine-enforces the
+// Package lint is bftlint: an analyzer suite that machine-enforces the
 // concurrency, aliasing, and determinism invariants this replica's safety
 // argument rests on. PBFT (§4.2, §A) assumes protocol-state access is
 // serialized; with verification on receive goroutines and durable logging
@@ -10,18 +10,11 @@
 //
 // # Running
 //
-// Standalone (uses an internal driver; no go/packages needed):
-//
 //	go run ./cmd/bftlint ./...
 //
-// Under the build system, as a vet tool (modular analysis with
-// serialized facts, incremental via the build cache):
-//
-//	go build -o /tmp/bftlint ./cmd/bftlint
-//	go vet -vettool=/tmp/bftlint ./...
-//
-// Both exit nonzero on any finding. CI runs the vettool form before the
-// race tests.
+// loads the named packages through internal/lint/driver, which is built on
+// the standard library alone, and exits 1 on any finding. CI runs it before
+// the race tests.
 //
 // # Annotation grammar
 //
@@ -160,7 +153,6 @@
 //     or a modulo) is a finding. Calls are sanitizing boundaries unless
 //     annotated bftlint:untrusted.
 //
-// All analyzers skip _test.go files: tests exercise nondeterminism and
-// aliasing on purpose, and `go vet` analyzes test variants of every
-// package.
+// No analyzer sees a _test.go file: the driver loads only a package's
+// GoFiles, because tests exercise nondeterminism and aliasing on purpose.
 package lint

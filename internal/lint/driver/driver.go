@@ -1,16 +1,19 @@
-// Package driver loads and analyzes packages for bftlint without
-// go/packages (which the vendored x/tools subset does not include — the
-// container has no module network access). It shells out to `go list
-// -json -export -deps` for package metadata and compiled export data,
-// typechecks every main-module package from source in dependency order so
-// object identities are shared across packages, imports external
-// dependencies (std, vendored x/tools) from their export files, and runs
-// analyzers with an in-memory fact store.
+// Package driver is the bftlint analysis framework, built on the standard
+// library alone: the Analyzer, Pass and Fact types the analyzers are
+// written against, and the one loader and runner behind cmd/bftlint, the
+// linttest golden harness and TestRepoClean.
 //
-// Under `go vet -vettool` none of this is used: cmd/bftlint delegates to
-// the vendored unitchecker, and the build tool drives loading and fact
-// serialization. This driver backs the standalone `go run ./cmd/bftlint
-// ./...` mode and the linttest golden harness.
+// Load shells out to `go list -json -export -deps` for package metadata
+// and compiled export data, typechecks every main-module package from
+// source in dependency order so object identities are shared across
+// packages, and imports everything else (the standard library) from its
+// export file. Run then applies the analyzers package by package,
+// dependencies first, with an in-memory fact store, so a fact exported
+// while analyzing a package is visible to every package that imports it.
+//
+// Only a package's GoFiles are parsed: _test.go files never reach an
+// analyzer. The analyzers target production code, and tests exercise
+// nondeterminism, aliasing and raw f-arithmetic on purpose.
 package driver
 
 import (
@@ -18,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -30,8 +32,70 @@ import (
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/lint/annot"
 )
+
+// Analyzer is one bftlint check. Run inspects one package through its
+// Pass and reports findings with Pass.Reportf.
+type Analyzer struct {
+	Name string // also the name `bftlint:allow=` suppressions use
+	Doc  string
+	Run  func(*Pass) error
+}
+
+// Fact is an analyzer-defined summary attached to a types.Object while
+// analyzing the package that declares it, and read back while analyzing
+// the packages that import it. Facts are pointers to struct types.
+type Fact interface{ AFact() }
+
+// Pass is one analyzer's view of one package.
+type Pass struct {
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+
+	analyzer string
+	facts    map[factKey]Fact
+	diags    *[]Diagnostic      // nil for dependency-only packages
+	allow    annot.Suppressions // the package's bftlint:allow directives
+}
+
+type factKey struct {
+	obj types.Object
+	typ reflect.Type
+}
+
+// Reportf records a finding at pos, unless the package was loaded only as
+// a dependency, or a `bftlint:allow` directive (or an acknowledgment alias)
+// for this analyzer sits on pos's line or the line above.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	if p.diags == nil {
+		return
+	}
+	at := p.Fset.Position(pos)
+	if p.allow.Allowed(at, p.analyzer) {
+		return
+	}
+	*p.diags = append(*p.diags, Diagnostic{Analyzer: p.analyzer, Pos: at, Message: fmt.Sprintf(format, args...)})
+}
+
+// ExportObjectFact attaches fact to obj, replacing any earlier fact of
+// the same type.
+func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
+	p.facts[factKey{obj, reflect.TypeOf(fact)}] = fact
+}
+
+// ImportObjectFact copies the fact of fact's type attached to obj into
+// fact, and reports whether there was one.
+func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
+	stored := p.facts[factKey{obj, reflect.TypeOf(fact)}]
+	if stored == nil {
+		return false
+	}
+	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
+	return true
+}
 
 // Package is one source-typechecked main-module package.
 type Package struct {
@@ -221,41 +285,24 @@ func (s *Set) check(p *listPkg) (*Package, error) {
 	}, nil
 }
 
-// ---------------------------------------------------------------------------
-// Running analyzers
-// ---------------------------------------------------------------------------
-
-type objFactKey struct {
-	obj types.Object
-	typ reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
-	typ reflect.Type
-}
-
-// Run executes the analyzers (and their requirements) over every package
-// in the set, dependency order first so facts flow forward. Only
-// reportable packages contribute diagnostics.
-func (s *Set) Run(analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	plan, err := executionOrder(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	objFacts := make(map[objFactKey]analysis.Fact)
-	pkgFacts := make(map[pkgFactKey]analysis.Fact)
+// Run applies the analyzers to every package in the set, dependencies
+// first so facts flow forward. Only packages that matched the load
+// patterns contribute diagnostics, sorted by position.
+func (s *Set) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
+	facts := make(map[factKey]Fact)
 	var diags []Diagnostic
-
 	for _, pkg := range s.Pkgs {
-		results := make(map[*analysis.Analyzer]interface{})
-		for _, a := range plan {
-			pass := s.newPass(a, pkg, results, objFacts, pkgFacts, &diags)
-			res, err := a.Run(pass)
-			if err != nil {
+		base := Pass{Fset: s.Fset, Files: pkg.Syntax, Pkg: pkg.Types, TypesInfo: pkg.TypesInfo, facts: facts}
+		if pkg.Reportable {
+			base.diags = &diags
+			base.allow = annot.SuppressionsFor(s.Fset, pkg.Syntax)
+		}
+		for _, a := range analyzers {
+			pass := base
+			pass.analyzer = a.Name
+			if err := a.Run(&pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
 			}
-			results[a] = res
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -271,107 +318,35 @@ func (s *Set) Run(analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-func (s *Set) newPass(
-	a *analysis.Analyzer, pkg *Package,
-	results map[*analysis.Analyzer]interface{},
-	objFacts map[objFactKey]analysis.Fact,
-	pkgFacts map[pkgFactKey]analysis.Fact,
-	diags *[]Diagnostic,
-) *analysis.Pass {
-	resultOf := make(map[*analysis.Analyzer]interface{})
-	for _, req := range a.Requires {
-		resultOf[req] = results[req]
+// StaticCallee returns the function or method a call statically invokes,
+// looking through parentheses and generic instantiation (an instantiated
+// call yields the generic function). It returns nil for conversions,
+// builtins, calls of function values and calls of interface methods.
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
 	}
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       s.Fset,
-		Files:      pkg.Syntax,
-		Pkg:        pkg.Types,
-		TypesInfo:  pkg.TypesInfo,
-		TypesSizes: types.SizesFor("gc", build.Default.GOARCH),
-		ResultOf:   resultOf,
-		ReadFile:   os.ReadFile,
-	}
-	pass.Report = func(d analysis.Diagnostic) {
-		if !pkg.Reportable {
-			return
+	var obj types.Object
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[fun.Sel] // qualified identifier
 		}
-		*diags = append(*diags, Diagnostic{
-			Analyzer: a.Name,
-			Pos:      s.Fset.Position(d.Pos),
-			Message:  d.Message,
-		})
 	}
-	pass.ExportObjectFact = func(obj types.Object, fact analysis.Fact) {
-		objFacts[objFactKey{obj, reflect.TypeOf(fact)}] = fact
-	}
-	pass.ImportObjectFact = func(obj types.Object, fact analysis.Fact) bool {
-		return importFact(objFacts[objFactKey{obj, reflect.TypeOf(fact)}], fact)
-	}
-	pass.ExportPackageFact = func(fact analysis.Fact) {
-		pkgFacts[pkgFactKey{pkg.Types, reflect.TypeOf(fact)}] = fact
-	}
-	pass.ImportPackageFact = func(p *types.Package, fact analysis.Fact) bool {
-		return importFact(pkgFacts[pkgFactKey{p, reflect.TypeOf(fact)}], fact)
-	}
-	pass.AllObjectFacts = func() []analysis.ObjectFact {
-		var out []analysis.ObjectFact
-		for k, f := range objFacts {
-			out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-		}
-		return out
-	}
-	pass.AllPackageFacts = func() []analysis.PackageFact {
-		var out []analysis.PackageFact
-		for k, f := range pkgFacts {
-			out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-		}
-		return out
-	}
-	return pass
-}
-
-// importFact copies a stored fact into the caller's pointer.
-func importFact(stored analysis.Fact, dst analysis.Fact) bool {
-	if stored == nil {
-		return false
-	}
-	sv := reflect.ValueOf(stored)
-	dv := reflect.ValueOf(dst)
-	if sv.Type() != dv.Type() {
-		return false
-	}
-	dv.Elem().Set(sv.Elem())
-	return true
-}
-
-// executionOrder flattens the analyzers plus their requirements into a
-// dependency-respecting sequence.
-func executionOrder(analyzers []*analysis.Analyzer) ([]*analysis.Analyzer, error) {
-	var plan []*analysis.Analyzer
-	state := make(map[*analysis.Analyzer]int)
-	var visit func(a *analysis.Analyzer) error
-	visit = func(a *analysis.Analyzer) error {
-		switch state[a] {
-		case 2:
-			return nil
-		case 1:
-			return fmt.Errorf("requirement cycle through %s", a.Name)
-		}
-		state[a] = 1
-		for _, req := range a.Requires {
-			if err := visit(req); err != nil {
-				return err
-			}
-		}
-		state[a] = 2
-		plan = append(plan, a)
+	fn, ok := obj.(*types.Func)
+	if !ok {
 		return nil
 	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
+	if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return nil
 	}
-	return plan, nil
+	return fn
 }

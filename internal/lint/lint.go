@@ -1,11 +1,10 @@
 package lint
 
 import (
-	"golang.org/x/tools/go/analysis"
-
 	"repro/internal/lint/alias"
 	"repro/internal/lint/bufown"
 	"repro/internal/lint/det"
+	"repro/internal/lint/driver"
 	"repro/internal/lint/owner"
 	"repro/internal/lint/quorum"
 	"repro/internal/lint/taint"
@@ -16,7 +15,7 @@ import (
 // useful to read: ownership first (the structural invariant), then the
 // memory contracts, then determinism, then the protocol-shape analyzers
 // (wire/digest coverage, quorum arithmetic, Byzantine-input taint).
-var Analyzers = []*analysis.Analyzer{
+var Analyzers = []*driver.Analyzer{
 	owner.Analyzer,
 	alias.Analyzer,
 	bufown.Analyzer,

@@ -16,7 +16,7 @@ import (
 )
 
 // TestRepoClean runs the full suite over the whole module and requires zero
-// findings: the clean-tree guarantee CI enforces via the vettool step. This
+// findings: the clean-tree guarantee CI enforces with cmd/bftlint. This
 // also exercises cross-package fact flow (RunsFact from internal/transport
 // into the ingress stage's sinks, LonglivedFact on pbft view-change state)
 // on the real tree rather than fixtures.

@@ -1,11 +1,9 @@
-// Package linttest is the golden-test harness for the bftlint analyzers.
-// The vendored x/tools subset has no analysistest, so this reimplements the
-// part the suite needs on top of the internal/lint/driver loader: run
-// analyzers over a fixture package under internal/lint/testdata/src and
-// compare every diagnostic against `// want` expectations in the fixture
-// source.
+// Package linttest is the golden-test harness for the bftlint analyzers:
+// it runs analyzers through internal/lint/driver over a fixture package
+// under internal/lint/testdata/src and compares every diagnostic against
+// `// want` expectations in the fixture source.
 //
-// Expectation syntax (a subset of analysistest's):
+// Expectation syntax:
 //
 //	s.qset[seq] = entries // want `stored into long-lived`
 //	r.bump()              // want `reaches eventloop-owned` `via bump`
@@ -27,8 +25,6 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-
 	"repro/internal/lint/driver"
 )
 
@@ -46,7 +42,7 @@ var patRe = regexp.MustCompile("`([^`]*)`")
 // Run loads the fixture package internal/lint/testdata/src/<fixture>,
 // runs the analyzers over it (dependencies first, facts flowing forward),
 // and checks the diagnostics against the fixture's `// want` comments.
-func Run(t *testing.T, fixture string, analyzers ...*analysis.Analyzer) {
+func Run(t *testing.T, fixture string, analyzers ...*driver.Analyzer) {
 	t.Helper()
 	root := repoRoot(t)
 	set, err := driver.Load(root, "./internal/lint/testdata/src/"+fixture)

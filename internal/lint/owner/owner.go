@@ -29,34 +29,24 @@
 package owner
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/annot"
+	"repro/internal/lint/driver"
 )
 
 // Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bftowner"
 
 // Analyzer is the bftowner analysis.
-var Analyzer = &analysis.Analyzer{
-	Name:     Name,
-	Doc:      "check goroutine-ownership annotations: worker/executor entry points must not reach state owned by another domain outside a rendezvous",
-	Run:      run,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{
-		(*OwnerFact)(nil), (*CtxFact)(nil), (*RendFact)(nil),
-		(*RunsFact)(nil), (*AccessFact)(nil),
-	},
+var Analyzer = &driver.Analyzer{
+	Name: Name,
+	Doc:  "check goroutine-ownership annotations: worker/executor entry points must not reach state owned by another domain outside a rendezvous",
+	Run:  run,
 }
 
 // OwnerFact marks a type or struct field as owned by a goroutine domain.
@@ -90,12 +80,6 @@ func (*RendFact) AFact()   {}
 func (*RunsFact) AFact()   {}
 func (*AccessFact) AFact() {}
 
-func (f *OwnerFact) String() string  { return "owner=" + f.Domain }
-func (f *CtxFact) String() string    { return "entrypoint=" + f.Domain }
-func (f *RendFact) String() string   { return "rendezvous" }
-func (f *RunsFact) String() string   { return "runs=" + f.Domain }
-func (f *AccessFact) String() string { return fmt.Sprintf("accesses(%d)", len(f.Accesses)) }
-
 // ownerDomains are the values owner= accepts; ctxDomains the execution
 // domains entrypoint=/runs= accept.
 var (
@@ -111,7 +95,7 @@ func allowed(ctx, owner string) bool { return ctx == owner }
 const maxAccesses = 64
 
 type ctx struct {
-	pass *analysis.Pass
+	pass *driver.Pass
 
 	localOwner map[types.Object]string // annotated types and fields, this package
 	localCtx   map[*types.Func]string
@@ -141,7 +125,7 @@ type summary struct {
 	spawns []spawnRec
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *driver.Pass) error {
 	c := &ctx{
 		pass:       pass,
 		localOwner: make(map[types.Object]string),
@@ -156,18 +140,15 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	c.collectAnnotations()
 	c.exportAnnotationFacts()
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					c.decls[fn] = fd
+				}
+			}
 		}
-		fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if !ok {
-			return
-		}
-		c.decls[fn] = fd
-	})
+	}
 
 	// Summarize every declared function, then flatten through the local
 	// call graph (imports resolved through facts).
@@ -207,7 +188,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	for _, fn := range fns {
 		c.checkSpawns(c.sums[fn])
 	}
-	return nil, nil
+	return nil
 }
 
 // checkReach reports every access in sum (flattened) that domain may not
@@ -247,9 +228,6 @@ func (c *ctx) checkSpawns(sum *summary) {
 }
 
 func (c *ctx) report(pos token.Pos, domain, label string, acc Access) {
-	if annot.InTestFile(c.pass, pos) || annot.Suppressed(c.pass, pos, Name) {
-		return
-	}
 	via := ""
 	if len(acc.Chain) > 0 {
 		via = " via " + strings.Join(acc.Chain, " -> ")
@@ -489,7 +467,7 @@ func (c *ctx) accessesOf(fn *types.Func) []Access {
 // methods) through typeutil, interface methods through Uses. Builtins and
 // truly dynamic calls (function values) return nil.
 func (c *ctx) calleeOf(call *ast.CallExpr) *types.Func {
-	if fn := typeutil.StaticCallee(c.pass.TypesInfo, call); fn != nil {
+	if fn := driver.StaticCallee(c.pass.TypesInfo, call); fn != nil {
 		return fn
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {

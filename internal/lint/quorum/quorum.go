@@ -29,47 +29,39 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/annot"
+	"repro/internal/lint/driver"
 )
 
 // Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bftquorum"
 
 // Analyzer is the bftquorum analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:      Name,
-	Doc:       "flag raw f-arithmetic outside internal/quorum and bftlint:threshold helpers",
-	Run:       run,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*FaultFact)(nil), (*ThresholdFact)(nil)},
+var Analyzer = &driver.Analyzer{
+	Name: Name,
+	Doc:  "flag raw f-arithmetic outside internal/quorum and bftlint:threshold helpers",
+	Run:  run,
 }
 
 // FaultFact marks an object (field, var, or function result) whose value is
 // the fault threshold f.
 type FaultFact struct{}
 
-func (*FaultFact) AFact()         {}
-func (*FaultFact) String() string { return "faultbound" }
+func (*FaultFact) AFact() {}
 
 // ThresholdFact marks a function blessed to consume fault-bound values and
 // perform f-arithmetic (the internal/quorum helpers and annotated wrappers).
 type ThresholdFact struct{}
 
-func (*ThresholdFact) AFact()         {}
-func (*ThresholdFact) String() string { return "threshold" }
+func (*ThresholdFact) AFact() {}
 
 type checker struct {
-	pass      *analysis.Pass
+	pass      *driver.Pass
 	fault     map[types.Object]bool // annotated fields/vars/functions
 	threshold map[*types.Func]bool
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *driver.Pass) error {
 	c := &checker{
 		pass:      pass,
 		fault:     make(map[types.Object]bool),
@@ -77,19 +69,20 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	c.collect()
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if fn != nil && c.threshold[fn] {
+				continue // blessed helper: the audited place for f-arithmetic
+			}
+			c.checkFunc(fd)
 		}
-		fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if fn != nil && c.threshold[fn] {
-			return // blessed helper: the audited place for f-arithmetic
-		}
-		c.checkFunc(fd)
-	})
-	return nil, nil
+	}
+	return nil
 }
 
 // collect gathers the annotated objects of this package and exports facts.
@@ -209,9 +202,6 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 			if !c.faultBound(op, local) {
 				continue
 			}
-			if annot.InTestFile(c.pass, be.Pos()) || annot.Suppressed(c.pass, be.Pos(), Name) {
-				break
-			}
 			verb := "arithmetic on"
 			switch be.Op {
 			case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
@@ -239,7 +229,7 @@ func (c *checker) faultBound(expr ast.Expr, local map[types.Object]bool) bool {
 	case *ast.SelectorExpr:
 		return c.isFaultObj(info.Uses[e.Sel])
 	case *ast.CallExpr:
-		if fn := typeutil.StaticCallee(info, e); fn != nil {
+		if fn := driver.StaticCallee(info, e); fn != nil {
 			return c.isFaultObj(fn)
 		}
 		// Conversions propagate the bound: int(f), uint32(f).

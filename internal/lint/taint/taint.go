@@ -31,46 +31,38 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/annot"
+	"repro/internal/lint/driver"
 )
 
 // Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bfttaint"
 
 // Analyzer is the bfttaint analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:      Name,
-	Doc:       "flag untrusted wire-message integers used as index, allocation size, loop bound, or inserted map key without a bounds check",
-	Run:       run,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*WireFact)(nil), (*UntrustedFact)(nil)},
+var Analyzer = &driver.Analyzer{
+	Name: Name,
+	Doc:  "flag untrusted wire-message integers used as index, allocation size, loop bound, or inserted map key without a bounds check",
+	Run:  run,
 }
 
 // WireFact marks a named type as a wire message: its fields are
 // attacker-controlled after decode.
 type WireFact struct{}
 
-func (*WireFact) AFact()         {}
-func (*WireFact) String() string { return "wire" }
+func (*WireFact) AFact() {}
 
 // UntrustedFact marks a function whose results are attacker-controlled.
 type UntrustedFact struct{}
 
-func (*UntrustedFact) AFact()         {}
-func (*UntrustedFact) String() string { return "untrusted" }
+func (*UntrustedFact) AFact() {}
 
 type checker struct {
-	pass      *analysis.Pass
+	pass      *driver.Pass
 	wire      map[*types.TypeName]bool
 	untrusted map[*types.Func]bool
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *driver.Pass) error {
 	c := &checker{
 		pass:      pass,
 		wire:      make(map[*types.TypeName]bool),
@@ -78,22 +70,23 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	c.collect()
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			// The codec methods are the sanitizing boundary itself: they
+			// read raw attacker bytes under the sliceLen/maxSliceLen
+			// discipline that the rest of this analyzer assumes, and
+			// tainting their own field stores would flag the sanitizer.
+			if fd.Name.Name == "unmarshalBody" || fd.Name.Name == "marshalBody" {
+				continue
+			}
+			c.checkFunc(fd)
 		}
-		// The codec methods are the sanitizing boundary itself: they read
-		// raw attacker bytes under the sliceLen/maxSliceLen discipline that
-		// the rest of this analyzer assumes, and tainting their own field
-		// stores would flag the sanitizer.
-		if fd.Name.Name == "unmarshalBody" || fd.Name.Name == "marshalBody" {
-			return
-		}
-		c.checkFunc(fd)
-	})
-	return nil, nil
+	}
+	return nil
 }
 
 // collect finds wire types (unmarshalBody methods) and bftlint:untrusted
@@ -270,7 +263,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 			switch xt.Underlying().(type) {
 			case *types.Slice, *types.Array, *types.Pointer, *types.Basic:
 				if fs.taintedUnguarded(n.Index) {
-					fs.report(n.Index.Pos(),
+					fs.c.pass.Reportf(n.Index.Pos(),
 						"untrusted wire value %s used as an index without a bounds check; a Byzantine sender picks it — compare it against a local bound first",
 						types.ExprString(n.Index))
 				}
@@ -278,7 +271,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		case *ast.SliceExpr:
 			for _, b := range []ast.Expr{n.Low, n.High, n.Max} {
 				if b != nil && fs.taintedUnguarded(b) {
-					fs.report(b.Pos(),
+					fs.c.pass.Reportf(b.Pos(),
 						"untrusted wire value %s used as a slice bound without a bounds check",
 						types.ExprString(b))
 				}
@@ -287,7 +280,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && fs.info.Uses[id] == types.Universe.Lookup("make") {
 				for _, a := range n.Args[1:] {
 					if fs.taintedUnguarded(a) {
-						fs.report(a.Pos(),
+						fs.c.pass.Reportf(a.Pos(),
 							"untrusted wire value %s used as an allocation size; a Byzantine sender can demand gigabytes — clamp it like codec.go's maxSliceLen first",
 							types.ExprString(a))
 					}
@@ -299,7 +292,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 					// The condition itself is excluded from the guard set
 					// above; only a SEPARATE comparison or clamp counts.
 					if fs.taintedUnguarded(op) {
-						fs.report(op.Pos(),
+						fs.c.pass.Reportf(op.Pos(),
 							"untrusted wire value %s bounds this loop; a Byzantine sender picks the trip count — clamp it first",
 							types.ExprString(op))
 					}
@@ -325,17 +318,10 @@ func (fs *funcState) checkMapStore(lhs ast.Expr) {
 		return
 	}
 	if fs.taintedUnguarded(idx.Index) {
-		fs.report(idx.Index.Pos(),
+		fs.c.pass.Reportf(idx.Index.Pos(),
 			"untrusted wire value %s inserted as a map key without validation; each forged value grows the map permanently (unbounded-growth DoS) — validate it against the membership it claims first",
 			types.ExprString(idx.Index))
 	}
-}
-
-func (fs *funcState) report(pos token.Pos, format string, args ...interface{}) {
-	if annot.InTestFile(fs.c.pass, pos) || annot.Suppressed(fs.c.pass, pos, Name) {
-		return
-	}
-	fs.c.pass.Reportf(pos, format, args...)
 }
 
 // tainted reports whether expr carries an attacker-controlled integer.
@@ -357,7 +343,7 @@ func (fs *funcState) tainted(expr ast.Expr) bool {
 		}
 		return fs.c.isWire(fs.info.TypeOf(e.X))
 	case *ast.CallExpr:
-		if fn := typeutil.StaticCallee(fs.info, e); fn != nil {
+		if fn := driver.StaticCallee(fs.info, e); fn != nil {
 			return fs.c.isUntrusted(fn)
 		}
 		// Conversion: int(m.Level) stays tainted.

@@ -2,7 +2,8 @@
 // message whose LastMod field rode the wire while the digest covered only
 // the part digests, letting a Byzantine replica vary it under a valid
 // digest and wedge the fetcher. It also covers encode/decode drift, fields
-// that vanish on the wire, and both exemption kinds.
+// that vanish on the wire, both exemption kinds, and an in-line
+// bftlint:allow acknowledgment.
 package wirefix
 
 type writer struct{ b []byte }
@@ -32,6 +33,8 @@ type meta struct {
 	Hint uint64 // bftlint:nodigest= // want `needs a reason token`
 	// Spare carries a properly audited exemption.
 	Spare uint64 // bftlint:nodigest=routing-advice
+	// Epoch rides the wire outside the digest, acknowledged in-line.
+	Epoch uint64 // bftlint:allow=bftwire
 }
 
 func (m *meta) Digest() digest { return digestOfU64(m.Seq) }
@@ -42,6 +45,7 @@ func (m *meta) marshalBody(w *writer) {
 	w.u64(m.Legacy) // encoded but never decoded: drift
 	w.u64(m.Hint)
 	w.u64(m.Spare)
+	w.u64(m.Epoch)
 }
 
 func (m *meta) unmarshalBody(r *reader) {
@@ -49,6 +53,7 @@ func (m *meta) unmarshalBody(r *reader) {
 	m.LastMod = r.u64()
 	m.Hint = r.u64()
 	m.Spare = r.u64()
+	m.Epoch = r.u64()
 }
 
 // covered is fully symmetric with a digest over the whole payload: the

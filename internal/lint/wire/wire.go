@@ -25,26 +25,20 @@ package wire
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/annot"
+	"repro/internal/lint/driver"
 )
 
 // Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bftwire"
 
 // Analyzer is the bftwire analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     Name,
-	Doc:      "check wire-message structs for marshal/unmarshal symmetry and digest coverage of every field",
-	Run:      run,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
+var Analyzer = &driver.Analyzer{
+	Name: Name,
+	Doc:  "check wire-message structs for marshal/unmarshal symmetry and digest coverage of every field",
+	Run:  run,
 }
 
 // msgType is one candidate wire struct with its collected methods.
@@ -59,7 +53,7 @@ type msgType struct {
 }
 
 type checker struct {
-	pass    *analysis.Pass
+	pass    *driver.Pass
 	decls   map[*types.Func]*ast.FuncDecl
 	byType  map[*types.TypeName]*msgType
 	recv    map[*types.Func]*types.TypeName // receiver base type of each method
@@ -73,7 +67,7 @@ type refSet struct {
 	full   bool // receiver escapes whole (passed to a call / Payload / Marshal)
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *driver.Pass) error {
 	c := &checker{
 		pass:    pass,
 		decls:   make(map[*types.Func]*ast.FuncDecl),
@@ -82,66 +76,83 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		refMemo: make(map[*types.Func]*refSet),
 		stack:   make(map[*types.Func]bool),
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	// Pass 1: struct declarations.
-	ins.Preorder([]ast.Node{(*ast.TypeSpec)(nil)}, func(n ast.Node) {
-		ts := n.(*ast.TypeSpec)
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return
-		}
-		tn, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
-		if !ok {
-			return
-		}
-		mt := &msgType{name: tn, fieldDecl: make(map[*types.Var]*ast.Field)}
-		for _, f := range st.Fields.List {
-			for _, name := range f.Names {
-				if fv, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-					mt.fields = append(mt.fields, fv)
-					mt.fieldDecl[fv] = f
-				}
+	// Pass 1: struct declarations, including those local to function
+	// bodies.
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				c.declareStruct(ts)
 			}
-		}
-		c.byType[tn] = mt
-	})
+			return true
+		})
+	}
 
 	// Pass 2: methods.
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if !ok || fd.Recv == nil || fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				c.declareMethod(fd)
+			}
 		}
-		c.decls[fn] = fd
-		tn := receiverType(fn)
-		if tn == nil {
-			return
-		}
-		c.recv[fn] = tn
-		mt, ok := c.byType[tn]
-		if !ok {
-			return
-		}
-		switch {
-		case fn.Name() == "marshalBody":
-			mt.marshal = fn
-		case fn.Name() == "unmarshalBody":
-			mt.unmarshal = fn
-		case fn.Name() == "AuthTrailer":
-			mt.auth = fn
-		case isDigestMethod(fn, fd):
-			mt.digests = append(mt.digests, fn)
-		}
-	})
+	}
 
 	for _, mt := range c.byType {
 		if mt.marshal != nil && mt.unmarshal != nil {
 			c.check(mt)
 		}
 	}
-	return nil, nil
+	return nil
+}
+
+// declareStruct records a struct type as a candidate wire message.
+func (c *checker) declareStruct(ts *ast.TypeSpec) {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return
+	}
+	tn, ok := c.pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
+	if !ok {
+		return
+	}
+	mt := &msgType{name: tn, fieldDecl: make(map[*types.Var]*ast.Field)}
+	for _, f := range st.Fields.List {
+		for _, name := range f.Names {
+			if fv, ok := c.pass.TypesInfo.Defs[name].(*types.Var); ok {
+				mt.fields = append(mt.fields, fv)
+				mt.fieldDecl[fv] = f
+			}
+		}
+	}
+	c.byType[tn] = mt
+}
+
+// declareMethod records a method and, on a candidate wire struct, its
+// codec, trailer or digest role.
+func (c *checker) declareMethod(fd *ast.FuncDecl) {
+	fn, ok := c.pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if !ok || fd.Recv == nil || fd.Body == nil {
+		return
+	}
+	c.decls[fn] = fd
+	tn := receiverType(fn)
+	if tn == nil {
+		return
+	}
+	c.recv[fn] = tn
+	mt, ok := c.byType[tn]
+	if !ok {
+		return
+	}
+	switch {
+	case fn.Name() == "marshalBody":
+		mt.marshal = fn
+	case fn.Name() == "unmarshalBody":
+		mt.unmarshal = fn
+	case fn.Name() == "AuthTrailer":
+		mt.auth = fn
+	case isDigestMethod(fn, fd):
+		mt.digests = append(mt.digests, fn)
+	}
 }
 
 // isDigestMethod reports whether fn computes a message digest: a
@@ -199,12 +210,12 @@ func (c *checker) check(mt *msgType) {
 		if !inM && !inU {
 			if reason, ok := annot.Value(dirs, "nowire"); ok {
 				if reason == "" {
-					c.reportf(pos, "bftlint:nowire on %s.%s needs a reason token; the exemption list is audited",
+					c.pass.Reportf(pos, "bftlint:nowire on %s.%s needs a reason token; the exemption list is audited",
 						mt.name.Name(), f.Name())
 				}
 				continue
 			}
-			c.reportf(pos,
+			c.pass.Reportf(pos,
 				"wire struct %s: field %s is referenced by neither marshalBody nor unmarshalBody; it silently vanishes on the wire — marshal it or annotate bftlint:nowire=<reason>",
 				mt.name.Name(), f.Name())
 			continue
@@ -214,7 +225,7 @@ func (c *checker) check(mt *msgType) {
 			if inU {
 				side, other = "unmarshalBody", "marshalBody"
 			}
-			c.reportf(pos,
+			c.pass.Reportf(pos,
 				"wire struct %s: field %s is referenced by %s but not %s; encode/decode drift means the decoded message differs from the encoded one",
 				mt.name.Name(), f.Name(), side, other)
 			continue
@@ -227,22 +238,15 @@ func (c *checker) check(mt *msgType) {
 		}
 		if reason, ok := annot.Value(dirs, "nodigest"); ok {
 			if reason == "" {
-				c.reportf(pos, "bftlint:nodigest on %s.%s needs a reason token; the exemption list is audited",
+				c.pass.Reportf(pos, "bftlint:nodigest on %s.%s needs a reason token; the exemption list is audited",
 					mt.name.Name(), f.Name())
 			}
 			continue
 		}
-		c.reportf(pos,
+		c.pass.Reportf(pos,
 			"wire struct %s: field %s rides the wire but no digest computation covers it; a Byzantine sender can vary it under an unchanged digest (the PR 4 LastMod shape) — cover it or annotate bftlint:nodigest=<reason>",
 			mt.name.Name(), f.Name())
 	}
-}
-
-func (c *checker) reportf(pos token.Pos, format string, args ...interface{}) {
-	if annot.InTestFile(c.pass, pos) || annot.Suppressed(c.pass, pos, Name) {
-		return
-	}
-	c.pass.Reportf(pos, format, args...)
 }
 
 func (r *refSet) has(f *types.Var) bool { return r.full || r.fields[f] }
@@ -281,7 +285,7 @@ func (c *checker) refsOf(fn *types.Func) *refSet {
 				}
 			}
 		case *ast.CallExpr:
-			callee := typeutil.StaticCallee(info, n)
+			callee := driver.StaticCallee(info, n)
 			if callee != nil && c.recv[callee] == tn {
 				if callee.Name() == "Payload" || callee.Name() == "Marshal" || callee.Name() == "marshalBody" {
 					r.full = true
@@ -308,7 +312,7 @@ func (c *checker) refsOf(fn *types.Func) *refSet {
 }
 
 // recvObj returns the receiver variable object of a method declaration.
-func recvObj(pass *analysis.Pass, fd *ast.FuncDecl) types.Object {
+func recvObj(pass *driver.Pass, fd *ast.FuncDecl) types.Object {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return nil
 	}
