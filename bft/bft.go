@@ -26,8 +26,8 @@
 //
 // The engine admits one operation in flight per client principal (§2.3.2);
 // ClientPool is how callers get concurrency — it fans invocations across k
-// principals. Clusters built over SimNetwork expose typed fault injection
-// (Partition, Isolate, Heal, SetLinkProfile) and every replica exposes a
+// principals. A Cluster runs over its own SimNetwork and exposes typed fault
+// injection (Partition, Isolate, Heal), and every replica exposes a
 // Metrics snapshot; there is no escape hatch into the engine.
 //
 // Services: the replicated application implements Service over a
@@ -115,8 +115,6 @@ type Options struct {
 	Mode Mode
 	// StateSize is the service region size in bytes. Default 64 KiB.
 	StateSize int
-	// PageSize is the checkpoint page size. Default 4096.
-	PageSize int
 	// CheckpointInterval is the checkpoint period K. Default 128.
 	CheckpointInterval uint64
 	// LogWindow is L, the water-mark window width bounding how far the
@@ -129,36 +127,6 @@ type Options struct {
 	// ProactiveRecovery enables BFT-PR with the given watchdog period
 	// (Chapter 4); zero disables it.
 	ProactiveRecovery time.Duration
-	// DisableOptimizations turns off every Chapter 5 protocol optimization
-	// (digest replies, tentative execution, read-only, batching, separate
-	// request transmission); useful for measurement. The engine's own
-	// settings (batch limits, agreement and fetch windows) are NOT
-	// optimizations and keep their values — they are how the replica
-	// runs, not what the paper ablates.
-	DisableOptimizations bool
-	// Batching knobs (§5.1.4; see README "Batching & pipelining"). The
-	// primary drains its request queue into batches capped three ways:
-	// BatchRequests bounds requests per batch (default 16), BatchBytes
-	// bounds total operation bytes per batch (default 64 KiB; one request
-	// larger than the cap still proposes, alone), and BatchWait is the
-	// accumulate micro-deadline (default 1ms; negative disables it) — with
-	// agreement already in flight, a sub-target batch is held open this
-	// long so later arrivals can share the sequence number. The deadline
-	// never delays a request when nothing is in flight, so latency at low
-	// load is unchanged.
-	BatchRequests int
-	BatchBytes    int
-	BatchWait     time.Duration
-	// AgreementWindow is W, the number of batches allowed between the
-	// execution frontier and the newest pre-prepare (§5.1.4 pipelining).
-	// Default 8; must not exceed the effective LogWindow.
-	AgreementWindow int
-	// FetchWindow bounds parallel state-transfer partition fetches in
-	// flight (§6.2.2). Default 8; 1 reproduces the serial fetch engine.
-	FetchWindow int
-	// InboxCap bounds each replica's receive queue; overflow models
-	// receive-buffer loss (counted in Metrics.InboxDrops). Default 8192.
-	InboxCap int
 	// MaxClients is the number of client principals pre-registered by the
 	// deterministic offline key setup: client ids (NewClient's first
 	// argument) 0..MaxClients-1 are usable with this cluster. Default 128.
@@ -179,15 +147,13 @@ type Options struct {
 	// in-process cluster.
 	Durable bool
 	Dir     string
-	// SyncEvery forces an fsync per record — every vote is durable before
-	// it is sent, closing even the async window below at a large
-	// throughput cost. Default off: records ride group commit, where the
-	// log goroutine coalesces appends and fsyncs once per batch. SyncWait
-	// is the coalescing window (default 1ms; negative syncs whatever has
-	// accumulated without waiting). Checkpoint votes and view changes
-	// always carry a durability barrier regardless of these knobs.
+	// SyncEvery forces an fsync per record, so every vote is durable
+	// before it is sent, at a large throughput cost. It requires Durable.
+	// Default off: records ride group commit, where the log goroutine
+	// coalesces appends and fsyncs at most once per wal.DefaultSyncWait
+	// (25ms). Checkpoint votes and view changes always carry a durability
+	// barrier regardless.
 	SyncEvery bool
-	SyncWait  time.Duration
 	// Behavior injects a fault personality into a replica built with
 	// NewReplica. (For clusters, use WithBehavior.)
 	Behavior Behavior
@@ -199,24 +165,49 @@ type Options struct {
 // and panic on error (configuration is a construction-time fault, like a
 // bad address); call it directly to get the error instead.
 func (o Options) Validate() error {
-	if o.Replicas != 0 && o.Replicas < 4 {
-		return fmt.Errorf("bft: Replicas=%d; the protocol needs n ≥ 4 (n=3f+1, f ≥ 1)", o.Replicas)
+	_, err := o.validated()
+	return err
+}
+
+// engineConfig validates public Options and returns the engine's
+// per-replica Config they lower to.
+func (o Options) engineConfig() pbft.Config {
+	cfg, err := o.validated()
+	if err != nil {
+		panic(err)
 	}
-	// The checks below use the EFFECTIVE K and L, which the engine defaults
-	// when they are zero; validating the lowered config applies them.
-	eff := o.lower()
-	eff.Validate()
-	k, l := uint64(eff.CheckpointInterval), uint64(eff.LogWindow)
+	return cfg
+}
+
+// validated checks o and lowers it onto a pbft.Config with the engine's
+// defaults applied: n, K, L, the timeouts and sizes are defaulted once, in
+// pbft.Config.Validate, and the stage settings come from
+// pbft.DefaultOptions.
+func (o Options) validated() (pbft.Config, error) {
+	if o.Replicas != 0 && o.Replicas < 4 {
+		return pbft.Config{}, fmt.Errorf("bft: Replicas=%d; the protocol needs n ≥ 4 (n=3f+1, f ≥ 1)", o.Replicas)
+	}
+	cfg := pbft.Config{
+		N:                  o.Replicas,
+		Mode:               o.Mode,
+		Opt:                pbft.DefaultOptions(),
+		CheckpointInterval: message.Seq(o.CheckpointInterval),
+		LogWindow:          message.Seq(o.LogWindow),
+		ViewChangeTimeout:  o.ViewChangeTimeout,
+		StateSize:          o.StateSize,
+		WatchdogInterval:   o.ProactiveRecovery,
+		WALSyncEvery:       o.SyncEvery,
+		Behavior:           o.Behavior,
+		Seed:               o.Seed,
+	}
+	if o.ProactiveRecovery > 0 {
+		cfg.KeyRefreshInterval = o.ProactiveRecovery / 2
+	}
+	cfg.Validate()
 	// An explicit L below a defaulted K would wedge the cluster (the window
 	// could never contain a checkpoint, so it could never advance).
-	if o.LogWindow != 0 && o.LogWindow < k {
-		return fmt.Errorf("bft: LogWindow=%d < CheckpointInterval=%d; the water-mark window must cover at least one checkpoint interval", o.LogWindow, k)
-	}
-	// The agreement window is measured in batches but bounded by the
-	// water-mark window in sequence numbers: pre-prepares beyond L are
-	// refused, so W > L could never be honored.
-	if o.AgreementWindow > 0 && uint64(o.AgreementWindow) > l {
-		return fmt.Errorf("bft: AgreementWindow=%d > LogWindow=%d; the agreement window cannot exceed the water-mark window", o.AgreementWindow, l)
+	if k := uint64(cfg.CheckpointInterval); o.LogWindow != 0 && o.LogWindow < k {
+		return pbft.Config{}, fmt.Errorf("bft: LogWindow=%d < CheckpointInterval=%d; the water-mark window must cover at least one checkpoint interval", o.LogWindow, k)
 	}
 	// An ordered list, not a map: with several negative options the error
 	// reported must not depend on map iteration order.
@@ -225,36 +216,23 @@ func (o Options) Validate() error {
 		v    int
 	}{
 		{"StateSize", o.StateSize},
-		{"PageSize", o.PageSize},
-		{"BatchRequests", o.BatchRequests},
-		{"BatchBytes", o.BatchBytes},
-		{"AgreementWindow", o.AgreementWindow},
-		{"FetchWindow", o.FetchWindow},
-		{"InboxCap", o.InboxCap},
 		{"MaxClients", o.MaxClients},
 		{"MaxRetries", o.MaxRetries},
 	} {
 		if nv.v < 0 {
-			return fmt.Errorf("bft: %s must not be negative", nv.name)
+			return pbft.Config{}, fmt.Errorf("bft: %s must not be negative", nv.name)
 		}
 	}
-	// BatchWait may be negative — that disables the accumulate deadline.
-	// SyncWait may be negative too — that syncs without waiting.
 	if o.RetryTimeout < 0 || o.ViewChangeTimeout < 0 || o.ProactiveRecovery < 0 {
-		return fmt.Errorf("bft: durations must not be negative")
+		return pbft.Config{}, fmt.Errorf("bft: durations must not be negative")
 	}
 	if o.Durable && o.Dir == "" {
-		return fmt.Errorf("bft: Durable requires Dir (the write-ahead log needs a directory)")
+		return pbft.Config{}, fmt.Errorf("bft: Durable requires Dir (the write-ahead log needs a directory)")
 	}
-	return nil
-}
-
-// replicas returns the effective group size.
-func (o Options) replicas() int {
-	if o.Replicas == 0 {
-		return 4
+	if o.SyncEvery && !o.Durable {
+		return pbft.Config{}, fmt.Errorf("bft: SyncEvery requires Durable (there is no log to sync)")
 	}
-	return o.Replicas
+	return cfg, nil
 }
 
 func (o Options) maxClients() int {
@@ -264,74 +242,17 @@ func (o Options) maxClients() int {
 	return o.MaxClients
 }
 
-// engineConfig validates public Options and lowers them onto the engine's
-// per-replica Config.
-func (o Options) engineConfig() pbft.Config {
-	if err := o.Validate(); err != nil {
-		panic(err)
-	}
-	return o.lower()
-}
-
-// lower maps Options onto a pbft.Config without validating them. Engine
-// stage defaults always come from pbft.DefaultOptions;
-// DisableOptimizations strips only the Chapter 5 protocol optimizations.
-func (o Options) lower() pbft.Config {
-	opt := pbft.DefaultOptions()
-	if o.DisableOptimizations {
-		opt = opt.WithoutOptimizations()
-	}
-	if o.BatchRequests > 0 {
-		opt.BatchRequests = o.BatchRequests
-	}
-	if o.BatchBytes > 0 {
-		opt.BatchBytes = o.BatchBytes
-	}
-	if o.BatchWait != 0 {
-		opt.BatchWait = o.BatchWait
-	}
-	if o.AgreementWindow > 0 {
-		opt.AgreementWindow = o.AgreementWindow
-	}
-	if o.FetchWindow > 0 {
-		opt.FetchWindow = o.FetchWindow
-	}
-	cfg := pbft.Config{
-		N:                  o.replicas(),
-		Mode:               o.Mode,
-		Opt:                opt,
-		CheckpointInterval: message.Seq(o.CheckpointInterval),
-		LogWindow:          message.Seq(o.LogWindow),
-		ViewChangeTimeout:  o.ViewChangeTimeout,
-		StateSize:          o.StateSize,
-		PageSize:           o.PageSize,
-		WatchdogInterval:   o.ProactiveRecovery,
-		InboxCap:           o.InboxCap,
-		Behavior:           o.Behavior,
-		Seed:               o.Seed,
-	}
-	if o.ProactiveRecovery > 0 {
-		cfg.KeyRefreshInterval = o.ProactiveRecovery / 2
-	}
-	if o.Durable {
-		// The per-replica subdirectory is appended where the id is known
-		// (NewReplica); the sync policy lowers directly.
-		cfg.WALSyncEvery = o.SyncEvery
-		cfg.WALSyncWait = o.SyncWait
-	}
-	return cfg
-}
-
 // dirCache memoizes offline directories by (n, maxClients): the setup is
 // deterministic and a Directory is safe to share (principals re-register
 // only their own identical keys), so in-process clusters and pools don't
 // re-derive n+maxClients keypairs per node.
 var dirCache sync.Map // [2]int -> *pbft.Directory
 
-// offlineDirectory derives the shared offline key setup for this
-// configuration; every node builds (or shares) an identical copy.
-func (o Options) offlineDirectory() *pbft.Directory {
-	key := [2]int{o.replicas(), o.maxClients()}
+// offlineDirectory derives the shared offline key setup for a group of n
+// replicas (the validated Config's N); every node builds (or shares) an
+// identical copy.
+func (o Options) offlineDirectory(n int) *pbft.Directory {
+	key := [2]int{n, o.maxClients()}
 	if d, ok := dirCache.Load(key); ok {
 		return d.(*pbft.Directory)
 	}

@@ -52,7 +52,7 @@ func NewClient(k int, opts Options, net Network) *Client {
 	if k < 0 || k >= opts.maxClients() {
 		panic("bft: client id out of range (raise Options.MaxClients)")
 	}
-	cl := pbft.NewClient(clientID(k), opts.offlineDirectory(), net, cfg.Mode, cfg.Opt)
+	cl := pbft.NewClient(clientID(k), opts.offlineDirectory(cfg.N), net, cfg.Mode, cfg.Opt)
 	if opts.RetryTimeout > 0 {
 		cl.RetryTimeout = opts.RetryTimeout
 	}

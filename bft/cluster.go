@@ -1,28 +1,16 @@
 package bft
 
 import (
-	"errors"
 	"sync"
-)
 
-// ErrNotSimulated is returned by the fault-injection methods of a Cluster
-// that runs over a real network: partitions and link profiles are a
-// simulation instrument. (Kill real replicas with Replica.Stop instead.)
-var ErrNotSimulated = errors.New("bft: cluster network is not simulated")
+	"repro/internal/quorum"
+)
 
 // ClusterOption configures NewCluster beyond Options.
 type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
-	net       Network
 	behaviors map[int]Behavior
-}
-
-// WithNetwork runs the cluster over the given network instead of a fresh
-// SimNetwork — e.g. a UDPNetwork for a real-sockets cluster in one
-// process. The caller keeps ownership: Cluster.Stop does not close it.
-func WithNetwork(net Network) ClusterOption {
-	return func(c *clusterConfig) { c.net = net }
 }
 
 // WithBehavior gives replica i a fault-injection personality.
@@ -36,17 +24,14 @@ func WithBehavior(i int, b Behavior) ClusterOption {
 }
 
 // Cluster is a convenience over the per-node API: it constructs
-// opts.Replicas replicas on one network (a fresh simulated network unless
-// WithNetwork says otherwise) and hands out clients and pools with
-// sequential principal ids. Everything it does can be done with
-// NewReplica/NewClient directly.
+// opts.Replicas replicas on a fresh simulated network it owns and hands
+// out clients and pools with sequential principal ids. Everything it does
+// can be done with NewReplica/NewClient directly.
 type Cluster struct {
 	opts      Options
 	svc       ServiceFactory
 	behaviors map[int]Behavior
-	net       Network
-	sim       *SimNet // non-nil when the cluster runs over a simulated network
-	ownsNet   bool    // the cluster created sim and must close it
+	net       *SimNet
 	replicas  []*Replica
 
 	mu         sync.Mutex
@@ -62,18 +47,9 @@ func NewCluster(opts Options, svc ServiceFactory, copts ...ClusterOption) *Clust
 	for _, o := range copts {
 		o(&cc)
 	}
-	c := &Cluster{opts: opts, svc: svc, behaviors: cc.behaviors, net: cc.net}
-	if c.net == nil {
-		c.sim = SimNetwork(SimSeed(opts.Seed + 7))
-		c.net = c.sim
-		c.ownsNet = true
-	} else if s, ok := cc.net.(*SimNet); ok {
-		// A caller-supplied simulated network (e.g. custom link profiles
-		// via SimLinks) still gets the typed fault-injection surface; the
-		// caller keeps ownership, so Stop leaves it open.
-		c.sim = s
-	}
-	for i := 0; i < opts.replicas(); i++ {
+	n := opts.engineConfig().N
+	c := &Cluster{opts: opts, svc: svc, behaviors: cc.behaviors, net: SimNetwork(SimSeed(opts.Seed + 7))}
+	for i := 0; i < n; i++ {
 		c.replicas = append(c.replicas, NewReplica(i, c.replicaOptions(i), svc, c.net))
 	}
 	return c
@@ -100,7 +76,7 @@ func (c *Cluster) Start() {
 }
 
 // Stop stops replicas and every client/pool the cluster handed out, and
-// shuts the network down if the cluster created it.
+// shuts the network down.
 func (c *Cluster) Stop() {
 	for _, r := range c.replicas {
 		r.Stop()
@@ -113,9 +89,7 @@ func (c *Cluster) Stop() {
 	for _, f := range closers {
 		f()
 	}
-	if c.ownsNet {
-		c.sim.Close()
-	}
+	c.net.Close()
 }
 
 // NewClient attaches a fresh client principal to the cluster. It panics
@@ -145,7 +119,7 @@ func (c *Cluster) NewClientPool(k int) *ClientPool {
 	}
 	first := c.nextClient
 	c.nextClient += k
-	p := NewClientPoolAt(first, k, c.opts, c.net)
+	p := newClientPoolAt(first, k, c.opts, c.net)
 	c.closers = append(c.closers, p.Close)
 	return p
 }
@@ -156,8 +130,9 @@ func (c *Cluster) Replica(i int) *Replica { return c.replicas[i] }
 // Replicas returns the number of replicas n.
 func (c *Cluster) Replicas() int { return len(c.replicas) }
 
-// FaultTolerance returns f = (n-1)/3.
-func (c *Cluster) FaultTolerance() int { return (len(c.replicas) - 1) / 3 }
+// FaultTolerance returns f, the number of faulty replicas the group
+// tolerates.
+func (c *Cluster) FaultTolerance() int { return quorum.F(len(c.replicas)) }
 
 // Recover triggers proactive recovery of replica i immediately.
 func (c *Cluster) Recover(i int) { c.replicas[i].Recover() }
@@ -179,42 +154,11 @@ func (c *Cluster) Restart(i int) *Replica {
 
 // Partition splits the replicas into groups; replica-to-replica traffic
 // crossing a group boundary is dropped until Heal. Clients keep reaching
-// every replica. Returns ErrNotSimulated over a real network.
-func (c *Cluster) Partition(groups ...[]int) error {
-	if c.sim == nil {
-		return ErrNotSimulated
-	}
-	c.sim.Partition(groups...)
-	return nil
-}
+// every replica.
+func (c *Cluster) Partition(groups ...[]int) { c.net.Partition(groups...) }
 
 // Isolate severs all traffic to and from replica i (clients included).
-// Returns ErrNotSimulated over a real network.
-func (c *Cluster) Isolate(i int) error {
-	if c.sim == nil {
-		return ErrNotSimulated
-	}
-	c.sim.Isolate(i)
-	return nil
-}
+func (c *Cluster) Isolate(i int) { c.net.Isolate(i) }
 
-// Heal removes every partition and isolation. Returns ErrNotSimulated
-// over a real network.
-func (c *Cluster) Heal() error {
-	if c.sim == nil {
-		return ErrNotSimulated
-	}
-	c.sim.Heal()
-	return nil
-}
-
-// SetLinkProfile replaces the simulated network's default link model
-// (latency, jitter, bandwidth, loss, duplication) at runtime. Returns
-// ErrNotSimulated over a real network.
-func (c *Cluster) SetLinkProfile(p LinkProfile) error {
-	if c.sim == nil {
-		return ErrNotSimulated
-	}
-	c.sim.SetLinkProfile(p)
-	return nil
-}
+// Heal removes every partition and isolation.
+func (c *Cluster) Heal() { c.net.Heal() }

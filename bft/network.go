@@ -99,15 +99,6 @@ func (s *SimNet) Attach(id message.NodeID, h transport.Handler) transport.Transp
 	return s.inner.Attach(id, h)
 }
 
-// SetLinkProfile replaces the default link model for every link at runtime.
-func (s *SimNet) SetLinkProfile(p LinkProfile) { s.inner.SetDefaults(p.toSim()) }
-
-// SetReplicaLink overrides the model for the directed replica link
-// src->dst (both replica indices).
-func (s *SimNet) SetReplicaLink(src, dst int, p LinkProfile) {
-	s.inner.SetLink(message.NodeID(src), message.NodeID(dst), p.toSim())
-}
-
 // Partition splits the REPLICAS into groups: replica-to-replica traffic
 // crossing a group boundary (or touching a replica in no group) is dropped
 // until Heal. Clients keep reaching every replica — a partition separates

@@ -12,15 +12,15 @@ type ClientPool struct {
 	idle    chan *Client
 }
 
-// NewClientPool builds a pool of k clients, principals first..first+k-1
-// where first is 0; all k must be below opts.MaxClients. Use
-// NewClientPoolAt to place several pools side by side.
+// NewClientPool builds a pool of k clients, principals 0..k-1; all k must
+// be below opts.MaxClients. (A Cluster places its pools after the
+// principals it already handed out.)
 func NewClientPool(k int, opts Options, net Network) *ClientPool {
-	return NewClientPoolAt(0, k, opts, net)
+	return newClientPoolAt(0, k, opts, net)
 }
 
-// NewClientPoolAt builds a pool of k clients starting at principal first.
-func NewClientPoolAt(first, k int, opts Options, net Network) *ClientPool {
+// newClientPoolAt builds a pool of k clients starting at principal first.
+func newClientPoolAt(first, k int, opts Options, net Network) *ClientPool {
 	if k <= 0 {
 		panic("bft: pool size must be positive")
 	}

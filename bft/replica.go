@@ -32,7 +32,7 @@ func NewReplica(id int, opts Options, svc ServiceFactory, net Network) *Replica 
 		// restart path.
 		cfg.WALDir = filepath.Join(opts.Dir, fmt.Sprintf("r%d", id))
 	}
-	return &Replica{inner: pbft.NewReplica(cfg, opts.offlineDirectory(), net, svc)}
+	return &Replica{inner: pbft.NewReplica(cfg, opts.offlineDirectory(cfg.N), net, svc)}
 }
 
 // Start launches the replica's event loop.

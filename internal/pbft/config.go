@@ -161,24 +161,6 @@ func (o Options) separate(opLen int) bool {
 	return o.SeparateRequests && opLen > o.InlineThreshold
 }
 
-// WithoutOptimizations returns a copy of o with every Chapter 5 protocol
-// optimization disabled — digest replies, tentative execution, read-only
-// operations, batching, and separate request transmission — while leaving
-// the engine's own settings (the batch limits, the agreement window, the
-// state-transfer fetch window) untouched. Those are implementation
-// plumbing, not paper optimizations: a measurement run that wants the
-// unoptimized PROTOCOL must still run the engine at full speed, or the
-// ablation conflates the two. (Setting Opt = Options{} by hand also
-// zeroes those; use this instead.)
-func (o Options) WithoutOptimizations() Options {
-	o.DigestReplies = false
-	o.TentativeExec = false
-	o.ReadOnly = false
-	o.Batching = false
-	o.SeparateRequests = false
-	return o
-}
-
 // Behavior selects a fault-injection personality for a replica.
 type Behavior int
 
@@ -249,8 +231,8 @@ type Config struct {
 	// WALBackend overrides the file backend with a caller-supplied storage
 	// seam (tests use wal.MemBackend); it must not be shared between
 	// replicas. WALSyncEvery forces a write+fsync per record instead of the
-	// async group commit; WALSyncWait is the minimum interval between group
-	// commits (zero means wal.DefaultSyncWait). WALRotateBytes is the
+	// async group commit, whose minimum interval between fsyncs is
+	// wal.DefaultSyncWait. WALRotateBytes is the
 	// segment size at which a stable checkpoint saves a full snapshot and
 	// rotates the log (zero means 256 KiB; checkpoints below the threshold
 	// log only a truncation record, which replay honors by sliding its
@@ -258,7 +240,6 @@ type Config struct {
 	WALDir         string
 	WALBackend     wal.Backend
 	WALSyncEvery   bool
-	WALSyncWait    time.Duration
 	WALRotateBytes int64
 
 	// Behavior injects a fault personality.

@@ -58,10 +58,7 @@ func (r *Replica) initWAL() {
 	pendingVC := r.replayRecovered(recov)
 	r.metrics.ReplayTime = time.Since(t0)
 
-	w, err := wal.Open(backend, recov, wal.Options{
-		SyncEvery: r.cfg.WALSyncEvery,
-		SyncWait:  r.cfg.WALSyncWait,
-	})
+	w, err := wal.Open(backend, recov, wal.Options{SyncEvery: r.cfg.WALSyncEvery})
 	if err != nil {
 		panic("pbft: cannot open WAL for appending: " + err.Error())
 	}
