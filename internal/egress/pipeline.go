@@ -112,6 +112,8 @@ func New(workers, queueCap int, s Sealer, t transport.Transport) *Pipeline {
 
 // Multicast seals m per kind and transmits it to every id in dsts before
 // returning. It reports false, sending nothing, once the stage is closed.
+// It does not keep m: once it returns, the caller may reuse the message
+// for the next send.
 //
 // bftlint:send
 func (p *Pipeline) Multicast(dsts []message.NodeID, m message.Message, kind Kind) bool {
@@ -127,7 +129,8 @@ func (p *Pipeline) Multicast(dsts []message.NodeID, m message.Message, kind Kind
 	return true
 }
 
-// Send seals m per kind and transmits it to dst.
+// Send seals m per kind and transmits it to dst. Like Multicast, it does
+// not keep m past its return.
 //
 // bftlint:send
 func (p *Pipeline) Send(dst message.NodeID, m message.Message, kind Kind) bool {

@@ -15,6 +15,10 @@
 // the one hand-off left (a replica's enqueues the verdict for its event
 // loop, a client's folds the reply into its certificate). Per-sender order
 // is the transport's delivery order.
+//
+// Prepares and commits, the all-to-all votes of the normal case, are
+// decoded into targets the stage owns and lent to the sink for one call
+// (see Sink), so receiving a vote allocates nothing.
 package ingress
 
 import (
@@ -44,6 +48,14 @@ func (f VerifierFunc) Verify(m message.Message) (bool, uint64) { return f(m) }
 // Messages that fail to decode never reach it; messages that decode but
 // fail authentication arrive with verified=false so the consumer can count
 // them or apply fallbacks (the unauthenticated view-change rule of §3.2.4).
+//
+// A *message.Prepare or *message.Commit is lent, not given: the stage
+// decodes every vote into one target of each type that it owns, and the
+// next Submit overwrites it. The sink may read the vote until it returns
+// and must not keep m, or anything pointing into it, past that; a consumer
+// copies the fields it needs. message.Wire(m) is the received datagram,
+// which does outlive the call. Every other type is a fresh message the
+// sink may keep.
 type Sink func(m message.Message, verified bool, tag uint64)
 
 // Stats are the stage's counters (atomic; safe to read live).
@@ -61,6 +73,11 @@ type Pipeline struct {
 	verify Verifier
 	sink   Sink
 	closed atomic.Bool
+
+	// prep and commit are the decode targets of the two all-to-all votes
+	// (§2.3.3), lent to the sink for one call; see Sink.
+	prep   message.Prepare
+	commit message.Commit
 
 	rejected     atomic.Uint64
 	decodeFailed atomic.Uint64
@@ -82,12 +99,18 @@ func New(workers, queueCap int, v Verifier, sink Sink) *Pipeline {
 // to the sink before returning. It reports whether the datagram reached
 // the sink: false once the stage is closed and for datagrams that do not
 // decode.
+//
+// Submit has a single caller: the goroutine the transport delivers the
+// endpoint's datagrams on (every transport delivers them on one), because
+// the vote targets it decodes into are the stage's own. The datagram must
+// not change after Submit returns, as a decoded message's byte fields and
+// message.Wire alias it.
 func (p *Pipeline) Submit(raw []byte) bool {
 	if p.closed.Load() {
 		p.rejected.Add(1)
 		return false
 	}
-	m, err := message.Unmarshal(raw)
+	m, err := p.decode(raw)
 	if err != nil {
 		p.decodeFailed.Add(1)
 		return false
@@ -98,6 +121,20 @@ func (p *Pipeline) Submit(raw []byte) bool {
 	}
 	p.sink(m, ok, tag)
 	return true
+}
+
+// decode decodes the two vote types into the stage's own targets and every
+// other type through message.Unmarshal.
+func (p *Pipeline) decode(raw []byte) (message.Message, error) {
+	if len(raw) > 0 {
+		switch message.Type(raw[0]) {
+		case message.TPrepare:
+			return &p.prep, p.prep.Decode(raw)
+		case message.TCommit:
+			return &p.commit, p.commit.Decode(raw)
+		}
+	}
+	return message.Unmarshal(raw)
 }
 
 // Close makes every later Submit refuse its datagram. A Submit already

@@ -131,3 +131,48 @@ func TestPipelineSubmitAfterClose(t *testing.T) {
 		t.Fatalf("stats = %+v, want Rejected=1", s)
 	}
 }
+
+// TestPipelineLendsVotes pins the Sink contract for the two vote types:
+// every prepare is decoded into one target the stage owns (likewise every
+// commit), correct for the length of the sink call, with message.Wire
+// giving the datagram, which outlives it.
+func TestPipelineLendsVotes(t *testing.T) {
+	type seen struct {
+		m    message.Message
+		seq  message.Seq
+		wire []byte
+	}
+	var got []seen
+	p := New(0, 0, VerifierFunc(func(message.Message) (bool, uint64) { return true, 0 }),
+		func(m message.Message, _ bool, _ uint64) {
+			var seq message.Seq
+			switch v := m.(type) {
+			case *message.Prepare:
+				seq = v.Seq
+			case *message.Commit:
+				seq = v.Seq
+			}
+			got = append(got, seen{m, seq, message.Wire(m)})
+		})
+	defer p.Close()
+
+	raws := [][]byte{
+		(&message.Prepare{Seq: 1, Replica: 1}).Marshal(),
+		(&message.Commit{Seq: 2, Replica: 1}).Marshal(),
+		(&message.Prepare{Seq: 3, Replica: 2}).Marshal(),
+		(&message.Commit{Seq: 4, Replica: 2}).Marshal(),
+	}
+	for i, raw := range raws {
+		if !p.Submit(raw) {
+			t.Fatalf("submit %d rejected", i)
+		}
+	}
+	for i, s := range got {
+		if s.seq != message.Seq(i+1) || &s.wire[0] != &raws[i][0] || len(s.wire) != len(raws[i]) {
+			t.Fatalf("vote %d: sink saw seq %d and a wire that is not the datagram", i, s.seq)
+		}
+	}
+	if got[0].m != got[2].m || got[1].m != got[3].m {
+		t.Fatal("the stage decoded a vote into a fresh object instead of its own target")
+	}
+}

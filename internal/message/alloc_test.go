@@ -9,7 +9,8 @@ import (
 // TestAuthPathAllocationBudget pins what the authentication hot path may
 // allocate: nothing per tag, at most the returned vector per authenticator,
 // and for a received prepare or 4 KiB request only the message object
-// itself: decoding copies no bytes.
+// itself: decoding copies no bytes. A prepare decoded into a reused target
+// costs nothing.
 func TestAuthPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
@@ -28,6 +29,7 @@ func TestAuthPathAllocationBudget(t *testing.T) {
 	prep := &Prepare{View: 2, Seq: 9, Digest: crypto.DigestOf(payload), Replica: 1}
 	prep.Auth = Auth{Kind: AuthVector, Vector: tx.MakeAuthenticator(4, prep.Payload())}
 	datagram := prep.Marshal()
+	reused := new(Prepare)
 	req := &Request{Client: ClientIDBase, Timestamp: 1, Op: make([]byte, 4096)}
 	req.Auth = Auth{Kind: AuthVector, Vector: tx.MakeAuthenticator(4, req.Payload())}
 	reqDatagram := req.Marshal()
@@ -58,6 +60,14 @@ func TestAuthPathAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !rx.CheckAuthenticator(uint32(m.Sender()), m.Payload(), m.AuthTrailer().Vector) {
+				t.Fatal("authentic prepare rejected")
+			}
+		}},
+		{"decode into a reused prepare+verify", 0, func() {
+			if err := reused.Decode(datagram); err != nil {
+				t.Fatal(err)
+			}
+			if !rx.CheckAuthenticator(uint32(reused.Sender()), reused.Payload(), reused.Auth.Vector) {
 				t.Fatal("authentic prepare rejected")
 			}
 		}},

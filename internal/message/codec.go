@@ -26,6 +26,17 @@
 // that keeps such a field may read it for as long as it likes but must
 // never write into it; a holder that needs to change the bytes copies them
 // first. The views are clipped to their length, so append reallocates.
+//
+// What a decode allocates: Unmarshal allocates the message object itself,
+// plus the slices a message's variable-length lists are decoded into (a
+// pre-prepare's inline requests and digests, the view-change and new-view
+// sets, state-transfer part lists, new-key key lists) and, above
+// crypto.SmallGroup replicas, the MAC vector of an authenticator; smaller
+// vectors live inside the trailer. Prepare.Decode and Commit.Decode decode
+// the two all-to-all votes into a target the caller owns and reuses, and
+// allocate nothing for groups of up to crypto.SmallGroup. Remembering the
+// datagram (Wire) and, for requests and pre-prepares, the digest allocates
+// nothing.
 package message
 
 import (

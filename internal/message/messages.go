@@ -334,6 +334,15 @@ func (m *Prepare) unmarshalBody(r *reader) {
 	m.Replica = NodeID(r.u32())
 }
 
+// Decode decodes the prepare in b into m, replacing everything m held, so
+// that m ends up as Unmarshal(b) would return it. It allocates nothing for
+// groups of up to crypto.SmallGroup replicas: a receiver can decode every
+// prepare into one target it owns.
+func (m *Prepare) Decode(b []byte) error {
+	*m = Prepare{}
+	return unmarshalInto(m, b)
+}
+
 // Commit is ⟨COMMIT, v, n, d, i⟩ (§2.3.3).
 type Commit struct {
 	View    View
@@ -372,6 +381,13 @@ func (m *Commit) unmarshalBody(r *reader) {
 	m.Seq = Seq(r.u64())
 	m.Digest = r.digest()
 	m.Replica = NodeID(r.u32())
+}
+
+// Decode decodes the commit in b into m, replacing everything m held; see
+// Prepare.Decode.
+func (m *Commit) Decode(b []byte) error {
+	*m = Commit{}
+	return unmarshalInto(m, b)
 }
 
 // ---------------------------------------------------------------------------

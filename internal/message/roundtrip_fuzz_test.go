@@ -2,7 +2,10 @@ package message
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"repro/internal/crypto"
 )
 
 // FuzzUnmarshalRoundTrip feeds arbitrary bytes to the codec. Whatever
@@ -18,6 +21,11 @@ import (
 // the remembered digests must be what it hashes to — on the decoded object,
 // on a by-value copy, and across a client-style retransmission rewrite
 // (Replier changed, trailer replaced).
+//
+// Prepares and commits are also decoded into one reused target each, the
+// way a receiver decodes every vote it gets, after filling the target with
+// a different vote first: what the target holds must be exactly what a
+// fresh Unmarshal returns.
 func FuzzUnmarshalRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Request{Client: ClientIDBase, Timestamp: 9, Replier: NoNode,
@@ -28,8 +36,15 @@ func FuzzUnmarshalRoundTrip(f *testing.F) {
 	f.Add((&Reply{View: 1, Timestamp: 4, Client: ClientIDBase, Replica: 2,
 		HasResult: true, Result: []byte("r")}).Marshal())
 	f.Add((&Checkpoint{Seq: 128, Replica: 0}).Marshal())
+	for _, a := range fuzzTrailers {
+		f.Add((&Prepare{View: 1, Seq: 2, Digest: crypto.Digest{3}, Replica: 1, Auth: a}).Marshal())
+		f.Add((&Commit{View: 4, Seq: 5, Digest: crypto.Digest{6}, Replica: 2, Auth: a}).Marshal())
+	}
+	var prep Prepare
+	var commit Commit
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Unmarshal(b)
+		checkReusedVoteDecode(t, &prep, &commit, b, m, err)
 		if err != nil {
 			return
 		}
@@ -99,5 +114,63 @@ func checkRequestDigest(t *testing.T, m, fresh *Request) {
 	}
 	if !bytes.Equal(m.Payload(), fresh.Payload()) {
 		t.Fatal("request: rewriting a copy disturbed the original")
+	}
+}
+
+// fuzzTrailers are trailers of every kind, including a MAC vector longer
+// than crypto.SmallGroup, which decodes onto the heap rather than into the
+// trailer.
+var fuzzTrailers = []Auth{
+	{Kind: AuthNone},
+	{Kind: AuthVector, Vector: crypto.Authenticator{Epoch: 7, MACs: []crypto.MAC{{1}, {2}, {3}, {4}}}},
+	{Kind: AuthVector, Vector: crypto.Authenticator{Epoch: 8, MACs: make([]crypto.MAC, crypto.SmallGroup+5)}},
+	{Kind: AuthMAC, MAC: crypto.MAC{9}},
+	{Kind: AuthSig, Sig: []byte("signature")},
+}
+
+// checkReusedVoteDecode decodes b into the reused prepare and commit
+// targets, each first filled with a different vote, and compares the
+// result with Unmarshal's (m, err).
+func checkReusedVoteDecode(t *testing.T, prep *Prepare, commit *Commit, b []byte, m Message, err error) {
+	t.Helper()
+	if len(b) == 0 {
+		return
+	}
+	var target Message
+	var decodeErr error
+	switch Type(b[0]) {
+	case TPrepare:
+		dirty := &Prepare{View: 99, Seq: 98, Digest: crypto.Digest{97}, Replica: 96, Auth: fuzzTrailers[len(b)%len(fuzzTrailers)]}
+		if err := prep.Decode(dirty.Marshal()); err != nil {
+			t.Fatalf("decoding a well-formed prepare: %v", err)
+		}
+		target, decodeErr = prep, prep.Decode(b)
+	case TCommit:
+		dirty := &Commit{View: 99, Seq: 98, Digest: crypto.Digest{97}, Replica: 96, Auth: fuzzTrailers[len(b)%len(fuzzTrailers)]}
+		if err := commit.Decode(dirty.Marshal()); err != nil {
+			t.Fatalf("decoding a well-formed commit: %v", err)
+		}
+		target, decodeErr = commit, commit.Decode(b)
+	default:
+		return
+	}
+	if (decodeErr == nil) != (err == nil) {
+		t.Fatalf("%s: Decode into a reused target says %v, Unmarshal says %v", Type(b[0]), decodeErr, err)
+	}
+	if err != nil {
+		return
+	}
+	got, want := target.AuthTrailer(), m.AuthTrailer()
+	if got.Kind != want.Kind || got.Vector.Epoch != want.Vector.Epoch ||
+		len(got.Vector.MACs) != len(want.Vector.MACs) ||
+		!reflect.DeepEqual(got.Vector.MACs, want.Vector.MACs) ||
+		got.MAC != want.MAC || !bytes.Equal(got.Sig, want.Sig) {
+		t.Fatalf("%s: reused target's trailer %+v differs from a fresh decode's %+v", m.MsgType(), *got, *want)
+	}
+	if !bytes.Equal(target.Payload(), m.Payload()) || !bytes.Equal(Wire(target), Wire(m)) {
+		t.Fatalf("%s: reused target's body differs from a fresh decode's", m.MsgType())
+	}
+	if !reflect.DeepEqual(target, m) {
+		t.Fatalf("%s: reused target %+v differs from a fresh decode %+v", m.MsgType(), target, m)
 	}
 }

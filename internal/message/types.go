@@ -98,24 +98,24 @@ const (
 // for point-to-point ones; new-key and recovery requests are always signed.
 //
 // A trailer decoded by Unmarshal also remembers what it arrived with: the
-// received body bytes it authenticates, and (inline, for small groups) the
-// MAC vector. Both travel with by-value copies of the message and both are
-// dropped by assigning a fresh Auth, which is how every sealing path
-// replaces a trailer — so a trailer is replaced whole, never edited in
-// place, and a decoded message whose fields are changed must be re-sealed
-// before Payload or Marshal is asked of it again.
+// received datagram, whose body prefix it authenticates, and (inline, for
+// small groups) the MAC vector. Both travel with by-value copies of the
+// message and both are dropped by assigning a fresh Auth, which is how
+// every sealing path replaces a trailer — so a trailer is replaced whole,
+// never edited in place, and a decoded message whose fields are changed
+// must be re-sealed before Payload or Marshal is asked of it again.
 type Auth struct {
 	Kind   AuthKind
 	Vector crypto.Authenticator
 	MAC    crypto.MAC
 	Sig    []byte
 
-	// body is the body prefix of the datagram this message was decoded
-	// from; nil for a message built locally. It aliases the datagram, which
+	// wire is the datagram this message was decoded from, body and trailer;
+	// nil for a message built locally. It aliases the datagram, which
 	// receivers share (simnet hands one payload to every destination), so
-	// it is only ever read, and its capacity is clipped so that appending
-	// to a Payload() result cannot reach the trailer behind it.
-	body []byte
+	// it is only ever read. Its first bodyLen bytes are the body.
+	wire    []byte
+	bodyLen int
 	// macs backs Vector.MACs of a decoded trailer of up to SmallGroup
 	// entries; a by-value copy's Vector.MACs keeps pointing here.
 	macs [crypto.SmallGroup]crypto.MAC
@@ -177,7 +177,25 @@ type Message interface {
 	AuthTrailer() *Auth
 }
 
-// Unmarshal decodes any wire message by its leading tag.
+// body returns the received body of a decoded message, nil for one built
+// locally. Its capacity is clipped so that appending to a Payload() result
+// cannot reach the trailer behind it.
+func (a *Auth) body() []byte {
+	if a.wire == nil {
+		return nil
+	}
+	return a.wire[:a.bodyLen:a.bodyLen]
+}
+
+// Wire returns the datagram m was decoded from, body and trailer, or nil
+// for a message built locally. It is the received bytes themselves, not a
+// copy: callers only read it. A holder that keeps only a decoded message's
+// fields can keep this too, and decode the message again later.
+func Wire(m Message) []byte { return m.AuthTrailer().wire }
+
+// Unmarshal decodes any wire message by its leading tag. It allocates the
+// message object; see the package comment for what else a decode
+// allocates.
 func Unmarshal(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
@@ -246,7 +264,7 @@ type bodyCodec interface {
 // (decoding is strict, so they equal a fresh encoding), else a fresh
 // encoding of its fields.
 func appendBody(w *writer, m bodyCodec) {
-	if b := m.AuthTrailer().body; b != nil {
+	if b := m.AuthTrailer().body(); b != nil {
 		w.b = append(w.b, b...)
 		return
 	}
@@ -283,7 +301,7 @@ func marshalMsg(m bodyCodec, sizeHint int) []byte {
 }
 
 func payloadOf(m bodyCodec, sizeHint int) []byte {
-	if b := m.AuthTrailer().body; b != nil {
+	if b := m.AuthTrailer().body(); b != nil {
 		return b
 	}
 	return encode(make([]byte, 0, sizeHint), m, appendBody)
@@ -309,7 +327,7 @@ func unmarshalInto(m bodyCodec, b []byte) error {
 	if err != nil {
 		return err
 	}
-	a.body = b[:bodyLen:bodyLen]
+	a.wire, a.bodyLen = b[:len(b):len(b)], bodyLen
 	switch m := m.(type) {
 	case *Request:
 		m.memoizeDigest()

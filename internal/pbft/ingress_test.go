@@ -107,6 +107,56 @@ func TestStaleVerdictReverified(t *testing.T) {
 	}
 }
 
+// TestStaleVoteReverifiedFromDatagram is the §4.3.2 rule for votes: a
+// passing verdict stamped with an older key generation is decoded again
+// from the datagram it arrived in and verified against the current keys;
+// one stamped with the current generation is trusted.
+func TestStaleVoteReverifiedFromDatagram(t *testing.T) {
+	b := newVoteBed(t)
+	d := b.prePrepared()
+	authentic := prepareFrom(1, d)
+	forged := (&message.Prepare{View: 0, Seq: 1, Digest: d, Replica: 2,
+		Auth: message.Auth{Kind: message.AuthVector,
+			Vector: crypto.Authenticator{MACs: make([]crypto.MAC, 4)}}}).Marshal()
+
+	cur := b.r.ks.Generation()
+	for _, c := range []struct {
+		name      string
+		raw       []byte
+		gen       uint64
+		wantDrops uint64
+		wantVotes int
+	}{
+		// Replica 3's own prepare is the first vote.
+		{"authentic, stale generation: re-verified and counted", authentic, cur - 1, 0, 2},
+		{"forged, stale generation: re-verified and dropped", forged, cur - 1, 1, 2},
+		{"forged, current generation: trusted", forged, cur, 0, 3},
+	} {
+		before := b.r.metrics.MsgsDroppedBadAuth
+		im := inboundOf(decoded(t, c.raw), true, c.gen)
+		if im.m != nil || len(im.raw) != len(c.raw) {
+			t.Fatalf("%s: a vote did not travel as its datagram", c.name)
+		}
+		b.r.onInbound(im)
+		if got := b.r.metrics.MsgsDroppedBadAuth - before; got != c.wantDrops {
+			t.Errorf("%s: %d bad-auth drops, want %d", c.name, got, c.wantDrops)
+		}
+		s, _ := b.r.log.Peek(1)
+		if got := s.PrepareDigestCount(d); got != c.wantVotes {
+			t.Errorf("%s: %d prepares recorded, want %d", c.name, got, c.wantVotes)
+		}
+	}
+}
+
+func decoded(t *testing.T, raw []byte) message.Message {
+	t.Helper()
+	m, err := message.Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestInboxOverflowCounted(t *testing.T) {
 	// Flood an unstarted replica (its event loop consumes nothing) past its
 	// tiny inbox: every datagram is verified on the receive goroutine, and

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"time"
 
@@ -473,6 +474,9 @@ func (r *Replica) haveSeparateBodies(pp *message.PrePrepare) bool {
 // retryWaitingPrePrepares re-processes buffered pre-prepares whose request
 // bodies may have arrived.
 func (r *Replica) retryWaitingPrePrepares() {
+	if len(r.waitingPP) == 0 {
+		return
+	}
 	// Accepting a buffered pre-prepare multicasts a prepare, so process the
 	// buffer in sequence order rather than map order: the relative send
 	// order is observable on the wire and must be identical on every
@@ -481,7 +485,7 @@ func (r *Replica) retryWaitingPrePrepares() {
 	for seq := range r.waitingPP {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, seq := range seqs {
 		pp := r.waitingPP[seq]
 		if !r.inWV(pp.View, seq) {
@@ -540,9 +544,8 @@ func (r *Replica) acceptBackupPrePrepare(pp *message.PrePrepare, slot *vlog.Slot
 
 	if !slot.SentPrepare {
 		slot.SentPrepare = true
-		prep := &message.Prepare{View: pp.View, Seq: pp.Seq, Digest: slot.Digest, Replica: r.id}
 		r.walVote(wal.KindPrepare, pp.View, pp.Seq, r.id, slot.Digest)
-		r.multicastReplicas(prep)
+		r.multicastReplicas(r.ownPrepare(pp.View, pp.Seq, slot.Digest))
 		slot.AddPrepare(r.id, pp.View, slot.Digest)
 	}
 	r.progressSlot(slot)
@@ -602,6 +605,20 @@ func (r *Replica) onCommit(c *message.Commit) {
 	r.progressSlot(slot)
 }
 
+// ownPrepare and ownCommit build this replica's prepare or commit for
+// (v, seq, d) in scratch the event loop owns. The egress stage seals it
+// into a wire buffer before Multicast or Send returns, so the next vote
+// may overwrite it.
+func (r *Replica) ownPrepare(v message.View, seq message.Seq, d crypto.Digest) *message.Prepare {
+	r.prepOut = message.Prepare{View: v, Seq: seq, Digest: d, Replica: r.id}
+	return &r.prepOut
+}
+
+func (r *Replica) ownCommit(v message.View, seq message.Seq, d crypto.Digest) *message.Commit {
+	r.commitOut = message.Commit{View: v, Seq: seq, Digest: d, Replica: r.id}
+	return &r.commitOut
+}
+
 // progressSlot advances a slot through prepared → committed and triggers
 // execution.
 func (r *Replica) progressSlot(slot *vlog.Slot) {
@@ -611,9 +628,8 @@ func (r *Replica) progressSlot(slot *vlog.Slot) {
 	p := r.primary(slot.View)
 	if r.log.CheckPrepared(slot, p) && !slot.SentCommit {
 		slot.SentCommit = true
-		cm := &message.Commit{View: slot.View, Seq: slot.Seq, Digest: slot.Digest, Replica: r.id}
 		r.walVote(wal.KindCommit, slot.View, slot.Seq, r.id, slot.Digest)
-		r.multicastReplicas(cm)
+		r.multicastReplicas(r.ownCommit(slot.View, slot.Seq, slot.Digest))
 		slot.AddCommit(r.id, slot.View, slot.Digest)
 	}
 	r.log.CheckCommitted(slot, p)
@@ -668,10 +684,12 @@ func (r *Replica) executeForward() {
 	}
 }
 
-// batchRequests resolves the bodies of every request in a batch, in order.
-// Null digests yield nil entries.
+// batchRequests resolves the bodies of every request in a batch, in order,
+// into the event loop's scratch slice: the result is valid until the next
+// call, and the caller clears it (clearScratch) once done. Null digests
+// yield nil entries.
 func (r *Replica) batchRequests(pp *message.PrePrepare) []*message.Request {
-	out := make([]*message.Request, 0, len(pp.Inline)+len(pp.Digests))
+	out := r.reqScratch[:0]
 	for i := range pp.Inline {
 		out = append(out, &pp.Inline[i])
 	}
@@ -683,7 +701,16 @@ func (r *Replica) batchRequests(pp *message.PrePrepare) []*message.Request {
 		req, _ := r.log.Request(d)
 		out = append(out, req) // nil if missing (caller checked bodies)
 	}
+	r.reqScratch = out
 	return out
+}
+
+// clearScratch drops the references batchRequests and execBatch left in the
+// event loop's scratch slices, so they do not keep executed requests alive.
+func (r *Replica) clearScratch() {
+	clear(r.reqScratch)
+	clear(r.entryScratch)
+	r.reqScratch, r.entryScratch = r.reqScratch[:0], r.entryScratch[:0]
 }
 
 // execBatch executes every request of the batch at slot s against the
@@ -691,7 +718,7 @@ func (r *Replica) batchRequests(pp *message.PrePrepare) []*message.Request {
 func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 	pp := s.PrePrepare
 	seq := s.Seq
-	entries := make([]executor.Entry, 0, len(pp.Inline)+len(pp.Digests))
+	entries := r.entryScratch[:0]
 	for _, req := range r.batchRequests(pp) {
 		if req == nil {
 			continue // null request: no-op (§2.3.5)
@@ -707,6 +734,7 @@ func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 		}
 		entries = append(entries, ent)
 	}
+	r.entryScratch = entries
 	r.ex.ExecBatch(seq, r.view, pp.NonDet, tentative, entries)
 	for i := range entries {
 		if !entries[i].Executed {
@@ -717,6 +745,7 @@ func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 			r.recoveryRequestEffects(req, seq)
 		}
 	}
+	r.clearScratch()
 	r.lastExec = seq
 	r.execRecords[seq] = execRecord{digest: s.Digest, tentative: tentative}
 	r.metrics.BatchesExecuted++
@@ -755,6 +784,7 @@ func (r *Replica) finalizeBatch(s *vlog.Slot) {
 	// The batch's replies are no longer tentative.
 	if s.PrePrepare != nil {
 		r.ex.Finalize(r.batchRequests(s.PrePrepare))
+		r.clearScratch()
 	}
 	if d, ok := r.pendingCkpts[s.Seq]; ok {
 		delete(r.pendingCkpts, s.Seq)

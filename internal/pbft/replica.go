@@ -175,6 +175,16 @@ type Replica struct {
 	// Pre-prepares waiting for separately-transmitted request bodies.
 	waitingPP map[message.Seq]*message.PrePrepare
 
+	// Scratch the event loop reuses: the inbound votes it decodes
+	// (decodeVote), its own outbound votes (ownPrepare, ownCommit), and a
+	// batch's requests and executor entries (batchRequests, execBatch).
+	prepIn       message.Prepare
+	commitIn     message.Commit
+	prepOut      message.Prepare
+	commitOut    message.Commit
+	reqScratch   []*message.Request
+	entryScratch []executor.Entry
+
 	// View change state (viewchange.go).
 	vc vcState
 
@@ -218,10 +228,25 @@ type Network = transport.Network
 // inbound is one decoded message plus its authentication verdict and the
 // key generation the verdict was computed under, produced by the ingress
 // stage on the transport's receive goroutine and consumed by the event loop.
+// A prepare or commit travels as its datagram alone (m is nil): the event
+// loop decodes it again into a target of its own, so the all-to-all votes
+// reach their quorum without a heap object per message.
 type inbound struct {
 	m   message.Message
+	raw []byte
 	ok  bool
 	gen uint64
+}
+
+// inboundOf builds the inbox element for one verdict of the ingress stage.
+// The stage lends its prepare and commit targets for the length of the sink
+// call only, so a vote is carried by its datagram, which outlives the call.
+func inboundOf(m message.Message, ok bool, gen uint64) inbound {
+	switch m.(type) {
+	case *message.Prepare, *message.Commit:
+		return inbound{raw: message.Wire(m), ok: ok, gen: gen}
+	}
+	return inbound{m: m, ok: ok, gen: gen}
 }
 
 // NewReplica constructs a replica. The service factory receives the region
@@ -273,7 +298,7 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 	r.pipe = ingress.New(0, 0, ingress.VerifierFunc(r.auth.VerifyTagged),
 		func(m message.Message, ok bool, gen uint64) {
 			select {
-			case r.inbox <- inbound{m, ok, gen}:
+			case r.inbox <- inboundOf(m, ok, gen):
 			default: // inbox overflow models receive-buffer loss
 				r.inboxDrops.Add(1)
 			}
@@ -489,10 +514,30 @@ func (r *Replica) onTick(now time.Time) {
 // stolen pre-refresh key (§4.3.2), so it is re-verified against the current
 // generation. Refreshes are rare, so the re-check almost never runs.
 func (r *Replica) onInbound(im inbound) {
-	if im.ok && im.gen != r.ks.Generation() {
-		im.ok = r.verify(im.m)
+	m := im.m
+	if m == nil {
+		if m = r.decodeVote(im.raw); m == nil {
+			return
+		}
 	}
-	r.onVerified(im.m, im.ok)
+	if im.ok && im.gen != r.ks.Generation() {
+		im.ok = r.verify(m)
+	}
+	r.onVerified(m, im.ok)
+}
+
+// decodeVote decodes a prepare or commit datagram, which already decoded
+// once on the receive goroutine, into the event loop's own target. The
+// result is valid until the next vote is decoded; handlers copy what they
+// keep.
+func (r *Replica) decodeVote(raw []byte) message.Message {
+	if r.prepIn.Decode(raw) == nil {
+		return &r.prepIn
+	}
+	if r.commitIn.Decode(raw) == nil {
+		return &r.commitIn
+	}
+	return nil
 }
 
 // onVerified dispatches one decoded message given its authentication

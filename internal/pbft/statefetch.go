@@ -675,13 +675,11 @@ func (r *Replica) onStatusActive(st *message.StatusActive) {
 				}
 			}
 			if s.SentPrepare {
-				p := &message.Prepare{View: s.View, Seq: seq, Digest: s.Digest, Replica: r.id}
-				r.resendOwn(st.Replica, p)
+				r.resendOwn(st.Replica, r.ownPrepare(s.View, seq, s.Digest))
 			}
 		}
 		if getBit(st.Prepared, i) && !getBit(st.Committed, i) && s.SentCommit {
-			c := &message.Commit{View: s.View, Seq: seq, Digest: s.Digest, Replica: r.id}
-			r.resendOwn(st.Replica, c)
+			r.resendOwn(st.Replica, r.ownCommit(s.View, seq, s.Digest))
 		}
 	}
 }

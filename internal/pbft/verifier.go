@@ -49,6 +49,14 @@ func (v *verifier) Verify(m message.Message) bool {
 	sender := m.Sender()
 	a := m.AuthTrailer()
 
+	// Only a request may come from outside the group. Any other message
+	// claiming a client (or no) sender fails here, even though a client's
+	// own keys would authenticate it: a client's prepare, commit or
+	// checkpoint must never count toward a certificate.
+	if _, isReq := m.(*message.Request); !isReq && (sender < 0 || int(sender) >= v.dir.N()) {
+		return false
+	}
+
 	switch m.(type) {
 	case *message.Data, *message.BatchBody:
 		// Content-addressed: verified against known digests (§5.3.2).

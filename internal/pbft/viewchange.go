@@ -900,9 +900,8 @@ func (r *Replica) enterNewView(nv *message.NewView) {
 
 		if !isPrimary {
 			slot.SentPrepare = true
-			prep := &message.Prepare{View: nv.View, Seq: xd.Seq, Digest: xd.Digest, Replica: r.id}
 			r.walVote(wal.KindPrepare, nv.View, xd.Seq, r.id, xd.Digest)
-			r.multicastReplicas(prep)
+			r.multicastReplicas(r.ownPrepare(nv.View, xd.Seq, xd.Digest))
 			slot.AddPrepare(r.id, nv.View, xd.Digest)
 		}
 

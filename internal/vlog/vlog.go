@@ -3,6 +3,17 @@
 // quorum certificates are complete (§2.3.1), the water-mark window that
 // bounds the log (§2.3.4), and the request store that keeps request bodies
 // alive until they execute or are garbage collected.
+//
+// The slots form a ring of L (the window width) entries: sequence number
+// seq lives in entry seq mod L while it is in the window (h, h+L], and an
+// entry is reset in place when the window moves past its old sequence
+// number and a new one claims it. Each slot keeps its prepare and commit
+// votes in two arrays of n entries indexed by replica ID, allocated the
+// first time its entry is used and reused after, so once the window has
+// gone round once, recording and counting a vote allocates nothing; a vote
+// claiming an ID outside the group is ignored. Slots iterates in sequence
+// order. A *Slot is valid until the window moves past its sequence number
+// or the log is Reset.
 package vlog
 
 import (
@@ -16,6 +27,7 @@ import (
 type certVote struct {
 	view   message.View
 	digest crypto.Digest
+	ok     bool // a vote was recorded
 }
 
 // Slot tracks the three-phase state of one sequence number in the current
@@ -40,8 +52,9 @@ type Slot struct {
 	SentPrepare bool
 	SentCommit  bool
 
-	prepares map[message.NodeID]certVote
-	commits  map[message.NodeID]certVote
+	// prepares and commits hold one vote per replica, indexed by ID.
+	prepares []certVote
+	commits  []certVote
 
 	// Prepared/CommittedLocal latch once true (within the view).
 	Prepared       bool
@@ -52,13 +65,23 @@ type Slot struct {
 	Executed          bool
 }
 
-func newSlot(seq message.Seq) *Slot {
-	return &Slot{
-		Seq:      seq,
-		prepares: make(map[message.NodeID]certVote),
-		commits:  make(map[message.NodeID]certVote),
+// reset makes s the empty slot for seq in a group of n, keeping its vote
+// arrays; the first use of a ring entry allocates them.
+func (s *Slot) reset(seq message.Seq, n int) {
+	p, c := s.prepares, s.commits
+	if p == nil {
+		v := make([]certVote, 2*n)
+		p, c = v[:n:n], v[n:]
 	}
+	clear(p)
+	clear(c)
+	*s = Slot{Seq: seq, prepares: p, commits: c}
 }
+
+// drop empties a slot the window has left, so its entry holds nothing
+// alive until a new sequence number reuses it. Seq 0, which no window
+// contains, marks the entry unused.
+func (s *Slot) drop() { *s = Slot{prepares: s.prepares, commits: s.commits} }
 
 // AddPrePrepare installs the accepted pre-prepare, fixing (view, digest).
 func (s *Slot) AddPrePrepare(pp *message.PrePrepare) {
@@ -76,14 +99,23 @@ func (s *Slot) AddDigestOnly(v message.View, d crypto.Digest) {
 	s.HasDigest = true
 }
 
-// AddPrepare records a prepare vote from a replica.
+// AddPrepare records a prepare vote from a replica, replacing its earlier
+// one. A vote from an ID outside the group is ignored.
 func (s *Slot) AddPrepare(from message.NodeID, view message.View, digest crypto.Digest) {
-	s.prepares[from] = certVote{view, digest}
+	addVote(s.prepares, from, view, digest)
 }
 
-// AddCommit records a commit vote from a replica.
+// AddCommit records a commit vote from a replica, replacing its earlier
+// one. A vote from an ID outside the group is ignored.
 func (s *Slot) AddCommit(from message.NodeID, view message.View, digest crypto.Digest) {
-	s.commits[from] = certVote{view, digest}
+	addVote(s.commits, from, view, digest)
+}
+
+func addVote(votes []certVote, from message.NodeID, view message.View, digest crypto.Digest) {
+	if from < 0 || int(from) >= len(votes) {
+		return
+	}
+	votes[from] = certVote{view, digest, true}
 }
 
 // PrepareCount counts prepare votes matching the accepted digest,
@@ -94,7 +126,7 @@ func (s *Slot) PrepareCount(primary message.NodeID) int {
 	}
 	n := 0
 	for from, v := range s.prepares {
-		if from != primary && v.view == s.View && v.digest == s.Digest {
+		if v.ok && message.NodeID(from) != primary && v.view == s.View && v.digest == s.Digest {
 			n++
 		}
 	}
@@ -108,7 +140,7 @@ func (s *Slot) CommitCount() int {
 	}
 	n := 0
 	for _, v := range s.commits {
-		if v.view == s.View && v.digest == s.Digest {
+		if v.ok && v.view == s.View && v.digest == s.Digest {
 			n++
 		}
 	}
@@ -121,7 +153,7 @@ func (s *Slot) CommitCount() int {
 func (s *Slot) CommitDigestCount(view message.View, digest crypto.Digest) int {
 	n := 0
 	for _, v := range s.commits {
-		if v.view == view && v.digest == digest {
+		if v.ok && v.view == view && v.digest == digest {
 			n++
 		}
 	}
@@ -133,7 +165,7 @@ func (s *Slot) CommitDigestCount(view message.View, digest crypto.Digest) int {
 func (s *Slot) PrepareDigestCount(digest crypto.Digest) int {
 	n := 0
 	for _, v := range s.prepares {
-		if v.digest == digest {
+		if v.ok && v.digest == digest {
 			n++
 		}
 	}
@@ -146,8 +178,9 @@ type Log struct {
 	f       int         //bftlint:faultbound
 	logSize message.Seq // L: window width in sequence numbers
 
-	low   message.Seq // h: last stable checkpoint
-	slots map[message.Seq]*Slot
+	low message.Seq // h: last stable checkpoint
+	// ring holds the window's slots: seq lives in ring[seq % logSize].
+	ring []Slot
 
 	// requests maps request digest -> request body, retained until GC.
 	requests map[crypto.Digest]*message.Request
@@ -162,7 +195,7 @@ func New(n int, logSize message.Seq) *Log {
 		n:        n,
 		f:        quorum.F(n),
 		logSize:  logSize,
-		slots:    make(map[message.Seq]*Slot),
+		ring:     make([]Slot, logSize),
 		requests: make(map[crypto.Digest]*message.Request),
 		reqSeq:   make(map[crypto.Digest]message.Seq),
 	}
@@ -199,21 +232,26 @@ func (l *Log) InWindow(seq message.Seq) bool {
 
 // Slot returns the slot for seq, creating it if within the window.
 func (l *Log) Slot(seq message.Seq) *Slot {
-	if s, ok := l.slots[seq]; ok {
+	if s, ok := l.Peek(seq); ok {
 		return s
 	}
 	if !l.InWindow(seq) {
 		return nil
 	}
-	s := newSlot(seq)
-	l.slots[seq] = s
+	s := &l.ring[seq%l.logSize]
+	s.reset(seq, l.n)
 	return s
 }
 
 // Peek returns the slot for seq only if it already exists.
 func (l *Log) Peek(seq message.Seq) (*Slot, bool) {
-	s, ok := l.slots[seq]
-	return s, ok
+	if !l.InWindow(seq) {
+		return nil, false
+	}
+	if s := &l.ring[seq%l.logSize]; s.Seq == seq {
+		return s, true
+	}
+	return nil, false
 }
 
 // CheckPrepared updates and returns the slot's prepared flag: pre-prepare
@@ -253,19 +291,19 @@ func (l *Log) AdvanceLow(stable message.Seq) []message.Seq {
 	if stable <= l.low {
 		return nil
 	}
-	l.low = stable
 	var dropped []message.Seq
-	for seq := range l.slots {
-		if seq <= stable {
+	for seq := l.low + 1; seq <= stable && seq <= l.High(); seq++ {
+		if s, ok := l.Peek(seq); ok {
 			dropped = append(dropped, seq)
-			delete(l.slots, seq)
+			s.drop()
 		}
 	}
+	l.low = stable
 	// Pin digests referenced by surviving slots' batches.
 	pinned := make(map[crypto.Digest]struct{})
-	for _, s := range l.slots {
+	l.Slots(func(s *Slot) {
 		if s.PrePrepare == nil {
-			continue
+			return
 		}
 		for i := range s.PrePrepare.Inline {
 			pinned[s.PrePrepare.Inline[i].Digest()] = struct{}{}
@@ -273,7 +311,7 @@ func (l *Log) AdvanceLow(stable message.Seq) []message.Seq {
 		for _, d := range s.PrePrepare.Digests {
 			pinned[d] = struct{}{}
 		}
-	}
+	})
 	for d, seq := range l.reqSeq {
 		if seq != 0 && seq <= stable {
 			if _, ok := pinned[d]; ok {
@@ -290,7 +328,9 @@ func (l *Log) AdvanceLow(stable message.Seq) []message.Seq {
 // potentially corrupt protocol state). The request store survives.
 func (l *Log) Reset(low message.Seq) {
 	l.low = low
-	l.slots = make(map[message.Seq]*Slot)
+	for i := range l.ring {
+		l.ring[i].drop()
+	}
 }
 
 // StoreRequest retains a request body.
@@ -338,12 +378,18 @@ func (l *Log) UnmarkExecutedAbove(seq message.Seq) {
 // RequestCount returns the number of retained request bodies.
 func (l *Log) RequestCount() int { return len(l.requests) }
 
-// Slots iterates over existing slots in an unspecified order.
+// Slots calls f on every existing slot in sequence order.
 func (l *Log) Slots(f func(*Slot)) {
-	for _, s := range l.slots {
-		f(s)
+	for seq := l.low + 1; seq <= l.High(); seq++ {
+		if s, ok := l.Peek(seq); ok {
+			f(s)
+		}
 	}
 }
 
 // SlotCount returns the number of live slots.
-func (l *Log) SlotCount() int { return len(l.slots) }
+func (l *Log) SlotCount() int {
+	n := 0
+	l.Slots(func(*Slot) { n++ })
+	return n
+}

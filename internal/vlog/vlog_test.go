@@ -328,3 +328,120 @@ func TestCertificateSoundnessQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The ring: seq lives in entry seq mod L, so seq and seq+L share an entry.
+
+func TestSlotReuseCarriesNothing(t *testing.T) {
+	l := New(4, 8)
+	s := l.Slot(3)
+	p := pp(0, 3, "old")
+	d := p.BatchDigest()
+	s.AddPrePrepare(p)
+	s.PrePrepared, s.SentPrepare, s.SentCommit = true, true, true
+	for i := message.NodeID(0); i < 4; i++ {
+		s.AddPrepare(i, 0, d)
+		s.AddCommit(i, 0, d)
+	}
+	if !l.CheckCommitted(s, 0) {
+		t.Fatal("setup: slot 3 did not commit")
+	}
+	s.ExecutedTentative, s.Executed = true, true
+
+	l.AdvanceLow(8)
+	if _, ok := l.Peek(3); ok {
+		t.Fatal("slot 3 survived the window moving past it")
+	}
+	r := l.Slot(11) // 11 mod 8 == 3 mod 8
+	if r != s {
+		t.Fatal("seq 11 did not reuse seq 3's ring entry")
+	}
+	if r.Seq != 11 || r.View != 0 || r.Digest != (crypto.Digest{}) || r.HasDigest ||
+		r.PrePrepare != nil || r.PrePrepared || r.SentPrepare || r.SentCommit ||
+		r.Prepared || r.CommittedLocal || r.ExecutedTentative || r.Executed {
+		t.Fatalf("reused slot carries state from seq 3: %+v", *r)
+	}
+	if r.PrepareDigestCount(d) != 0 || r.CommitDigestCount(0, d) != 0 {
+		t.Fatal("reused slot carries seq 3's votes")
+	}
+	r.AddPrePrepare(pp(0, 11, "old")) // same digest as seq 3's batch
+	if r.PrepareCount(0) != 0 || r.CommitCount() != 0 || l.CheckPrepared(r, 0) {
+		t.Fatal("seq 3's votes count toward seq 11")
+	}
+}
+
+func TestResetInvalidatesEverySlot(t *testing.T) {
+	l := New(4, 8)
+	for seq := message.Seq(1); seq <= 8; seq++ {
+		l.Slot(seq).AddPrepare(1, 0, crypto.Digest{1})
+	}
+	l.Reset(0)
+	for seq := message.Seq(1); seq <= 8; seq++ {
+		if _, ok := l.Peek(seq); ok {
+			t.Fatalf("slot %d live after Reset", seq)
+		}
+		if s := l.Slot(seq); s.PrepareDigestCount(crypto.Digest{1}) != 0 {
+			t.Fatalf("slot %d recreated after Reset kept its votes", seq)
+		}
+	}
+	l.Reset(4) // a new low mark: the same entries now hold 5..12
+	if n := l.SlotCount(); n != 0 {
+		t.Fatalf("%d slots live after Reset", n)
+	}
+	if _, ok := l.Peek(12); ok {
+		t.Fatal("Peek(12) found the dead entry slot 4 left")
+	}
+}
+
+func TestPeekAndSlotsSkipDeadSlots(t *testing.T) {
+	l := New(4, 8)
+	for _, seq := range []message.Seq{2, 5, 7} {
+		l.Slot(seq)
+	}
+	for seq := message.Seq(0); seq <= 20; seq++ {
+		_, ok := l.Peek(seq)
+		if want := seq == 2 || seq == 5 || seq == 7; ok != want {
+			t.Fatalf("Peek(%d) = %v, want %v", seq, ok, want)
+		}
+	}
+	var seen []message.Seq
+	l.Slots(func(s *Slot) { seen = append(seen, s.Seq) })
+	if len(seen) != 3 || seen[0] != 2 || seen[1] != 5 || seen[2] != 7 {
+		t.Fatalf("Slots visited %v, want [2 5 7] in order", seen)
+	}
+	l.AdvanceLow(5)
+	seen = seen[:0]
+	l.Slots(func(s *Slot) { seen = append(seen, s.Seq) })
+	if len(seen) != 1 || seen[0] != 7 {
+		t.Fatalf("Slots visited %v after AdvanceLow(5), want [7]", seen)
+	}
+	if _, ok := l.Peek(10); ok { // 10 mod 8 == 2 mod 8, whose slot died
+		t.Fatal("Peek(10) found seq 2's dead entry")
+	}
+	if l.SlotCount() != 1 {
+		t.Fatalf("SlotCount = %d, want 1", l.SlotCount())
+	}
+}
+
+func TestVotesFromOutsideGroupIgnored(t *testing.T) {
+	l := New(4, 16)
+	s := l.Slot(1)
+	p := pp(0, 1, "b")
+	d := p.BatchDigest()
+	s.AddPrePrepare(p)
+	for _, id := range []message.NodeID{4, 5, message.ClientIDBase, message.ClientIDBase + 1, message.NoNode} {
+		s.AddPrepare(id, 0, d)
+		s.AddCommit(id, 0, d)
+	}
+	if s.PrepareCount(0) != 0 || s.CommitCount() != 0 ||
+		s.PrepareDigestCount(d) != 0 || s.CommitDigestCount(0, d) != 0 {
+		t.Fatal("votes from IDs outside 0..n-1 were counted")
+	}
+	s.AddPrepare(1, 0, d)
+	s.AddPrepare(2, 0, d)
+	s.AddCommit(0, 0, d)
+	s.AddCommit(1, 0, d)
+	s.AddCommit(message.ClientIDBase, 0, d)
+	if !l.CheckPrepared(s, 0) || l.CheckCommitted(s, 0) {
+		t.Fatal("a client's commit completed the quorum")
+	}
+}
