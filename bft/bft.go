@@ -181,8 +181,8 @@ func (o Options) engineConfig() pbft.Config {
 
 // validated checks o and lowers it onto a pbft.Config with the engine's
 // defaults applied: n, K, L, the timeouts and sizes are defaulted once, in
-// pbft.Config.Validate, and the stage settings come from
-// pbft.DefaultOptions.
+// pbft.Config.Validate, and every Chapter 5 optimization is on
+// (pbft.DefaultOptions).
 func (o Options) validated() (pbft.Config, error) {
 	if o.Replicas != 0 && o.Replicas < 4 {
 		return pbft.Config{}, fmt.Errorf("bft: Replicas=%d; the protocol needs n ≥ 4 (n=3f+1, f ≥ 1)", o.Replicas)

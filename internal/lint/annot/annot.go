@@ -67,6 +67,44 @@ func Parse(cg *ast.CommentGroup) []Directive {
 	return out
 }
 
+// Stray returns the position of every `bftlint:key` token in cg that Parse
+// ignores because other comment text comes before it in its comment, as in
+// `x int // note; bftlint:owner=eventloop`: it reads as an annotation but
+// annotates nothing. A token inside backquotes is quoted on purpose, as is
+// one on an indented code-block line of a doc comment (text starting with a
+// tab after the comment marker).
+func Stray(cg *ast.CommentGroup) []token.Pos {
+	if cg == nil {
+		return nil
+	}
+	var out []token.Pos
+	for _, c := range cg.List {
+		body := c.Text[2:] // after "//" or "/*"
+		lead := len(body) - len(strings.TrimLeft(body, " \t\n"))
+		if !strings.HasPrefix(body[lead:], prefix) {
+			lead = -1 // no directive: every token is stray
+		}
+		quoted, codeLine := false, strings.HasPrefix(body, "\t")
+		for i := 0; i < len(body); i++ {
+			switch {
+			case body[i] == '\n':
+				quoted, codeLine = false, strings.HasPrefix(body[i+1:], "\t")
+			case body[i] == '`':
+				quoted = !quoted
+			case !quoted && !codeLine && i != lead && isKeyed(body[i:]):
+				out = append(out, c.Pos()+token.Pos(2+i))
+			}
+		}
+	}
+	return out
+}
+
+// isKeyed reports whether text starts with the directive prefix and a key.
+func isKeyed(text string) bool {
+	return len(text) > len(prefix) && strings.HasPrefix(text, prefix) &&
+		text[len(prefix)] >= 'a' && text[len(prefix)] <= 'z'
+}
+
 // FuncDirectives returns the directives attached to a function declaration.
 func FuncDirectives(fd *ast.FuncDecl) []Directive { return Parse(fd.Doc) }
 

@@ -95,7 +95,7 @@ func checkRand(pass *driver.Pass, sel *ast.SelectorExpr) {
 // bfttime
 // ---------------------------------------------------------------------------
 
-// TimeAnalyzer checks bftlint:deterministic functions against wall-clock
+// TimeAnalyzer checks `bftlint:deterministic` functions against wall-clock
 // reads.
 var TimeAnalyzer = &driver.Analyzer{
 	Name: TimeName,

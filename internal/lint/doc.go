@@ -31,12 +31,16 @@
 // is a well-formed owner directive. Unknown domains are themselves
 // diagnosed; unknown keys are reserved for future analyzers and ignored.
 // Directives attach to the declaration whose doc comment (or, for struct
-// fields, trailing comment) they appear in.
+// fields, trailing comment) they appear in. A directive must start its
+// comment: bftowner reports a bftlint:KEY token that follows other comment
+// text, since the grammar never reads it. Prose that names a directive
+// quotes it in backquotes, and an indented code block (like the examples
+// above) is never read as a directive either.
 //
 // Keys and where they may appear:
 //
 //	owner=DOMAIN        type, struct field, or method. The state is owned
-//	                    by DOMAIN (eventloop | executor | worker), or is
+//	                    by DOMAIN (eventloop | worker), or is
 //	                    explicitly safe for cross-domain use (shared:
 //	                    channels, atomics, immutable-after-construction
 //	                    config). A field directive overrides its struct's
@@ -111,7 +115,8 @@
 //
 //   - bftowner: call-graph reachability from entrypoint-annotated
 //     functions (and runs=-spawned closures) to owner-annotated state;
-//     reports any touch of state the entry domain does not own. Facts
+//     reports any touch of state the entry domain does not own, and any
+//     directive that follows other comment text. Facts
 //     propagate summaries across packages, so an entry point in one
 //     package reaching owned state in another through three calls is
 //     still caught. Interface dispatch is statically
@@ -119,7 +124,7 @@
 //     interfaces as entrypoints to close that hole.
 //   - bftalias: the PR 2 qset bug shape — caller-provided slice/map
 //     memory (parameters, their sub-slices, composite literals embedding
-//     them) stored into a bftlint:longlived struct without a deep copy.
+//     them) stored into a `bftlint:longlived` struct without a deep copy.
 //   - bftbufown: use of a payload variable after it was surrendered to a
 //     bftlint:consumes callee, including reuse across loop iterations
 //     when the variable outlives the loop.
@@ -127,9 +132,9 @@
 //     but source constructors); replicas must use their per-replica
 //     seeded source so seeded simnet runs stay bit-reproducible.
 //   - bfttime: wall-clock reads (time.Now/Since/Until, transitive)
-//     reachable from bftlint:deterministic functions.
+//     reachable from `bftlint:deterministic` functions.
 //   - bftmaporder: the PR 4 bug shape — map-range loops that either call
-//     a bftlint:send function in the body (iteration order reaches the
+//     a `bftlint:send` function in the body (iteration order reaches the
 //     wire) or select a winner via early exit with the key/value escaping
 //     (iteration order picks the replier/digest/sequence). Iterate sorted
 //     keys instead; see statefetch's retry path for the idiom.
@@ -139,10 +144,10 @@
 //     messages every wire field must be an input of the digest computation
 //     or carry nodigest=REASON — the PR 4 LastMod gap (a field a Byzantine
 //     sender can vary under a valid digest), made unrepresentable.
-//   - bftquorum: quorum arithmetic. Fault-bound values (bftlint:faultbound
+//   - bftquorum: quorum arithmetic. Fault-bound values (`bftlint:faultbound`
 //     fields/functions, and locals assigned from them) must not appear as
 //     operands of arithmetic or comparison expressions outside
-//     internal/quorum and bftlint:threshold helpers: `count >= 2*f` is a
+//     internal/quorum and `bftlint:threshold` helpers: `count >= 2*f` is a
 //     finding, `count >= quorum.Strong(f)` is not. This pins every §4.1
 //     certificate size to one audited package.
 //   - bfttaint: Byzantine-input taint. Integer fields of wire types (any
@@ -151,7 +156,7 @@
 //     allocation size, loop bound, or inserted map key without a visible
 //     bounds check (a comparison on the same expression, a min/max clamp,
 //     or a modulo) is a finding. Calls are sanitizing boundaries unless
-//     annotated bftlint:untrusted.
+//     annotated `bftlint:untrusted`.
 //
 // No analyzer sees a _test.go file: the driver loads only a package's
 // GoFiles, because tests exercise nondeterminism and aliasing on purpose.

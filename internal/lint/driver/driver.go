@@ -58,7 +58,7 @@ type Pass struct {
 	analyzer string
 	facts    map[factKey]Fact
 	diags    *[]Diagnostic      // nil for dependency-only packages
-	allow    annot.Suppressions // the package's bftlint:allow directives
+	allow    annot.Suppressions // the package's `bftlint:allow` directives
 }
 
 type factKey struct {

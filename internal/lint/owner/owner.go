@@ -9,10 +9,10 @@
 // The rules are declared with the annotation grammar of internal/lint/doc.go:
 //
 //   - `bftlint:owner=<domain>` on a struct type or field marks state owned
-//     by one goroutine domain (eventloop, executor) or explicitly safe for
+//     by one goroutine domain (eventloop, worker) or explicitly safe for
 //     cross-domain use (shared: channels, atomics, immutable config).
 //   - `bftlint:entrypoint=<domain>` on a function declares that its body
-//     runs in that domain (a receive-goroutine callback, the executor loop).
+//     runs in that domain (a receive-goroutine callback, the WAL writer).
 //   - `bftlint:rendezvous` on a function declares that closures passed to
 //     it run with mutual exclusion against every owner, so their bodies are
 //     exempt.
@@ -26,6 +26,10 @@
 // Dynamic dispatch through interfaces is invisible to the call graph;
 // closing that hole is exactly what entrypoint annotations on the concrete
 // implementations (sealer.Seal, verifier.Verify) are for.
+//
+// bftowner also reports a `bftlint:` token that follows other text in its
+// comment: the grammar reads a directive only at the start of a comment, so
+// such a token looks like an annotation but annotates nothing.
 package owner
 
 import (
@@ -45,7 +49,7 @@ const Name = "bftowner"
 // Analyzer is the bftowner analysis.
 var Analyzer = &driver.Analyzer{
 	Name: Name,
-	Doc:  "check goroutine-ownership annotations: worker/executor entry points must not reach state owned by another domain outside a rendezvous",
+	Doc:  "check goroutine-ownership annotations: entry points must not reach state owned by another domain outside a rendezvous",
 	Run:  run,
 }
 
@@ -83,8 +87,8 @@ func (*AccessFact) AFact() {}
 // ownerDomains are the values owner= accepts; ctxDomains the execution
 // domains entrypoint=/runs= accept.
 var (
-	ownerDomains = map[string]bool{"eventloop": true, "executor": true, "worker": true, "shared": true}
-	ctxDomains   = map[string]bool{"eventloop": true, "executor": true, "worker": true}
+	ownerDomains = map[string]bool{"eventloop": true, "worker": true, "shared": true}
+	ctxDomains   = map[string]bool{"eventloop": true, "worker": true}
 )
 
 // allowed reports whether code running in domain ctx may touch state owned
@@ -183,7 +187,7 @@ func run(pass *driver.Pass) error {
 		sum := c.sums[fn]
 		c.checkReach(domain, fn.Name(), fd.Name.Pos(), sum)
 	}
-	// Check closures spawned into a domain (bftlint:runs) from any local
+	// Check closures spawned into a domain (`bftlint:runs`) from any local
 	// function, including transitively spawned ones.
 	for _, fn := range fns {
 		c.checkSpawns(c.sums[fn])
@@ -216,7 +220,7 @@ func (c *ctx) checkReach(domain, label string, fallbackPos token.Pos, sum *summa
 	}
 }
 
-// checkSpawns checks every bftlint:runs closure recorded in sum under its
+// checkSpawns checks every `bftlint:runs` closure recorded in sum under its
 // declared domain, recursing into the closures' own spawns.
 func (c *ctx) checkSpawns(sum *summary) {
 	for _, sp := range sum.spawns {
@@ -244,6 +248,11 @@ func (c *ctx) report(pos token.Pos, domain, label string, acc Access) {
 func (c *ctx) collectAnnotations() {
 	info := c.pass.TypesInfo
 	for _, f := range c.pass.Files {
+		for _, cg := range f.Comments {
+			for _, pos := range annot.Stray(cg) {
+				c.pass.Reportf(pos, "bftlint: directive after other comment text is ignored; start a comment with it, or quote it in backquotes")
+			}
+		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.GenDecl:
@@ -265,7 +274,7 @@ func (c *ctx) collectTypeSpec(gd *ast.GenDecl, ts *ast.TypeSpec, info *types.Inf
 	ds := annot.TypeDirectives(gd, ts)
 	structDomain, hasStruct := annot.Value(ds, "owner")
 	if hasStruct && !ownerDomains[structDomain] {
-		c.pass.Reportf(ts.Pos(), "bftlint: unknown owner domain %q (want eventloop, executor, worker, or shared)", structDomain)
+		c.pass.Reportf(ts.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", structDomain)
 		hasStruct = false
 	}
 	tn, _ := info.Defs[ts.Name].(*types.TypeName)
@@ -280,7 +289,7 @@ func (c *ctx) collectTypeSpec(gd *ast.GenDecl, ts *ast.TypeSpec, info *types.Inf
 		fds := annot.FieldDirectives(field)
 		domain, has := annot.Value(fds, "owner")
 		if has && !ownerDomains[domain] {
-			c.pass.Reportf(field.Pos(), "bftlint: unknown owner domain %q (want eventloop, executor, worker, or shared)", domain)
+			c.pass.Reportf(field.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", domain)
 			has = false
 		}
 		if !has {
@@ -315,14 +324,14 @@ func (c *ctx) collectFuncDecl(fd *ast.FuncDecl, info *types.Info) {
 		// declares the method safe from any domain (it touches only shared
 		// fields), carving it out of an owned type.
 		if !ownerDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown owner domain %q (want eventloop, executor, worker, or shared)", d)
+			c.pass.Reportf(fd.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", d)
 		} else {
 			c.localOwner[fn] = d
 		}
 	}
 	if d, has := annot.Value(ds, "entrypoint"); has {
 		if !ctxDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown entrypoint domain %q (want eventloop, executor, or worker)", d)
+			c.pass.Reportf(fd.Pos(), "bftlint: unknown entrypoint domain %q (want eventloop or worker)", d)
 		} else {
 			c.localCtx[fn] = d
 		}
@@ -332,7 +341,7 @@ func (c *ctx) collectFuncDecl(fd *ast.FuncDecl, info *types.Info) {
 	}
 	if d, has := annot.Value(ds, "runs"); has {
 		if !ctxDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown runs domain %q (want eventloop, executor, or worker)", d)
+			c.pass.Reportf(fd.Pos(), "bftlint: unknown runs domain %q (want eventloop or worker)", d)
 		} else {
 			c.localRuns[fn] = d
 		}
@@ -481,7 +490,7 @@ func (c *ctx) calleeOf(call *ast.CallExpr) *types.Func {
 
 // scan walks one function (or closure) body, recording direct owned-state
 // accesses, static calls, and spawned closures. Function literals passed to
-// a rendezvous are skipped entirely; literals passed to a bftlint:runs
+// a rendezvous are skipped entirely; literals passed to a `bftlint:runs`
 // function are recorded for a separate check under that domain.
 func (c *ctx) scan(body ast.Node, sum *summary) {
 	ast.Inspect(body, func(n ast.Node) bool {

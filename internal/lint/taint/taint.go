@@ -89,7 +89,7 @@ func run(pass *driver.Pass) error {
 	return nil
 }
 
-// collect finds wire types (unmarshalBody methods) and bftlint:untrusted
+// collect finds wire types (unmarshalBody methods) and `bftlint:untrusted`
 // functions, exporting facts for cross-package consumers.
 func (c *checker) collect() {
 	info := c.pass.TypesInfo

@@ -1,6 +1,7 @@
 // Package ownerfix exercises bftowner: goroutine-ownership annotations and
 // call-graph reachability from entrypoints, rendezvous exemption, runs=
-// closure checking, method-level owner overrides, and allow= suppression.
+// closure checking, method-level owner overrides, allow= suppression, and
+// the directive hygiene checks (unknown domains, directives after text).
 package ownerfix
 
 // replica mimics the event-loop-owned protocol core. Field-level
@@ -9,19 +10,31 @@ type replica struct {
 	seq   int      // bftlint:owner=eventloop
 	view  int      // bftlint:owner=eventloop
 	inbox chan int // bftlint:owner=shared
+	// A directive must start its comment; after other text it is ignored,
+	// so this field would silently keep the struct's (absent) owner.
+	note  int // replayed from the log; bftlint:owner=eventloop // want `directive after other comment text is ignored`
+	quote int // a backquoted `bftlint:owner=eventloop` is prose: ok
+	stale int // bftlint:owner=executor // want `unknown owner domain "executor"`
 }
 
-// region mimics executor-owned execution state with a type-level owner:
-// calling any of its methods counts as touching executor state.
+// region mimics event-loop-owned execution state with a type-level owner:
+// calling any of its methods counts as touching event-loop state.
 //
-// bftlint:owner=executor
+// bftlint:owner=eventloop
 type region struct{ n int }
 
 func (g *region) modify() { g.n++ }
 
-// stats is a shared-method carve-out of an owned type.
+// segment mimics worker-owned state (the WAL writer's open file).
 //
-// bftlint:owner=executor
+// bftlint:owner=worker
+type segment struct{ n int }
+
+func (s *segment) write() { s.n++ }
+
+// cache is a shared-method carve-out of an owned type.
+//
+// bftlint:owner=eventloop
 type cache struct {
 	m    map[int]int
 	hits int
@@ -51,7 +64,7 @@ func decode(r *replica, g *region, c *cache) {
 	r.inbox <- 1             // shared field: ok
 	_ = r.seq                // want `worker-context decode reaches eventloop-owned replica\.seq`
 	r.bump()                 // want `eventloop-owned replica\.seq via bump`
-	g.modify()               // want `executor-owned \(region\)\.modify` `executor-owned region\.n via modify`
+	g.modify()               // want `eventloop-owned \(region\)\.modify` `eventloop-owned region\.n via modify`
 	_ = c.Len()              // owner=shared method override: ok
 	sync(func() { r.seq++ }) // rendezvous closure: exempt
 	_ = r.view               // bftlint:allow=bftowner inspection hook, externally coordinated
@@ -66,8 +79,8 @@ func arm(r *replica) {
 	})
 }
 
-// bftlint:entrypoint=executor
-func execute(g *region, r *replica) {
-	g.modify() // executor touching executor state: ok
-	_ = r.seq  // want `executor-context execute reaches eventloop-owned replica\.seq`
+// bftlint:entrypoint=worker
+func flush(s *segment, r *replica) {
+	s.write() // worker touching worker state: ok
+	_ = r.seq // want `worker-context flush reaches eventloop-owned replica\.seq`
 }

@@ -20,7 +20,7 @@
 //
 // Reasons are single tokens (kebab-case); anything after whitespace in the
 // directive is commentary. An exemption with an empty reason is itself a
-// finding, so the exemption list stays auditable (grep bftlint:nodigest).
+// finding, so the exemption list stays auditable (grep `bftlint:nodigest`).
 package wire
 
 import (
@@ -49,7 +49,7 @@ type msgType struct {
 	marshal   *types.Func
 	unmarshal *types.Func
 	auth      *types.Func   // AuthTrailer: fields it returns are trailer-covered
-	digests   []*types.Func // Digest() methods or bftlint:digest-annotated
+	digests   []*types.Func // Digest() methods or `bftlint:digest`-annotated
 }
 
 type checker struct {
@@ -156,7 +156,7 @@ func (c *checker) declareMethod(fd *ast.FuncDecl) {
 }
 
 // isDigestMethod reports whether fn computes a message digest: a
-// parameterless method named Digest, or any method annotated bftlint:digest
+// parameterless method named Digest, or any method annotated `bftlint:digest`
 // (PrePrepare's digest is named BatchDigest).
 func isDigestMethod(fn *types.Func, fd *ast.FuncDecl) bool {
 	if annot.Has(annot.FuncDirectives(fd), "digest") {

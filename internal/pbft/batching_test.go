@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/kvservice"
 	"repro/internal/message"
-	"repro/internal/simnet"
 )
 
 func TestRequestQueueSemantics(t *testing.T) {
@@ -60,11 +59,9 @@ func TestRequestQueueSemantics(t *testing.T) {
 }
 
 func TestOversizedRequestProposesAlone(t *testing.T) {
-	// A single request larger than BatchBytes must still propose — alone —
+	// A single request larger than batchBytes must still propose — alone —
 	// and a batch stops before the request that would overflow it.
-	cfg := testConfig()
-	cfg.Opt.BatchBytes = 64
-	c := newTestCluster(t, 4, cfg, nil)
+	c := newTestCluster(t, 4, testConfig(), nil)
 	r := c.Replica(0)
 	r.do(func() {
 		enq := func(cli message.NodeID, size int) {
@@ -73,7 +70,7 @@ func TestOversizedRequestProposesAlone(t *testing.T) {
 			r.enqueueRequest(req)
 		}
 		enq(11, 10)
-		enq(12, 200) // oversized: exceeds BatchBytes on its own
+		enq(12, batchBytes+1) // oversized: exceeds batchBytes on its own
 		enq(13, 10)
 		enq(14, 10)
 
@@ -82,8 +79,8 @@ func TestOversizedRequestProposesAlone(t *testing.T) {
 			t.Errorf("batch 1: %d requests / %d bytes, want 1/10 (byte cap must stop before the oversized request)", len(b1), s1)
 		}
 		b2, s2 := r.takeBatch(16)
-		if len(b2) != 1 || s2 != 200 {
-			t.Errorf("batch 2: %d requests / %d bytes, want the oversized request alone (1/200)", len(b2), s2)
+		if len(b2) != 1 || s2 != batchBytes+1 {
+			t.Errorf("batch 2: %d requests / %d bytes, want the oversized request alone (1/%d)", len(b2), s2, batchBytes+1)
 		}
 		b3, s3 := r.takeBatch(16)
 		if len(b3) != 2 || s3 != 20 {
@@ -93,7 +90,7 @@ func TestOversizedRequestProposesAlone(t *testing.T) {
 }
 
 func TestAdaptiveBatchConverges(t *testing.T) {
-	// The AIMD fill target must grow toward BatchRequests while a deep queue
+	// The AIMD fill target must grow toward batchRequests while a deep queue
 	// persists and shrink back to 1 once the queue drains.
 	cfg := testConfig()
 	c := newTestCluster(t, 4, cfg, nil)
@@ -105,12 +102,12 @@ func TestAdaptiveBatchConverges(t *testing.T) {
 			r.enqueueRequest(req)
 		}
 		// Sustained backlog: desired = ceil(128/8) = 16 ≥ cap, so the target
-		// climbs by 1 per proposal up to BatchRequests.
-		for i := 0; i < 2*r.cfg.Opt.BatchRequests; i++ {
+		// climbs by 1 per proposal up to batchRequests.
+		for i := 0; i < 2*batchRequests; i++ {
 			r.fillTarget()
 		}
-		if got := r.batchTarget; got != r.cfg.Opt.BatchRequests {
-			t.Errorf("target under load = %d, want cap %d", got, r.cfg.Opt.BatchRequests)
+		if got := r.batchTarget; got != batchRequests {
+			t.Errorf("target under load = %d, want cap %d", got, batchRequests)
 		}
 		// Drain the queue: the target must decay multiplicatively to 1.
 		for r.queue.Len() > 0 {
@@ -136,7 +133,7 @@ func TestAdaptiveRampsUnderWindowPressure(t *testing.T) {
 	c := newTestCluster(t, 4, cfg, nil)
 	r := c.Replica(0)
 	r.do(func() {
-		w := r.cfg.Opt.AgreementWindow
+		w := int(r.cfg.window())
 		for i := 0; i < w-2; i++ { // queue deep enough to matter, < window
 			req := &message.Request{Client: message.ClientIDBase + message.NodeID(200+i), Timestamp: 1, Op: make([]byte, 8)}
 			r.log.StoreRequest(req)
@@ -164,21 +161,152 @@ func TestAdaptiveRampsUnderWindowPressure(t *testing.T) {
 	})
 }
 
-func TestBatchWaitFlushesPartialBatch(t *testing.T) {
-	// With fixed batching (fill target pinned at BatchRequests) and agreement
-	// latency well above BatchWait, requests arriving while a batch is in
-	// flight are deadline-held and then flushed by the timer — the flush must
-	// be visible in BatchWaitFires and every operation must still execute.
-	cfg := testConfig()
-	cfg.Opt.AdaptiveBatch = false
-	cfg.Opt.BatchWait = time.Millisecond
-	net := simnet.New(simnet.WithSeed(cfg.Seed+5),
-		simnet.WithDefaults(simnet.LinkConfig{Latency: 5 * time.Millisecond}))
-	c := NewCluster(net, cfg, 4, kvservice.Factory, nil)
-	c.Start()
-	t.Cleanup(func() { c.Stop(); net.Close() })
+// driveUntil runs r's event loop by hand inside r.do, handing each inbound
+// verdict to onInbound as run does, until cond holds or timeout passes, and
+// reports whether cond held. Timer and tick events wait until it returns,
+// so cond may act on a state it observes (an armed accumulate deadline,
+// say) before any timer changes it.
+func driveUntil(r *Replica, timeout time.Duration, cond func() bool) bool {
+	var ok bool
+	r.do(func() {
+		expired := time.After(timeout)
+		for !cond() {
+			select {
+			case im := <-r.inbox:
+				r.onInbound(im)
+			case <-expired:
+				return
+			}
+		}
+		ok = true
+	})
+	return ok
+}
 
-	const nClients, each = 4, 10
+// holdOneRequest brings primary 0 of c to the accumulate state: request A is
+// proposed but cannot commit (the primary's links to the backups are
+// blocked), the fill target is raised to its cap, and request B, arriving
+// while A is in flight, waits in the queue behind an armed batchWait
+// deadline. then runs on the event loop at that moment. It returns the two
+// invocations' results; it fails the test if B is never held.
+func holdOneRequest(t *testing.T, c *Cluster, then func()) (resA, resB chan error) {
+	t.Helper()
+	r := c.Replica(0)
+	for i := 1; i < c.N(); i++ {
+		c.Net.Block(0, message.NodeID(i))
+	}
+	invoke := func() chan error {
+		cl := c.NewClient()
+		cl.MaxRetries = 25
+		res := make(chan error, 1)
+		go func() {
+			_, err := cl.Invoke(kvservice.Incr(), false)
+			res <- err
+		}()
+		return res
+	}
+	resA = invoke()
+	if !driveUntil(r, 5*time.Second, func() bool {
+		if r.seqno <= r.lastExec {
+			return false
+		}
+		// A is in flight. One queued request is below this target, so the
+		// next arrival accumulates instead of proposing.
+		r.batchTarget = batchRequests
+		return true
+	}) {
+		t.Fatal("request A was never proposed")
+	}
+	resB = invoke()
+	if !driveUntil(r, 5*time.Second, func() bool {
+		if !r0held(r) {
+			return false
+		}
+		if then != nil {
+			then()
+		}
+		return true
+	}) {
+		t.Fatal("request B was not held behind the accumulate deadline with A in flight and the fill target above the queue")
+	}
+	return resA, resB
+}
+
+func TestBatchWaitFlushesPartialBatch(t *testing.T) {
+	// A request queued below the fill target while a batch is in flight is
+	// held, the batchWait timer fires and proposes it, and it executes.
+	c := newTestCluster(t, 4, testConfig(), nil)
+	r := c.Replica(0)
+	resA, resB := holdOneRequest(t, c, nil)
+
+	c.waitFrontier(t, nil, 5*time.Second, "the accumulate deadline to fire", func() bool {
+		return r.Metrics().BatchWaitFires > 0
+	})
+	var proposed message.Seq
+	r.do(func() { proposed = r.seqno })
+	if proposed != 2 {
+		t.Fatalf("primary proposed through seq %d after the deadline fired, want 2 (A, then B alone)", proposed)
+	}
+	c.Net.Heal()
+	if err := <-resA; err != nil {
+		t.Fatalf("op A: %v", err)
+	}
+	if err := <-resB; err != nil {
+		t.Fatalf("op B: %v", err)
+	}
+	cl := c.NewClient()
+	if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true)); got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
+	}
+}
+
+func TestBatchWaitPartialBatchSurvivesViewChange(t *testing.T) {
+	// A request held behind an armed accumulate deadline on a primary that
+	// then loses its view must execute exactly once in the new view. The
+	// primary is isolated while B is still held, so neither A's pre-prepare
+	// nor B's ever reaches a backup; client retransmission must carry both
+	// to the new view's primary.
+	c := newTestCluster(t, 4, testConfig(), nil)
+	resA, resB := holdOneRequest(t, c, func() { c.Net.Isolate(0) })
+
+	if err := <-resA; err != nil {
+		t.Fatalf("op A lost across the view change: %v", err)
+	}
+	if err := <-resB; err != nil {
+		t.Fatalf("op B lost across the view change: %v", err)
+	}
+	if v := c.Replica(1).View(); v == 0 {
+		t.Fatal("ops completed with the old primary isolated, yet no view change happened")
+	}
+	// Exactly-once: both increments applied, neither duplicated.
+	cl := c.NewClient()
+	cl.MaxRetries = 25
+	if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true)); got != 2 {
+		t.Fatalf("counter = %d after view change, want exactly 2", got)
+	}
+}
+
+// r0held reports whether the replica currently holds a queued request behind
+// an armed accumulate deadline (event-loop context only).
+func r0held(r *Replica) bool {
+	return r.queue.Len() > 0 && !r.batchDeadline.IsZero()
+}
+
+func TestAgreementWindowClampedToLogWindow(t *testing.T) {
+	// With L = 4, below agreementWindow, the window in force is L. Eight
+	// closed-loop clients keep the primary's window full across many
+	// checkpoint intervals (K = 2); the primary never runs more than L
+	// batches past its execution frontier, and every operation completes.
+	cfg := testConfig()
+	cfg.CheckpointInterval = 2
+	cfg.LogWindow = 4
+	c := newTestCluster(t, 4, cfg, nil)
+	r := c.Replica(0)
+	if w := r.cfg.window(); w != cfg.LogWindow {
+		t.Fatalf("window() = %d with L = %d, want L", w, cfg.LogWindow)
+	}
+
+	const nClients, each = 8, 4
 	var wg sync.WaitGroup
 	errs := make(chan error, nClients)
 	for i := 0; i < nClients; i++ {
@@ -194,85 +322,34 @@ func TestBatchWaitFlushesPartialBatch(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	var ahead, maxAhead message.Seq
+	samples := 0
+	for sampling := true; sampling; {
+		select {
+		case <-done:
+			sampling = false
+		default:
+		}
+		r.do(func() { ahead = r.seqno - r.lastExec })
+		maxAhead = max(maxAhead, ahead)
+		samples++
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatalf("invoke: %v", err)
 	}
+	if maxAhead > cfg.LogWindow {
+		t.Fatalf("primary ran %d batches past its execution frontier, more than L = %d", maxAhead, cfg.LogWindow)
+	}
+	if maxAhead == 0 {
+		t.Fatalf("no batch was ever in flight in %d samples", samples)
+	}
 	cl := c.NewClient()
-	if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true)); got != nClients*each {
-		t.Fatalf("counter = %d, want %d", got, nClients*each)
+	got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true))
+	if got != nClients*each || got < 3*uint64(cfg.LogWindow) {
+		t.Fatalf("counter = %d, want %d (at least 3L = %d)", got, nClients*each, 3*cfg.LogWindow)
 	}
-	if m := c.Replica(0).Metrics(); m.BatchWaitFires == 0 {
-		t.Errorf("no BatchWait fires under concurrent load with 15ms agreement latency: %+v", m)
-	}
-}
-
-func TestBatchWaitPartialBatchSurvivesViewChange(t *testing.T) {
-	// A deadline-armed partial batch on a primary that then fails must not
-	// lose or duplicate requests. With 40ms links, request A proposes at
-	// ~40ms and its agreement completes among the backups at ~160ms even
-	// without the primary; request B lands at ~90ms while A is in flight, so
-	// it is held behind the accumulate deadline (BatchWait is set far beyond
-	// the view-change timeout, so the old primary can never flush it).
-	// Isolating the primary at ~110ms strands B on the dead primary; client
-	// retransmission must carry it to the new view's primary, and exactly-
-	// once must hold for both operations.
-	cfg := testConfig()
-	cfg.Opt.BatchWait = 5 * time.Second
-	cfg.Opt.AdaptiveBatch = false // fixed fill target 16, so one queued request accumulates
-	net := simnet.New(simnet.WithSeed(cfg.Seed+9),
-		simnet.WithDefaults(simnet.LinkConfig{Latency: 40 * time.Millisecond}))
-	c := NewCluster(net, cfg, 4, kvservice.Factory, nil)
-	c.Start()
-	t.Cleanup(func() { c.Stop(); net.Close() })
-
-	clA, clB := c.NewClient(), c.NewClient()
-	clA.MaxRetries, clB.MaxRetries = 25, 25
-	resA := make(chan error, 1)
-	resB := make(chan error, 1)
-	go func() {
-		_, err := clA.Invoke(kvservice.Incr(), false)
-		resA <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	go func() {
-		_, err := clB.Invoke(kvservice.Incr(), false)
-		resB <- err
-	}()
-	time.Sleep(60 * time.Millisecond)
-	net.Isolate(0)
-	// Pin the premise: at isolation B should be queued on the old primary
-	// behind an armed accumulate deadline. Scheduling jitter can shift the
-	// interleaving — the correctness assertions below hold either way, so
-	// a missed window only downgrades what this run exercised.
-	var held bool
-	c.Replica(0).do(func() {
-		held = r0held(c.Replica(0))
-	})
-	if !held {
-		t.Logf("timing window missed: request B was not deadline-held at isolation; exactly-once checks still apply")
-	}
-
-	if err := <-resA; err != nil {
-		t.Fatalf("op A lost across the view change: %v", err)
-	}
-	if err := <-resB; err != nil {
-		t.Fatalf("op B lost across the view change: %v", err)
-	}
-	// Exactly-once: both increments applied, neither duplicated.
-	cl := c.NewClient()
-	cl.MaxRetries = 25
-	if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true)); got != 2 {
-		t.Fatalf("counter = %d after view change, want exactly 2", got)
-	}
-	if v := c.Replica(1).View(); held && v == 0 {
-		t.Errorf("request was deadline-held on an isolated primary yet no view change happened")
-	}
-}
-
-// r0held reports whether the replica currently holds a queued request behind
-// an armed accumulate deadline (event-loop context only).
-func r0held(r *Replica) bool {
-	return r.queue.Len() > 0 && !r.batchDeadline.IsZero()
 }

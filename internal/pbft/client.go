@@ -115,7 +115,7 @@ func NewClient(id message.NodeID, dir *Directory, net Network, mode Mode, opt Op
 		id:           id,
 		dir:          dir,
 		mode:         mode,
-		opt:          opt.withDefaults(),
+		opt:          opt,
 		ks:           crypto.NewKeyStore(uint32(id)),
 		kp:           crypto.GenerateKeyPair(crypto.DeriveKey("client-identity", uint64(id))),
 		RetryTimeout: 150 * time.Millisecond,

@@ -26,7 +26,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/message"
 	"repro/internal/quorum"
-	"repro/internal/wal"
 )
 
 // Mode selects the authentication flavor of the protocol.
@@ -48,9 +47,9 @@ func (m Mode) String() string {
 	return "BFT"
 }
 
-// Options toggles the Chapter 5 optimizations independently (the thesis
-// ablates each one in §8.3.3) and sets the engine's batching, agreement
-// and fetch windows.
+// Options toggles the five Chapter 5 optimizations that the thesis ablates
+// one by one in §8.3.3. Everything else about the engine (batch caps, the
+// agreement and fetch windows, the inline cutoff) is a constant below.
 type Options struct {
 	// DigestReplies: only the designated replier returns the full result
 	// (§5.1.1).
@@ -62,52 +61,13 @@ type Options struct {
 	// single round trip (§5.1.3).
 	ReadOnly bool
 	// Batching: assign one sequence number to a batch of requests under
-	// load (§5.1.4).
+	// load (§5.1.4), with the adaptive fill target and accumulate deadline
+	// of normalcase.go.
 	Batching bool
-	// BatchRequests bounds requests per batch (the thesis implementation's
-	// 16-digest limit). It is the hard count cap; the adaptive policy picks
-	// an effective fill target at or below it.
-	BatchRequests int
-	// BatchBytes bounds the total operation bytes one batch may carry. A
-	// single request larger than the cap still proposes — alone. Zero means
-	// the default of 64 KiB.
-	BatchBytes int
-	// BatchWait is the accumulate micro-deadline: with agreement already in
-	// flight, the primary holds a sub-target batch open for up to this long
-	// so later arrivals can ride the same sequence number. The timer arms
-	// only when the queue is non-empty, the agreement window has room, AND
-	// at least one batch is in flight — with nothing in flight a request
-	// proposes immediately, so latency at low load is unchanged. Zero means
-	// the default of 1ms; negative disables the timer (sub-target batches
-	// then propose immediately, the pre-adaptive behavior).
-	BatchWait time.Duration
-	// AdaptiveBatch auto-tunes the effective batch fill target from
-	// observed queue depth: the target tracks ceil(queued / free window
-	// slots) — drain the backlog into the agreement room actually left —
-	// with additive increase and multiplicative decrease, clamped to
-	// [1, BatchRequests]. Light load gets per-request latency, a saturated
-	// window gets amortized agreement, with no operator tuning. Off:
-	// batches always try to fill to BatchRequests.
-	AdaptiveBatch bool
-	// AgreementWindow bounds protocol instances running in parallel — the
-	// number of batches between the execution frontier and the newest
-	// pre-prepare (the sliding-window W of §5.1.4). Must not exceed the
-	// water-mark window L.
-	AgreementWindow int
-	// SeparateRequests: requests larger than InlineThreshold travel
+	// SeparateRequests: requests larger than inlineThreshold travel
 	// directly from client to all replicas and only their digests ride in
 	// pre-prepares (§5.1.5); backups never relay them to the primary.
 	SeparateRequests bool
-	// InlineThreshold is the size cutoff for inlining (thesis: 255 bytes).
-	InlineThreshold int
-	// FetchWindow bounds the number of state-transfer partition fetches in
-	// flight at once (§6.2.2 fetches partitions "in parallel from all
-	// replicas"): in-flight items are striped across distinct repliers
-	// round-robin and their replies matched out of order, so a lagging
-	// replica's catch-up overlaps round trips instead of paying one per
-	// partition. 1 reproduces the serial engine (the ablation baseline);
-	// 0 means the default of 8.
-	FetchWindow int
 }
 
 // DefaultOptions enables everything, like the thesis's BFT configuration.
@@ -117,48 +77,57 @@ func DefaultOptions() Options {
 		TentativeExec:    true,
 		ReadOnly:         true,
 		Batching:         true,
-		BatchRequests:    16,
-		BatchBytes:       64 << 10,
-		BatchWait:        time.Millisecond,
-		AdaptiveBatch:    true,
-		AgreementWindow:  8,
 		SeparateRequests: true,
-		InlineThreshold:  255,
-		FetchWindow:      8,
 	}
 }
 
-// withDefaults returns o with every zero engine number replaced by its
-// DefaultOptions value.
-func (o Options) withDefaults() Options {
-	def := DefaultOptions()
-	if o.BatchRequests == 0 {
-		o.BatchRequests = def.BatchRequests
-	}
-	if o.BatchBytes == 0 {
-		o.BatchBytes = def.BatchBytes
-	}
-	if o.BatchWait == 0 {
-		o.BatchWait = def.BatchWait
-	}
-	if o.AgreementWindow == 0 {
-		o.AgreementWindow = def.AgreementWindow
-	}
-	if o.InlineThreshold == 0 {
-		o.InlineThreshold = def.InlineThreshold
-	}
-	if o.FetchWindow == 0 {
-		o.FetchWindow = def.FetchWindow
-	}
-	return o
-}
+// The engine's fixed numbers. The thesis's implementation fixes them too;
+// §8.3.3 ablates the optimizations above, not these values.
+const (
+	// batchRequests bounds requests per batch (the thesis implementation's
+	// 16-digest limit). The adaptive fill target stays in [1, batchRequests].
+	batchRequests = 16
+	// batchBytes bounds the total operation bytes one batch may carry. A
+	// single request larger than the cap still proposes — alone.
+	batchBytes = 64 << 10
+	// batchWait is the accumulate deadline: with agreement already in
+	// flight, the primary holds a batch below the fill target open for up
+	// to this long so later arrivals ride the same sequence number. With
+	// nothing in flight a request proposes at once, so latency at low load
+	// is unchanged.
+	batchWait = time.Millisecond
+	// agreementWindow bounds the batches between the execution frontier
+	// and the newest pre-prepare (the sliding window W of §5.1.4). The
+	// window in force is Config.window, which also stays within L.
+	agreementWindow = 8
+	// inlineThreshold is the request size above which separate request
+	// transmission applies (thesis: 255 bytes).
+	inlineThreshold = 255
+	// fetchWindow bounds the state-transfer partition fetches in flight at
+	// once (§6.2.2 fetches partitions "in parallel from all replicas"): they
+	// are striped across distinct repliers and their replies matched out of
+	// order, so catch-up overlaps round trips instead of paying one per
+	// partition.
+	fetchWindow = 8
+	// treeFanout is the branching factor of the partition tree (§5.3.1).
+	treeFanout = 16
+	// inboxCap bounds the replica's receive queue: the verified messages
+	// waiting between the transport's receive goroutine and the event loop.
+	// Overflow models receive-buffer loss and is counted in
+	// Metrics.InboxDrops. The channel's buffer is allocated whole at
+	// construction, 4096 elements of 56 bytes; the deepest queue the
+	// benchmark workloads reach is a few hundred. (Clients have no such
+	// queue: a reply is folded into its certificate on the receive
+	// goroutine.)
+	inboxCap = 4096
+)
 
 // separate reports whether a request whose operation is opLen bytes long
 // is transmitted separately (§5.1.5): the client multicasts it to every
 // replica on each transmission, and pre-prepares carry only its digest.
 // The client, the primary and the backups all decide with this one test.
 func (o Options) separate(opLen int) bool {
-	return o.SeparateRequests && opLen > o.InlineThreshold
+	return o.SeparateRequests && opLen > inlineThreshold
 }
 
 // Behavior selects a fault-injection personality for a replica.
@@ -207,33 +176,20 @@ type Config struct {
 	// StatusInterval is the period of status multicasts (§5.2).
 	StatusInterval time.Duration
 
-	// StateSize and PageSize shape the service memory region; Fanout shapes
-	// the partition tree (§5.3.1).
+	// StateSize and PageSize shape the service memory region, whose pages
+	// are the leaves of the partition tree (§5.3.1).
 	StateSize int
 	PageSize  int
-	Fanout    int
 
 	// Proactive recovery (Chapter 4). Recovery runs when the watchdog
 	// fires (WatchdogInterval > 0) or when Replica.Recover is called.
 	KeyRefreshInterval time.Duration
 	WatchdogInterval   time.Duration
 
-	// InboxCap bounds the replica's receive queue: the verified messages
-	// waiting between the transport's receive goroutine and the event loop.
-	// Overflow models receive-buffer loss and is counted in
-	// Metrics.InboxDrops. Default 4096: the channel's buffer is allocated
-	// whole at construction, 4096 elements of 56 bytes, and the deepest
-	// queue the benchmark workloads reach is a few hundred. (Clients have
-	// no such queue: a reply is folded into its certificate on the receive
-	// goroutine.)
-	InboxCap int
-
 	// Durability (durability.go, internal/wal). WALDir, when set, makes the
 	// replica log protocol records to a write-ahead log in that directory
 	// (one directory per replica) and recover from it on construction.
-	// WALBackend overrides the file backend with a caller-supplied storage
-	// seam (tests use wal.MemBackend); it must not be shared between
-	// replicas. WALSyncEvery forces a write+fsync per record instead of the
+	// WALSyncEvery forces a write+fsync per record instead of the
 	// async group commit, whose minimum interval between fsyncs is
 	// wal.DefaultSyncWait. WALRotateBytes is the
 	// segment size at which a stable checkpoint saves a full snapshot and
@@ -241,7 +197,6 @@ type Config struct {
 	// log only a truncation record, which replay honors by sliding its
 	// window).
 	WALDir         string
-	WALBackend     wal.Backend
 	WALSyncEvery   bool
 	WALRotateBytes int64
 
@@ -252,7 +207,7 @@ type Config struct {
 	Seed int64
 }
 
-// Validate applies defaults and sanity checks.
+// Validate fills in the default of every zero field that has one.
 func (c *Config) Validate() {
 	if c.N < 4 {
 		c.N = 4
@@ -275,18 +230,14 @@ func (c *Config) Validate() {
 	if c.PageSize == 0 {
 		c.PageSize = 4096
 	}
-	if c.Fanout == 0 {
-		c.Fanout = 16
-	}
-	c.Opt = c.Opt.withDefaults()
-	// The agreement window cannot usefully exceed the water-mark window:
-	// pre-prepares beyond L are refused anyway, so clamp rather than wedge.
-	if w := message.Seq(c.Opt.AgreementWindow); w > c.LogWindow {
-		c.Opt.AgreementWindow = int(c.LogWindow)
-	}
-	if c.InboxCap == 0 {
-		c.InboxCap = 4096
-	}
+}
+
+// window returns the agreement window W in force: agreementWindow, clamped
+// to the water-mark window L. Pre-prepares beyond L are refused anyway, and
+// a W above L would overstate the free slots the fill target divides the
+// outstanding demand by.
+func (c *Config) window() message.Seq {
+	return min(agreementWindow, c.LogWindow)
 }
 
 // F returns the fault threshold (N-1)/3.

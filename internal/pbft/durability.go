@@ -32,21 +32,17 @@ import (
 	"repro/internal/wal"
 )
 
-// initWAL recovers durable state from cfg.WALBackend / cfg.WALDir (no-op
-// when neither is set) and starts the group-commit writer. Called at the
-// end of NewReplica, before the event loop exists; a backend that cannot
-// even be opened is a fatal misconfiguration, not a runtime fault.
+// initWAL recovers durable state from cfg.WALDir (no-op when it is unset)
+// and starts the group-commit writer. Called at the end of NewReplica,
+// before the event loop exists; a directory that cannot even be opened is a
+// fatal misconfiguration, not a runtime fault.
 func (r *Replica) initWAL() {
-	backend := r.cfg.WALBackend
-	if backend == nil {
-		if r.cfg.WALDir == "" {
-			return
-		}
-		fb, err := wal.NewFileBackend(r.cfg.WALDir)
-		if err != nil {
-			panic("pbft: cannot open WAL directory: " + err.Error())
-		}
-		backend = fb
+	if r.cfg.WALDir == "" {
+		return
+	}
+	backend, err := wal.NewFileBackend(r.cfg.WALDir)
+	if err != nil {
+		panic("pbft: cannot open WAL directory: " + err.Error())
 	}
 	recov, err := wal.Recover(backend)
 	if err != nil {

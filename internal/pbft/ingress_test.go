@@ -158,15 +158,14 @@ func decoded(t *testing.T, raw []byte) message.Message {
 }
 
 func TestInboxOverflowCounted(t *testing.T) {
-	// Flood an unstarted replica (its event loop consumes nothing) past its
-	// tiny inbox: every datagram is verified on the receive goroutine, and
-	// the verdicts that do not fit must be counted.
+	// Flood an unstarted replica (its event loop consumes nothing) with
+	// twice its inbox: every datagram is verified on the receive goroutine,
+	// and the verdicts that do not fit must be counted.
 	net := simnet.New(simnet.WithSeed(1))
 	t.Cleanup(func() { net.Close() })
 	cfg := testConfig()
 	cfg.ID = 0
 	cfg.N = 4
-	cfg.InboxCap = 4
 	dir := NewDirectory(4)
 	r := NewReplica(cfg, dir, net, kvservice.Factory) // not started yet
 	t.Cleanup(r.Stop)                                 // Stop without Start is safe
@@ -178,7 +177,7 @@ func TestInboxOverflowCounted(t *testing.T) {
 		Replier:   message.NoNode,
 		Op:        kvservice.Get(),
 	}).Marshal()
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 2*inboxCap; i++ {
 		attacker.trans.Send(0, payload)
 	}
 	deadline := time.Now().Add(5 * time.Second)

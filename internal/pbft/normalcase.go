@@ -114,16 +114,16 @@ func (r *Replica) lastReplied(client message.NodeID) (uint64, bool) {
 // tryIssuePrePrepares drains the request queue into pre-prepares. It re-fires
 // on every event that can create room or work: request arrival, execution
 // progress (executeForward), and checkpoint stability (makeStable), keeping
-// up to AgreementWindow batches in flight under load.
+// up to W batches in flight under load.
 func (r *Replica) tryIssuePrePrepares() {
 	r.issueReady(false)
 }
 
 // issueReady is the proposal loop. deadline is true when called from the
-// BatchWait timer: the accumulate window expired, so flush one partial batch
+// batchWait timer: the accumulate window expired, so flush one partial batch
 // even if it is below the fill target. Batches are capped three ways
-// (§5.1.4): by count (the adaptive fill target, ≤ BatchRequests), by bytes
-// (BatchBytes), and by time (BatchWait — armed only while another batch is
+// (§5.1.4): by count (the adaptive fill target, ≤ batchRequests), by bytes
+// (batchBytes), and by time (batchWait — armed only while another batch is
 // in flight, so an idle system proposes immediately and low-load latency is
 // unchanged).
 func (r *Replica) issueReady(deadline bool) {
@@ -136,7 +136,7 @@ func (r *Replica) issueReady(deadline bool) {
 	}
 	for r.queue.Len() > 0 {
 		// Sliding window: o - e < W (§5.1.4).
-		if r.seqno >= r.lastExec+message.Seq(r.cfg.Opt.AgreementWindow) ||
+		if r.seqno >= r.lastExec+r.cfg.window() ||
 			r.seqno >= r.log.High() {
 			// No agreement (or water-mark) room: the queue waits for
 			// commit/execute progress to re-fire the loop; holding the
@@ -163,19 +163,14 @@ func (r *Replica) issueReady(deadline bool) {
 }
 
 // fillTarget returns the batch-size target for the next proposal: 1 with
-// batching off, the hard cap BatchRequests with adaptive mode off. In
-// adaptive mode it AIMD-tracks the size needed to fit the outstanding
-// demand — queued requests plus work already in agreement — into the
-// window's FREE slots: light load converges to 1 (latency), sustained
-// concurrency grows toward BatchRequests (throughput), clamped to
-// [1, BatchRequests].
+// batching off. With batching on it AIMD-tracks the size needed to fit the
+// outstanding demand — queued requests plus work already in agreement —
+// into the window's FREE slots: light load converges to 1 (latency),
+// sustained concurrency grows toward batchRequests (throughput), clamped to
+// [1, batchRequests].
 func (r *Replica) fillTarget() int {
 	if !r.cfg.Opt.Batching {
 		return 1
-	}
-	max := r.cfg.Opt.BatchRequests
-	if !r.cfg.Opt.AdaptiveBatch {
-		return max
 	}
 	// Size batches so the OUTSTANDING demand — queued requests plus batches
 	// already in agreement — fits in the window slots still free. Queue
@@ -188,7 +183,7 @@ func (r *Replica) fillTarget() int {
 	// signal: those clients re-request the moment they are answered, so a
 	// target that ignores them starves the next wave.
 	inflight := int(r.seqno - r.lastExec)
-	free := r.cfg.Opt.AgreementWindow - inflight
+	free := int(r.cfg.window()) - inflight
 	if free < 1 {
 		free = 1
 	}
@@ -210,18 +205,18 @@ func (r *Replica) fillTarget() int {
 	if r.batchTarget < 1 {
 		r.batchTarget = 1
 	}
-	if r.batchTarget > max {
-		r.batchTarget = max
+	if r.batchTarget > batchRequests {
+		r.batchTarget = batchRequests
 	}
 	return r.batchTarget
 }
 
 // shouldAccumulate reports whether the proposal loop should hold the queued
-// requests for up to BatchWait hoping to fill the batch further. Never when
+// requests for up to batchWait hoping to fill the batch further. Never when
 // nothing is in flight (the first request after idle must not eat the wait),
 // and never once the queue already meets the fill target or the byte cap.
 func (r *Replica) shouldAccumulate(target int) bool {
-	if !r.cfg.Opt.Batching || r.cfg.Opt.BatchWait <= 0 {
+	if !r.cfg.Opt.Batching {
 		return false
 	}
 	if r.seqno <= r.lastExec {
@@ -230,7 +225,7 @@ func (r *Replica) shouldAccumulate(target int) bool {
 	if r.queue.Len() >= target {
 		return false
 	}
-	if bb := r.cfg.Opt.BatchBytes; bb > 0 && r.queue.Bytes() >= bb {
+	if r.queue.Bytes() >= batchBytes {
 		return false
 	}
 	return true
@@ -241,10 +236,8 @@ func (r *Replica) armBatchWait() {
 	if !r.batchDeadline.IsZero() {
 		return
 	}
-	r.batchDeadline = time.Now().Add(r.cfg.Opt.BatchWait)
-	if r.batchTimer != nil {
-		r.batchTimer.Reset(r.cfg.Opt.BatchWait)
-	}
+	r.batchDeadline = time.Now().Add(batchWait)
+	r.batchTimer.Reset(batchWait)
 }
 
 // disarmBatchWait cancels the accumulate deadline.
@@ -253,9 +246,7 @@ func (r *Replica) disarmBatchWait() {
 		return
 	}
 	r.batchDeadline = time.Time{}
-	if r.batchTimer != nil {
-		r.batchTimer.Stop()
-	}
+	r.batchTimer.Stop()
 }
 
 // onBatchWait handles the accumulate timer firing: flush the partial batch.
@@ -269,17 +260,12 @@ func (r *Replica) onBatchWait() {
 }
 
 // takeBatch pops up to target requests off the queue, stopping early rather
-// than pushing a non-empty batch past BatchBytes. A single request larger
-// than BatchBytes is proposed alone — the cap bounds batch assembly, it is
+// than pushing a non-empty batch past batchBytes. A single request larger
+// than batchBytes is proposed alone — the cap bounds batch assembly, it is
 // not an admission limit.
 func (r *Replica) takeBatch(target int) (batch []*message.Request, size int) {
-	maxBytes := 0
-	if r.cfg.Opt.Batching {
-		maxBytes = r.cfg.Opt.BatchBytes
-	}
 	for len(batch) < target && r.queue.Len() > 0 {
-		if _, _, sz, ok := r.queue.Front(); ok &&
-			maxBytes > 0 && len(batch) > 0 && size+sz > maxBytes {
+		if _, _, sz, ok := r.queue.Front(); ok && len(batch) > 0 && size+sz > batchBytes {
 			break // byte cap: flush what we have; the next batch takes it
 		}
 		_, d, sz, _ := r.queue.Pop()

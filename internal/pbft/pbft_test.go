@@ -23,7 +23,6 @@ func testConfig() Config {
 		StatusInterval:     30 * time.Millisecond,
 		StateSize:          kvservice.MinStateSize,
 		PageSize:           1024,
-		Fanout:             16,
 		Seed:               42,
 	}
 }
@@ -463,7 +462,7 @@ func TestTentativeExecDisabled(t *testing.T) {
 
 func TestAllOptimizationsDisabled(t *testing.T) {
 	cfg := testConfig()
-	cfg.Opt = Options{BatchRequests: 1, AgreementWindow: 4, InlineThreshold: 1 << 20}
+	cfg.Opt = Options{}
 	c := newTestCluster(t, 4, cfg, nil)
 	cl := c.NewClient()
 	for i := 1; i <= 5; i++ {

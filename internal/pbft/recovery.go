@@ -477,7 +477,7 @@ func (r *Replica) recoveryTick(now time.Time) {
 	}
 	r.rec.nullBatchDeadline = now.Add(10 * time.Millisecond)
 	if r.isPrimary() && r.active && r.queue.Len() == 0 && r.seqno < r.log.High() &&
-		r.seqno < r.lastExec+message.Seq(r.cfg.Opt.AgreementWindow) {
+		r.seqno < r.lastExec+r.cfg.window() {
 		// Issue a null batch: an empty batch whose execution is a no-op but
 		// advances sequence numbers toward the next checkpoint.
 		r.seqno++

@@ -163,7 +163,7 @@ type Replica struct {
 
 	// Request queue (FIFO, one entry per client — §5.5 fairness) and the
 	// primary's batch-assembly state (normalcase.go): batchTarget is the
-	// adaptive fill target (AIMD between 1 and BatchRequests); batchDeadline
+	// adaptive fill target (AIMD between 1 and batchRequests); batchDeadline
 	// is the live accumulate deadline (zero = not armed) backed by
 	// batchTimer, whose channel the event loop selects on.
 	queue         requestQueue
@@ -211,9 +211,9 @@ type Replica struct {
 	// event loop only.
 	wal          *wal.Writer // bftlint:owner=shared
 	muted        atomic.Bool // bftlint:owner=shared
-	walRotated   uint64      // writer bytes at the last segment rotation; bftlint:owner=loop
-	rekeyOnStart bool        // replayed from an existing log: re-announce in-keys (§4.3.1); bftlint:owner=loop
-	keyRecs      keyRecords  // key-exchange records to re-log on rotation; bftlint:owner=loop
+	walRotated   uint64      // writer bytes at the last segment rotation
+	rekeyOnStart bool        // replayed from an existing log: re-announce in-keys (§4.3.1)
+	keyRecs      keyRecords  // key-exchange records to re-log on rotation
 
 	rng     *rand.Rand
 	metrics Metrics
@@ -281,7 +281,7 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 	r.batchTimer.Stop()
 	r.region = statemachine.NewRegion(cfg.StateSize, cfg.PageSize)
 	r.service = svc(r.region)
-	r.ckpt = checkpoint.NewManager(r.region, cfg.Fanout)
+	r.ckpt = checkpoint.NewManager(r.region, treeFanout)
 
 	dir.Register(r.id, r.kp.Public)
 	for i := 0; i < cfg.N; i++ {
@@ -294,7 +294,7 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 	r.initRecoveryState()
 
 	r.auth = verifier{mode: cfg.Mode, dir: dir, ks: r.ks}
-	r.inbox = make(chan inbound, cfg.InboxCap)
+	r.inbox = make(chan inbound, inboxCap)
 	r.pipe = ingress.New(0, 0, ingress.VerifierFunc(r.auth.VerifyTagged),
 		func(m message.Message, ok bool, gen uint64) {
 			select {

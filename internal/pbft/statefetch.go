@@ -54,9 +54,8 @@ type fetchKey struct {
 
 // fetchState drives the hierarchical state transfer of §5.3.2. The paper
 // fetches partitions "in parallel from all replicas" (§6.2.2); here a window
-// of Config.Opt.FetchWindow items is kept in flight, striped across distinct
-// repliers round-robin. Window=1 reproduces the serial engine for the
-// ablation.
+// of fetchWindow items is kept in flight, striped across distinct repliers
+// round-robin.
 type fetchState struct {
 	active       bool
 	target       message.Seq   // checkpoint being fetched
@@ -105,14 +104,6 @@ type fetchState struct {
 }
 
 func (r *Replica) initFetchState() { r.fetch = fetchState{} }
-
-// fetchWindow returns the configured in-flight window (>= 1).
-func (r *Replica) fetchWindow() int {
-	if w := r.cfg.Opt.FetchWindow; w > 1 {
-		return w
-	}
-	return 1
-}
 
 // startStateTransfer begins fetching checkpoint seq whose combined digest
 // (root+extra) is d, learned from a weak certificate or a new-view message.
@@ -189,7 +180,7 @@ func (r *Replica) fillFetchWindow() {
 	if !f.active {
 		return
 	}
-	want := r.fetchWindow() - len(f.inflight)
+	want := fetchWindow - len(f.inflight)
 	var admit []fetchItem
 	for len(f.queue) > 0 && len(admit) < want {
 		item := f.queue[0]

@@ -233,57 +233,10 @@ func TestWindowedTransferSurvivesViewChangeUnderLoad(t *testing.T) {
 	})
 }
 
-// TestStateTransferSerialWindowAblation pins FetchWindow=1 — the serial
-// engine the windowed rewrite must preserve for the ablation — and runs the
-// classic collected-log rejoin.
-func TestStateTransferSerialWindowAblation(t *testing.T) {
-	cfg := testConfig()
-	cfg.CheckpointInterval = 4
-	cfg.LogWindow = 8
-	cfg.Opt.FetchWindow = 1
-	c := newTestCluster(t, 4, cfg, nil)
-	cl := c.NewClient()
-	cl.MaxRetries = 20
-
-	c.Net.Isolate(3)
-	for i := 0; i < 40; i++ {
-		mustInvoke(t, cl, kvservice.Incr(), false)
-	}
-	c.waitFrontier(t, nil, 5*time.Second, "group GC", func() bool {
-		return c.Replica(0).LowWaterMark() >= 16
-	})
-	c.Net.Heal()
-	c.waitFrontier(t, nil, 10*time.Second, "serial-window catch-up", func() bool {
-		return counterAt(c, 3) == 40
-	})
-	if m := c.Replica(3).Metrics(); m.StateTransfers == 0 || m.PagesFetched == 0 {
-		t.Fatalf("rejoin did not use state transfer: %+v", m)
-	}
-}
-
-// TestFetchWindowDefault pins the Validate default so the ablation knob and
-// the windowed default cannot silently drift.
-func TestFetchWindowDefault(t *testing.T) {
-	var cfg Config
-	cfg.Validate()
-	if cfg.Opt.FetchWindow != 8 {
-		t.Fatalf("FetchWindow default = %d, want 8", cfg.Opt.FetchWindow)
-	}
-	if w := DefaultOptions().FetchWindow; w != 8 {
-		t.Fatalf("DefaultOptions().FetchWindow = %d, want 8", w)
-	}
-}
-
-// BenchmarkStateTransferWindow1 / BenchmarkStateTransferWindow8 measure one
-// collected-log rejoin on a simnet with 1 ms links: the laggard's only way
-// back is a hierarchical state transfer (§5.3.2). The serial ablation
-// (window=1) pays roughly one round trip per differing partition; the
-// windowed engine keeps 8 fetches in flight across distinct repliers, so
-// the same transfer completes in measurably fewer round-trip cycles.
-func BenchmarkStateTransferWindow1(b *testing.B) { benchStateTransfer(b, 1) }
-func BenchmarkStateTransferWindow8(b *testing.B) { benchStateTransfer(b, 8) }
-
-func benchStateTransfer(b *testing.B, window int) {
+// BenchmarkStateTransfer measures one collected-log rejoin on a simnet with
+// 1 ms links: the laggard's only way back is a hierarchical state transfer
+// (§5.3.2), with fetchWindow fetches in flight across distinct repliers.
+func BenchmarkStateTransfer(b *testing.B) {
 	var total time.Duration
 	var retries uint64
 	for i := 0; i < b.N; i++ {
@@ -297,7 +250,6 @@ func benchStateTransfer(b *testing.B, window int) {
 			StateSize:          kvservice.MinStateSize + 128*1024,
 			Seed:               1,
 		}
-		cfg.Opt.FetchWindow = window
 		net := simnet.New(simnet.WithSeed(int64(13+i)),
 			simnet.WithDefaults(simnet.LinkConfig{Latency: time.Millisecond}))
 		c := NewCluster(net, cfg, 4, kvservice.Factory, nil)

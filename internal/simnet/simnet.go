@@ -62,13 +62,16 @@ type Network struct {
 
 	stats Stats
 
-	q        deliveryQueue
-	qMu      sync.Mutex
-	wake     chan struct{}
-	closed   atomic.Bool
-	done     chan struct{}
-	queueCap int
+	q      deliveryQueue
+	qMu    sync.Mutex
+	wake   chan struct{}
+	closed atomic.Bool
+	done   chan struct{}
 }
+
+// queueCap is each endpoint's receive queue capacity; a datagram arriving
+// at a full queue is dropped and counted in Stats.MsgsOverflow.
+const queueCap = 8192
 
 type linkKey struct{ src, dst message.NodeID }
 
@@ -120,11 +123,6 @@ func WithSeed(seed int64) Option {
 	return func(n *Network) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithQueueCap sets per-endpoint receive queue capacity (default 8192).
-func WithQueueCap(c int) Option {
-	return func(n *Network) { n.queueCap = c }
-}
-
 // New creates a network and starts its delivery scheduler.
 func New(opts ...Option) *Network {
 	n := &Network{
@@ -134,7 +132,6 @@ func New(opts ...Option) *Network {
 		rng:       rand.New(rand.NewSource(1)),
 		wake:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
-		queueCap:  8192,
 	}
 	for _, o := range opts {
 		o(n)
@@ -169,7 +166,7 @@ func (n *Network) Attach(id message.NodeID, h transport.Handler) transport.Trans
 	ep := &endpoint{
 		id:    id,
 		net:   n,
-		queue: make(chan []byte, n.queueCap),
+		queue: make(chan []byte, queueCap),
 		stop:  make(chan struct{}),
 	}
 	n.mu.Lock()

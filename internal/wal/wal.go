@@ -50,11 +50,6 @@ type Options struct {
 	// at 1/SyncWait under load. Zero means DefaultSyncWait; negative
 	// flushes with no wait (still coalescing whatever is already queued).
 	SyncWait time.Duration
-	// QueueCap bounds the command queue between the protocol core and the
-	// writer goroutine; a full queue blocks the appender (backpressure,
-	// not loss — a dropped record would silently weaken durability).
-	// Zero means 4096.
-	QueueCap int
 }
 
 // DefaultSyncWait is the default minimum interval between group commits.
@@ -64,15 +59,17 @@ type Options struct {
 // idle replica still syncs every record immediately.
 const DefaultSyncWait = 25 * time.Millisecond
 
+// queueCap bounds the command queue between the protocol core and the
+// writer goroutine; a full queue blocks the appender (backpressure, not
+// loss — a dropped record would silently weaken durability).
+const queueCap = 4096
+
 func (o *Options) validate() {
 	if o.SyncWait == 0 {
 		o.SyncWait = DefaultSyncWait
 	}
 	if o.SyncWait < 0 {
 		o.SyncWait = 0
-	}
-	if o.QueueCap == 0 {
-		o.QueueCap = 4096
 	}
 }
 
@@ -189,8 +186,8 @@ type wcmd struct {
 type Writer struct {
 	opts Options
 
-	cmdC  chan Record   // record appends only; bftlint:owner=shared
-	urgC  chan wcmd     // barrier/snapshot/stop; bftlint:owner=shared
+	cmdC  chan Record   // record appends only
+	urgC  chan wcmd     // barrier/snapshot/stop
 	killC chan struct{} // bftlint:owner=shared
 	doneC chan struct{} // bftlint:owner=shared
 	kill1 sync.Once
@@ -218,7 +215,7 @@ func Open(b Backend, rec *Recovered, opts Options) (*Writer, error) {
 	opts.validate()
 	w := &Writer{
 		opts:  opts,
-		cmdC:  make(chan Record, opts.QueueCap),
+		cmdC:  make(chan Record, queueCap),
 		urgC:  make(chan wcmd),
 		killC: make(chan struct{}),
 		doneC: make(chan struct{}),
