@@ -11,10 +11,10 @@
 // carrying one, or a composite literal embedding one. Storing a derived
 // expression of slice or map type into a field or map of a long-lived
 // value is reported unless the write is acknowledged with
-// `bftlint:deepcopy` (an alias for allow=bftalias). Storing a derived
-// pointer itself is not reported: handlers own their message objects after
-// dispatch, and the bug class is retained slice/map backing memory (the
-// qset field of a view-change message, not the message).
+// `bftlint:allow=bftalias`. Storing a derived pointer itself is not
+// reported: handlers own their message objects after dispatch, and the bug
+// class is retained slice/map backing memory (the qset field of a
+// view-change message, not the message).
 //
 // Freshness heuristics: composite literals are fresh iff their elements
 // are; `append` is derived iff its first argument is; any other call
@@ -30,11 +30,12 @@ import (
 	"repro/internal/lint/driver"
 )
 
-// Name is the analyzer name, used in `bftlint:allow=` suppressions
-// (spelling `bftlint:deepcopy` is the idiomatic acknowledgment).
+// Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bftalias"
 
-// Analyzer is the bftalias analysis.
+// Analyzer is the bftalias analysis. It exists for the PR 2 view-change
+// bug: buildViewChange stored an inbound message's qset slice and later
+// mutated it in place, changing a record other replicas had certified.
 var Analyzer = &driver.Analyzer{
 	Name: Name,
 	Doc:  "flag caller-provided slices/maps stored into bftlint:longlived structs without a deep copy",
@@ -153,7 +154,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 			}
 			if pos, desc, hit := c.longlivedTarget(lhs); hit {
 				c.pass.Reportf(pos,
-					"caller-provided slice/map stored into long-lived %s without a deep copy; the caller retains a mutable reference (copy it, or acknowledge with bftlint:deepcopy)",
+					"caller-provided slice/map stored into long-lived %s without a deep copy; the caller retains a mutable reference (copy it, or acknowledge with bftlint:allow=bftalias)",
 					desc)
 			}
 		}

@@ -16,15 +16,27 @@ package annot
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
 // Directive is one parsed bftlint comment.
 type Directive struct {
-	Key   string // "owner", "entrypoint", "rendezvous", ...
+	Key   string // one of Keys
 	Value string // "" for bare keys
 	Pos   token.Pos
 }
+
+// Keys lists every directive key an analyzer reads. bftowner reports any
+// other key, so a directive whose analyzer is gone cannot linger as an
+// annotation that annotates nothing.
+var Keys = []string{
+	"owner", "entrypoint", "runs", "longlived", "send", "deterministic",
+	"digest", "nodigest", "nowire", "allow",
+}
+
+// Known reports whether key is one of Keys.
+func Known(key string) bool { return slices.Contains(Keys, key) }
 
 // prefix is what a directive comment starts with after the comment marker.
 const prefix = "bftlint:"
@@ -145,19 +157,12 @@ func Has(ds []Directive, key string) bool {
 }
 
 // Suppressions indexes a package's `bftlint:allow=<name>[,<name>...]`
-// directives (plus the analyzer-specific acknowledgment spellings, e.g.
-// `bftlint:deepcopy` which is allow=bftalias) by file and line.
+// directives by file and line.
 type Suppressions map[fileLine][]string
 
 type fileLine struct {
 	file string
 	line int
-}
-
-// ackAliases maps acknowledgment spellings to the analyzer they allow.
-var ackAliases = map[string]string{
-	"deepcopy": "bftalias", // "I deep-copied / aliasing is intended here"
-	"reuse-ok": "bftbufown",
 }
 
 // SuppressionsFor builds the suppression index for a package's files.
@@ -168,15 +173,11 @@ func SuppressionsFor(fset *token.FileSet, files []*ast.File) Suppressions {
 			for _, d := range Parse(cg) {
 				p := fset.Position(d.Pos)
 				at := fileLine{p.Filename, p.Line}
-				switch d.Key {
-				case "allow":
-					for _, name := range strings.Split(d.Value, ",") {
-						if name = strings.TrimSpace(name); name != "" {
-							s[at] = append(s[at], name)
-						}
-					}
-				default:
-					if name, ok := ackAliases[d.Key]; ok {
+				if d.Key != "allow" {
+					continue
+				}
+				for _, name := range strings.Split(d.Value, ",") {
+					if name = strings.TrimSpace(name); name != "" {
 						s[at] = append(s[at], name)
 					}
 				}

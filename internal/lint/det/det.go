@@ -40,7 +40,9 @@ const (
 // bftrand
 // ---------------------------------------------------------------------------
 
-// RandAnalyzer flags package-global math/rand use.
+// RandAnalyzer flags package-global math/rand use. Its first run found the
+// global-stream draws that made seeded simnet runs irreproducible; they now
+// go through each replica's seeded source.
 var RandAnalyzer = &driver.Analyzer{
 	Name: RandName,
 	Doc:  "flag package-global math/rand functions; replicas must draw from a per-replica seeded source",
@@ -96,7 +98,9 @@ func checkRand(pass *driver.Pass, sel *ast.SelectorExpr) {
 // ---------------------------------------------------------------------------
 
 // TimeAnalyzer checks `bftlint:deterministic` functions against wall-clock
-// reads.
+// reads. It guards the invariant that correct replicas compute identical
+// checkpoint digests from identical state (§2.3.4), which a time-dependent
+// input would break silently.
 var TimeAnalyzer = &driver.Analyzer{
 	Name: TimeName,
 	Doc:  "flag bftlint:deterministic decision paths that reach time.Now/Since/Until",
@@ -272,7 +276,9 @@ func (c *timeChecker) witness(fn *types.Func) *TimeFact {
 // ---------------------------------------------------------------------------
 
 // MapOrderAnalyzer flags map iteration feeding message emission or
-// selection.
+// selection. It exists for the PR 4 fetch-retry bug, and its first run
+// found two more: status-triggered view-change retransmission iterated
+// vc.forView in map order.
 var MapOrderAnalyzer = &driver.Analyzer{
 	Name: MapOrderName,
 	Doc:  "flag map-range loops whose randomized order reaches the wire (bftlint:send in body) or selects a winner (early exit with escaping key/value)",

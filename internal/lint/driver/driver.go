@@ -13,7 +13,7 @@
 //
 // Only a package's GoFiles are parsed: _test.go files never reach an
 // analyzer. The analyzers target production code, and tests exercise
-// nondeterminism, aliasing and raw f-arithmetic on purpose.
+// nondeterminism and aliasing on purpose.
 package driver
 
 import (

@@ -3,6 +3,8 @@ package lint_test
 import (
 	"bufio"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/lint/annot"
 	"repro/internal/lint/driver"
 )
 
@@ -24,14 +27,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
 	}
-	_, self, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("runtime.Caller failed")
-	}
-	root := filepath.Dir(filepath.Dir(filepath.Dir(self)))
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("repo root not found from %s: %v", self, err)
-	}
+	root := repoRoot(t)
 	set, err := driver.Load(root, "./...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
@@ -59,28 +55,12 @@ func TestNoDigestExemptionsAudited(t *testing.T) {
 		"internal/message/messages.go:Replica=authenticated-sender": true,
 	}
 
-	_, self, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("runtime.Caller failed")
-	}
-	root := filepath.Dir(filepath.Dir(filepath.Dir(self)))
+	root := repoRoot(t)
 	dirRe := regexp.MustCompile(`bftlint:nodigest(=([A-Za-z0-9-]*))?`)
 	fieldRe := regexp.MustCompile(`^\s*([A-Za-z_][A-Za-z0-9_]*)`)
 
 	got := make(map[string]bool)
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == "testdata" || d.Name() == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
+	walkGoFiles(t, root, func(path string) error {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
@@ -118,9 +98,6 @@ func TestNoDigestExemptionsAudited(t *testing.T) {
 		}
 		return sc.Err()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var diff []string
 	for k := range got {
@@ -137,4 +114,73 @@ func TestNoDigestExemptionsAudited(t *testing.T) {
 	for _, d := range diff {
 		t.Error(d)
 	}
+}
+
+// TestDirectiveKeysInUse requires every key of the closed directive
+// vocabulary (annot.Keys) to annotate some non-test file outside the
+// analyzers' fixtures: a key nothing uses guards nothing and goes, with
+// whatever analyzer reads it.
+func TestDirectiveKeysInUse(t *testing.T) {
+	root := repoRoot(t)
+	used := make(map[string]bool)
+	fset := token.NewFileSet()
+	walkGoFiles(t, root, func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, d := range annot.Parse(cg) {
+				used[d.Key] = true
+			}
+		}
+		return nil
+	})
+	for _, key := range annot.Keys {
+		if !used[key] {
+			t.Errorf("directive key %q annotates no file outside the fixtures; delete it from annot.Keys", key)
+		}
+	}
+}
+
+// walkGoFiles calls fn on every .go file of the module outside testdata
+// directories, which hold the analyzers' own test vectors.
+func walkGoFiles(t *testing.T, root string, fn func(path string) error) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		return fn(path)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// repoRoot locates the module root from this file's path, robust to the
+// test binary's working directory.
+func repoRoot(t *testing.T) string {
+	t.Helper()
+	_, self, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("runtime.Caller failed")
+	}
+	root := filepath.Dir(filepath.Dir(filepath.Dir(self)))
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("repo root not found from %s: %v", self, err)
+	}
+	return root
 }

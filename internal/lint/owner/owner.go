@@ -1,35 +1,33 @@
 // Package owner implements bftowner, the ownership analyzer of the bftlint
-// suite: it machine-checks the replica's goroutine-ownership contract that
-// PRs 1-3 established and that the safety argument of Castro & Liskov
-// (§4.2) silently assumes — protocol and execution state (Region,
-// checkpoint manager, reply cache) are event-loop-owned, the WAL writer
-// goroutine owns its segment files, and the transport receive goroutines
-// (where ingress verification runs) touch neither.
+// suite. It exists for the invariant PBFT's safety argument starts from:
+// the replica is one automaton whose state nothing else touches (thesis
+// §6.1; Castro & Liskov §4.2 assume serialized access). Protocol and
+// execution state are owned by the replica's event loop; the goroutines
+// that run beside it (the transport's receive goroutine, where ingress
+// verification runs, and the WAL writer) must not reach that state.
 //
 // The rules are declared with the annotation grammar of internal/lint/doc.go:
 //
-//   - `bftlint:owner=<domain>` on a struct type or field marks state owned
-//     by one goroutine domain (eventloop, worker) or explicitly safe for
-//     cross-domain use (shared: channels, atomics, immutable config).
-//   - `bftlint:entrypoint=<domain>` on a function declares that its body
-//     runs in that domain (a receive-goroutine callback, the WAL writer).
-//   - `bftlint:rendezvous` on a function declares that closures passed to
-//     it run with mutual exclusion against every owner, so their bodies are
-//     exempt.
-//   - `bftlint:runs=<domain>` on a function declares that function-literal
-//     arguments execute in that domain (transport attach handlers, pool
-//     sinks); their bodies are checked under it.
+//   - `bftlint:owner=eventloop` on a struct type, field or method marks
+//     event-loop state; `bftlint:owner=shared` marks state (or a method)
+//     safe from any goroutine: channels, atomics, immutable config.
+//   - `bftlint:entrypoint=worker` on a function declares that its body runs
+//     off the event loop (a receive-goroutine callback, the WAL writer).
+//   - `bftlint:runs=worker` on a function declares that function-literal
+//     arguments execute off the event loop (transport attach handlers,
+//     ingress sinks); their bodies are checked too.
 //
-// The analyzer computes, per function, the set of owned state reachable
+// The analyzer computes, per function, the event-loop state reachable
 // through static calls (propagated across packages via facts) and reports
-// any entrypoint whose domain is not allowed to touch what it reaches.
-// Dynamic dispatch through interfaces is invisible to the call graph;
-// closing that hole is exactly what entrypoint annotations on the concrete
-// implementations (sealer.Seal, verifier.Verify) are for.
+// every access from a worker entry point. Dynamic dispatch through
+// interfaces is invisible to the call graph; closing that hole is what the
+// entrypoint annotations on the concrete implementations (the verifier's
+// Verify methods) are for.
 //
-// bftowner also reports a `bftlint:` token that follows other text in its
-// comment: the grammar reads a directive only at the start of a comment, so
-// such a token looks like an annotation but annotates nothing.
+// bftowner also keeps the grammar closed: it reports a directive whose key
+// no analyzer reads (annot.Keys), and a `bftlint:` token that follows other
+// text in its comment, which the grammar never reads. Either one looks like
+// an annotation but annotates nothing.
 package owner
 
 import (
@@ -46,30 +44,25 @@ import (
 // Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bftowner"
 
-// Analyzer is the bftowner analysis.
+// Analyzer is the bftowner analysis. It guards the replica's
+// single-automaton invariant: code on the receive and WAL-writer
+// goroutines touches no event-loop state.
 var Analyzer = &driver.Analyzer{
 	Name: Name,
-	Doc:  "check goroutine-ownership annotations: entry points must not reach state owned by another domain outside a rendezvous",
+	Doc:  "check goroutine-ownership annotations: worker entry points must not reach event-loop-owned state",
 	Run:  run,
 }
 
-// OwnerFact marks a type or struct field as owned by a goroutine domain.
+// OwnerFact marks a type, struct field or method as event-loop-owned, or
+// a method as shared.
 type OwnerFact struct{ Domain string }
 
-// CtxFact marks a function as an entry point executing in a domain.
-type CtxFact struct{ Domain string }
+// RunsFact marks a function whose function-literal arguments execute on a
+// worker.
+type RunsFact struct{}
 
-// RendFact marks a function as a rendezvous: closures passed to it run
-// serialized with every owner.
-type RendFact struct{}
-
-// RunsFact marks a function whose function-literal arguments execute in
-// Domain.
-type RunsFact struct{ Domain string }
-
-// Access is one reachable touch of owned state.
+// Access is one reachable touch of event-loop-owned state.
 type Access struct {
-	Owner string   // owning domain
 	Desc  string   // e.g. "(*statemachine.Region).Modify" or "pbft.Replica.queue"
 	Chain []string // call path (function names) from the summarized function
 }
@@ -79,21 +72,17 @@ type Access struct {
 type AccessFact struct{ Accesses []Access }
 
 func (*OwnerFact) AFact()  {}
-func (*CtxFact) AFact()    {}
-func (*RendFact) AFact()   {}
 func (*RunsFact) AFact()   {}
 func (*AccessFact) AFact() {}
 
-// ownerDomains are the values owner= accepts; ctxDomains the execution
-// domains entrypoint=/runs= accept.
-var (
-	ownerDomains = map[string]bool{"eventloop": true, "worker": true, "shared": true}
-	ctxDomains   = map[string]bool{"eventloop": true, "worker": true}
+// The values owner= accepts, and the one execution domain entrypoint= and
+// runs= accept. Every access a worker reaches is to event-loop state, so
+// every one is a finding.
+const (
+	eventloop = "eventloop"
+	shared    = "shared"
+	worker    = "worker"
 )
-
-// allowed reports whether code running in domain ctx may touch state owned
-// by owner. A domain owns its own state; everything else needs a rendezvous.
-func allowed(ctx, owner string) bool { return ctx == owner }
 
 // maxAccesses caps per-function summaries so facts stay small.
 const maxAccesses = 64
@@ -102,9 +91,8 @@ type ctx struct {
 	pass *driver.Pass
 
 	localOwner map[types.Object]string // annotated types and fields, this package
-	localCtx   map[*types.Func]string
-	localRend  map[*types.Func]bool
-	localRuns  map[*types.Func]string
+	localCtx   map[*types.Func]bool
+	localRuns  map[*types.Func]bool
 
 	decls   map[*types.Func]*ast.FuncDecl
 	sums    map[*types.Func]*summary
@@ -117,25 +105,19 @@ type callRec struct {
 	pos token.Pos
 }
 
-type spawnRec struct {
-	lit    *ast.FuncLit
-	domain string
-}
-
 type summary struct {
 	direct []Access // Chain empty; pos in directPos
 	pos    []token.Pos
 	calls  []callRec
-	spawns []spawnRec
+	spawns []*ast.FuncLit // literals handed to a runs=worker function
 }
 
 func run(pass *driver.Pass) error {
 	c := &ctx{
 		pass:       pass,
 		localOwner: make(map[types.Object]string),
-		localCtx:   make(map[*types.Func]string),
-		localRend:  make(map[*types.Func]bool),
-		localRuns:  make(map[*types.Func]string),
+		localCtx:   make(map[*types.Func]bool),
+		localRuns:  make(map[*types.Func]bool),
 		decls:      make(map[*types.Func]*ast.FuncDecl),
 		sums:       make(map[*types.Func]*summary),
 		flatMap:    make(map[*types.Func][]Access),
@@ -179,13 +161,9 @@ func run(pass *driver.Pass) error {
 
 	// Check entrypoints.
 	for _, fn := range fns {
-		domain := c.ctxDomainOf(fn)
-		if domain == "" {
-			continue
+		if c.localCtx[fn] {
+			c.checkReach(fn.Name(), c.decls[fn].Name.Pos(), c.sums[fn])
 		}
-		fd := c.decls[fn]
-		sum := c.sums[fn]
-		c.checkReach(domain, fn.Name(), fd.Name.Pos(), sum)
 	}
 	// Check closures spawned into a domain (`bftlint:runs`) from any local
 	// function, including transitively spawned ones.
@@ -195,50 +173,44 @@ func run(pass *driver.Pass) error {
 	return nil
 }
 
-// checkReach reports every access in sum (flattened) that domain may not
-// touch.
-func (c *ctx) checkReach(domain, label string, fallbackPos token.Pos, sum *summary) {
+// checkReach reports every access in sum (flattened): code running on a
+// worker may touch no event-loop state.
+func (c *ctx) checkReach(label string, fallbackPos token.Pos, sum *summary) {
 	for i, acc := range sum.direct {
-		if allowed(domain, acc.Owner) {
-			continue
-		}
 		pos := sum.pos[i]
 		if !pos.IsValid() {
 			pos = fallbackPos
 		}
-		c.report(pos, domain, label, acc)
+		c.report(pos, label, acc)
 	}
 	for _, call := range sum.calls {
 		for _, acc := range c.accessesOf(call.fn) {
-			if allowed(domain, acc.Owner) {
-				continue
-			}
 			chained := acc
 			chained.Chain = append([]string{call.fn.Name()}, acc.Chain...)
-			c.report(call.pos, domain, label, chained)
+			c.report(call.pos, label, chained)
 		}
 	}
 }
 
-// checkSpawns checks every `bftlint:runs` closure recorded in sum under its
-// declared domain, recursing into the closures' own spawns.
+// checkSpawns checks every `bftlint:runs` closure recorded in sum,
+// recursing into the closures' own spawns.
 func (c *ctx) checkSpawns(sum *summary) {
-	for _, sp := range sum.spawns {
+	for _, lit := range sum.spawns {
 		inner := &summary{}
-		c.scan(sp.lit.Body, inner)
-		c.checkReach(sp.domain, "closure", sp.lit.Pos(), inner)
+		c.scan(lit.Body, inner)
+		c.checkReach("closure", lit.Pos(), inner)
 		c.checkSpawns(inner)
 	}
 }
 
-func (c *ctx) report(pos token.Pos, domain, label string, acc Access) {
+func (c *ctx) report(pos token.Pos, label string, acc Access) {
 	via := ""
 	if len(acc.Chain) > 0 {
 		via = " via " + strings.Join(acc.Chain, " -> ")
 	}
 	c.pass.Reportf(pos,
-		"%s-context %s reaches %s-owned %s%s; only the %s goroutine may touch it outside a bftlint:rendezvous",
-		domain, label, acc.Owner, acc.Desc, via, acc.Owner)
+		"worker-context %s reaches eventloop-owned %s%s; only the event loop may touch it",
+		label, acc.Desc, via)
 }
 
 // ---------------------------------------------------------------------------
@@ -251,6 +223,11 @@ func (c *ctx) collectAnnotations() {
 		for _, cg := range f.Comments {
 			for _, pos := range annot.Stray(cg) {
 				c.pass.Reportf(pos, "bftlint: directive after other comment text is ignored; start a comment with it, or quote it in backquotes")
+			}
+			for _, d := range annot.Parse(cg) {
+				if !annot.Known(d.Key) {
+					c.pass.Reportf(d.Pos, "bftlint: unknown directive key %q: no analyzer reads it", d.Key)
+				}
 			}
 		}
 		for _, decl := range f.Decls {
@@ -273,12 +250,11 @@ func (c *ctx) collectAnnotations() {
 func (c *ctx) collectTypeSpec(gd *ast.GenDecl, ts *ast.TypeSpec, info *types.Info) {
 	ds := annot.TypeDirectives(gd, ts)
 	structDomain, hasStruct := annot.Value(ds, "owner")
-	if hasStruct && !ownerDomains[structDomain] {
-		c.pass.Reportf(ts.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", structDomain)
+	if hasStruct && !c.checkOwner(ts.Pos(), structDomain) {
 		hasStruct = false
 	}
 	tn, _ := info.Defs[ts.Name].(*types.TypeName)
-	if hasStruct && structDomain != "shared" && tn != nil {
+	if hasStruct && structDomain != shared && tn != nil {
 		c.localOwner[tn] = structDomain
 	}
 	st, isStruct := ts.Type.(*ast.StructType)
@@ -288,8 +264,7 @@ func (c *ctx) collectTypeSpec(gd *ast.GenDecl, ts *ast.TypeSpec, info *types.Inf
 	for _, field := range st.Fields.List {
 		fds := annot.FieldDirectives(field)
 		domain, has := annot.Value(fds, "owner")
-		if has && !ownerDomains[domain] {
-			c.pass.Reportf(field.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", domain)
+		if has && !c.checkOwner(field.Pos(), domain) {
 			has = false
 		}
 		if !has {
@@ -298,7 +273,7 @@ func (c *ctx) collectTypeSpec(gd *ast.GenDecl, ts *ast.TypeSpec, info *types.Inf
 			}
 			domain = structDomain
 		}
-		if domain == "shared" {
+		if domain == shared {
 			continue
 		}
 		for _, name := range field.Names {
@@ -323,29 +298,33 @@ func (c *ctx) collectFuncDecl(fd *ast.FuncDecl, info *types.Info) {
 		// d-owned state regardless of the receiver type's owner; owner=shared
 		// declares the method safe from any domain (it touches only shared
 		// fields), carving it out of an owned type.
-		if !ownerDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", d)
-		} else {
+		if c.checkOwner(fd.Pos(), d) {
 			c.localOwner[fn] = d
 		}
 	}
-	if d, has := annot.Value(ds, "entrypoint"); has {
-		if !ctxDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown entrypoint domain %q (want eventloop or worker)", d)
-		} else {
-			c.localCtx[fn] = d
+	for _, key := range []string{"entrypoint", "runs"} {
+		d, has := annot.Value(ds, key)
+		if !has {
+			continue
+		}
+		switch {
+		case d != worker:
+			c.pass.Reportf(fd.Pos(), "bftlint: unknown %s domain %q (want worker)", key, d)
+		case key == "entrypoint":
+			c.localCtx[fn] = true
+		default:
+			c.localRuns[fn] = true
 		}
 	}
-	if annot.Has(ds, "rendezvous") {
-		c.localRend[fn] = true
+}
+
+// checkOwner reports an owner= value other than eventloop or shared.
+func (c *ctx) checkOwner(pos token.Pos, domain string) bool {
+	if domain == eventloop || domain == shared {
+		return true
 	}
-	if d, has := annot.Value(ds, "runs"); has {
-		if !ctxDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown runs domain %q (want eventloop or worker)", d)
-		} else {
-			c.localRuns[fn] = d
-		}
-	}
+	c.pass.Reportf(pos, "bftlint: unknown owner domain %q (want eventloop or shared)", domain)
+	return false
 }
 
 // collectInterfaceMethods annotates interface methods: directives on an
@@ -372,11 +351,8 @@ func (c *ctx) collectInterfaceAnnotations() {
 					if !ok {
 						continue
 					}
-					if annot.Has(ds, "rendezvous") {
-						c.localRend[fn] = true
-					}
-					if d, has := annot.Value(ds, "runs"); has && ctxDomains[d] {
-						c.localRuns[fn] = d
+					if d, has := annot.Value(ds, "runs"); has && d == worker {
+						c.localRuns[fn] = true
 					}
 				}
 			}
@@ -391,14 +367,8 @@ func (c *ctx) exportAnnotationFacts() {
 		obj := obj
 		c.pass.ExportObjectFact(obj, &OwnerFact{Domain: domain})
 	}
-	for fn, domain := range c.localCtx {
-		c.pass.ExportObjectFact(fn, &CtxFact{Domain: domain})
-	}
-	for fn := range c.localRend {
-		c.pass.ExportObjectFact(fn, &RendFact{})
-	}
-	for fn, domain := range c.localRuns {
-		c.pass.ExportObjectFact(fn, &RunsFact{Domain: domain})
+	for fn := range c.localRuns {
+		c.pass.ExportObjectFact(fn, &RunsFact{})
 	}
 }
 
@@ -423,36 +393,15 @@ func (c *ctx) ownerOf(obj types.Object) string {
 	return ""
 }
 
-func (c *ctx) ctxDomainOf(fn *types.Func) string {
-	if d, ok := c.localCtx[fn]; ok {
-		return d
-	}
-	return ""
-}
-
-func (c *ctx) isRend(fn *types.Func) bool {
-	if c.localRend[fn] {
+func (c *ctx) runsOnWorker(fn *types.Func) bool {
+	if c.localRuns[fn] {
 		return true
 	}
 	if fn.Pkg() == nil || fn.Pkg() == c.pass.Pkg {
 		return false
 	}
-	var f RendFact
-	return c.pass.ImportObjectFact(fn, &f)
-}
-
-func (c *ctx) runsDomainOf(fn *types.Func) string {
-	if d, ok := c.localRuns[fn]; ok {
-		return d
-	}
-	if fn.Pkg() == nil || fn.Pkg() == c.pass.Pkg {
-		return ""
-	}
 	var f RunsFact
-	if c.pass.ImportObjectFact(fn, &f) {
-		return f.Domain
-	}
-	return ""
+	return c.pass.ImportObjectFact(fn, &f)
 }
 
 // accessesOf returns the flattened access set of fn: computed locally for
@@ -490,8 +439,7 @@ func (c *ctx) calleeOf(call *ast.CallExpr) *types.Func {
 
 // scan walks one function (or closure) body, recording direct owned-state
 // accesses, static calls, and spawned closures. Function literals passed to
-// a rendezvous are skipped entirely; literals passed to a `bftlint:runs`
-// function are recorded for a separate check under that domain.
+// a `bftlint:runs` function are recorded for a separate check.
 func (c *ctx) scan(body ast.Node, sum *summary) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -500,17 +448,11 @@ func (c *ctx) scan(body ast.Node, sum *summary) {
 			if callee == nil {
 				return true
 			}
-			if c.isRend(callee) {
-				c.scanCallSkippingLits(n, sum, nil)
+			if c.runsOnWorker(callee) {
+				c.scanCallSkippingLits(n, sum)
 				return false
 			}
-			if d := c.runsDomainOf(callee); d != "" {
-				c.scanCallSkippingLits(n, sum, func(lit *ast.FuncLit) {
-					sum.spawns = append(sum.spawns, spawnRec{lit: lit, domain: d})
-				})
-				return false
-			}
-			if c.ownerOf(callee) == "shared" {
+			if c.ownerOf(callee) == shared {
 				// owner=shared declares the callee safe from every domain: a
 				// trust boundary, so its internal accesses do not propagate
 				// to callers (the selector access is exempted separately).
@@ -527,15 +469,13 @@ func (c *ctx) scan(body ast.Node, sum *summary) {
 }
 
 // scanCallSkippingLits scans the callee expression and non-literal
-// arguments of call (they evaluate in the caller), skipping function
-// literal arguments; spawn, when non-nil, receives each skipped literal.
-func (c *ctx) scanCallSkippingLits(call *ast.CallExpr, sum *summary, spawn func(*ast.FuncLit)) {
+// arguments of call (they evaluate in the caller) and records each function
+// literal argument as spawned.
+func (c *ctx) scanCallSkippingLits(call *ast.CallExpr, sum *summary) {
 	c.scan(call.Fun, sum)
 	for _, a := range call.Args {
 		if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
-			if spawn != nil {
-				spawn(lit)
-			}
+			sum.spawns = append(sum.spawns, lit)
 			continue
 		}
 		c.scan(a, sum)
@@ -553,28 +493,21 @@ func (c *ctx) recordSelector(sel *ast.SelectorExpr, sum *summary) {
 	switch s.Kind() {
 	case types.FieldVal:
 		obj := s.Obj()
-		if d := c.ownerOf(obj); d != "" {
+		if c.ownerOf(obj) != "" {
 			desc := strings.TrimPrefix(types.TypeString(deref(s.Recv()), qual), "*") + "." + obj.Name()
-			c.addDirect(sum, Access{Owner: d, Desc: desc}, sel.Sel.Pos())
+			c.addDirect(sum, Access{Desc: desc}, sel.Sel.Pos())
 		}
 	case types.MethodVal, types.MethodExpr:
 		recv := deref(s.Recv())
 		// A method-level owner annotation overrides the receiver type's:
-		// owner=shared exempts the method, any other domain re-owns it.
-		if d := c.ownerOf(s.Obj()); d != "" {
-			if d != "shared" {
-				desc := "(" + types.TypeString(recv, qual) + ")." + s.Obj().Name()
-				c.addDirect(sum, Access{Owner: d, Desc: desc}, sel.Sel.Pos())
-			}
-			return
+		// owner=shared exempts the method, owner=eventloop owns it.
+		d := c.ownerOf(s.Obj())
+		if tn := typeNameOf(recv); d == "" && tn != nil {
+			d = c.ownerOf(tn)
 		}
-		tn := typeNameOf(recv)
-		if tn == nil {
-			return
-		}
-		if d := c.ownerOf(tn); d != "" {
+		if d == eventloop {
 			desc := "(" + types.TypeString(recv, qual) + ")." + s.Obj().Name()
-			c.addDirect(sum, Access{Owner: d, Desc: desc}, sel.Sel.Pos())
+			c.addDirect(sum, Access{Desc: desc}, sel.Sel.Pos())
 		}
 	}
 }
@@ -584,7 +517,7 @@ func (c *ctx) addDirect(sum *summary, acc Access, pos token.Pos) {
 		return
 	}
 	for _, a := range sum.direct {
-		if a.Owner == acc.Owner && a.Desc == acc.Desc {
+		if a.Desc == acc.Desc {
 			return
 		}
 	}
@@ -631,11 +564,10 @@ func (c *ctx) flatten(fn *types.Func) []Access {
 	out := make([]Access, 0, len(sum.direct))
 	seen := make(map[string]bool)
 	add := func(a Access) {
-		key := a.Owner + "\x00" + a.Desc
-		if seen[key] || len(out) >= maxAccesses {
+		if seen[a.Desc] || len(out) >= maxAccesses {
 			return
 		}
-		seen[key] = true
+		seen[a.Desc] = true
 		out = append(out, a)
 	}
 	for _, a := range sum.direct {

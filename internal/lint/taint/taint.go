@@ -19,9 +19,7 @@
 // then indexing with level), a min/max clamp at the sink, or a modulo. A
 // call boundary also clears taint: values returned by callees (like
 // reader.sliceLen, which enforces maxSliceLen internally) are trusted —
-// the callee is the audited sanitizer. Functions whose RESULTS are
-// attacker-controlled can be annotated `bftlint:untrusted` to propagate
-// taint through such a boundary.
+// the callee is the audited sanitizer.
 //
 // Suppress a vetted site with `bftlint:allow=bfttaint`.
 package taint
@@ -31,14 +29,16 @@ import (
 	"go/token"
 	"go/types"
 
-	"repro/internal/lint/annot"
 	"repro/internal/lint/driver"
 )
 
 // Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bfttaint"
 
-// Analyzer is the bfttaint analyzer.
+// Analyzer is the bfttaint analyzer. Its first run found four handlers
+// (onViewChangeAck, onReplyStable, onRecoveryReply, the client's onReply)
+// that keyed maps by a claimed replica ID without a range check, so a
+// Byzantine peer could grow them without bound.
 var Analyzer = &driver.Analyzer{
 	Name: Name,
 	Doc:  "flag untrusted wire-message integers used as index, allocation size, loop bound, or inserted map key without a bounds check",
@@ -51,23 +51,13 @@ type WireFact struct{}
 
 func (*WireFact) AFact() {}
 
-// UntrustedFact marks a function whose results are attacker-controlled.
-type UntrustedFact struct{}
-
-func (*UntrustedFact) AFact() {}
-
 type checker struct {
-	pass      *driver.Pass
-	wire      map[*types.TypeName]bool
-	untrusted map[*types.Func]bool
+	pass *driver.Pass
+	wire map[*types.TypeName]bool
 }
 
 func run(pass *driver.Pass) error {
-	c := &checker{
-		pass:      pass,
-		wire:      make(map[*types.TypeName]bool),
-		untrusted: make(map[*types.Func]bool),
-	}
+	c := &checker{pass: pass, wire: make(map[*types.TypeName]bool)}
 	c.collect()
 
 	for _, f := range pass.Files {
@@ -89,25 +79,18 @@ func run(pass *driver.Pass) error {
 	return nil
 }
 
-// collect finds wire types (unmarshalBody methods) and `bftlint:untrusted`
-// functions, exporting facts for cross-package consumers.
+// collect finds wire types (unmarshalBody methods), exporting facts for
+// cross-package consumers.
 func (c *checker) collect() {
 	info := c.pass.TypesInfo
 	for _, f := range c.pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
+			if !ok || fd.Name.Name != "unmarshalBody" || fd.Recv == nil {
 				continue
 			}
 			fn, ok := info.Defs[fd.Name].(*types.Func)
 			if !ok {
-				continue
-			}
-			if annot.Has(annot.FuncDirectives(fd), "untrusted") {
-				c.untrusted[fn] = true
-				c.pass.ExportObjectFact(fn, &UntrustedFact{})
-			}
-			if fd.Name.Name != "unmarshalBody" || fd.Recv == nil {
 				continue
 			}
 			if tn := receiverType(fn); tn != nil {
@@ -150,20 +133,6 @@ func (c *checker) isWire(t types.Type) bool {
 	}
 	var f WireFact
 	return c.pass.ImportObjectFact(tn, &f)
-}
-
-func (c *checker) isUntrusted(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	if c.untrusted[fn] {
-		return true
-	}
-	if fn.Pkg() == nil || fn.Pkg() == c.pass.Pkg {
-		return false
-	}
-	var f UntrustedFact
-	return c.pass.ImportObjectFact(fn, &f)
 }
 
 // isIntegerish reports whether t's underlying type is an integer kind
@@ -343,17 +312,10 @@ func (fs *funcState) tainted(expr ast.Expr) bool {
 		}
 		return fs.c.isWire(fs.info.TypeOf(e.X))
 	case *ast.CallExpr:
-		if fn := driver.StaticCallee(fs.info, e); fn != nil {
-			return fs.c.isUntrusted(fn)
-		}
-		// Conversion: int(m.Level) stays tainted.
+		// Conversion: int(m.Level) stays tainted. A call's result is
+		// trusted: the callee is the sanitizing boundary.
 		if tv, ok := fs.info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
 			return fs.tainted(e.Args[0])
-		}
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			if fn, ok := fs.info.Uses[sel.Sel].(*types.Func); ok {
-				return fs.c.isUntrusted(fn)
-			}
 		}
 		return false
 	case *ast.BinaryExpr:

@@ -48,7 +48,7 @@ func (s *vcstate) onViewChange(m *viewchange, raw []byte) {
 	s.qset[0] = entries // want `stored into long-lived vcstate\.qset`
 
 	// An acknowledged alias: the caller is known to discard the message.
-	s.note = raw[2:] // bftlint:deepcopy the ingress path hands over the datagram
+	s.note = raw[2:] // bftlint:allow=bftalias the ingress path hands over the datagram
 }
 
 // freshResult shows call results counting as fresh memory.

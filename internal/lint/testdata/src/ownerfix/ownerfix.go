@@ -1,7 +1,7 @@
 // Package ownerfix exercises bftowner: goroutine-ownership annotations and
-// call-graph reachability from entrypoints, rendezvous exemption, runs=
-// closure checking, method-level owner overrides, allow= suppression, and
-// the directive hygiene checks (unknown domains, directives after text).
+// call-graph reachability from entrypoints, runs= closure checking,
+// method-level owner overrides, allow= suppression, and the directive
+// hygiene checks (unknown keys and domains, directives after text).
 package ownerfix
 
 // replica mimics the event-loop-owned protocol core. Field-level
@@ -14,7 +14,10 @@ type replica struct {
 	// so this field would silently keep the struct's (absent) owner.
 	note  int // replayed from the log; bftlint:owner=eventloop // want `directive after other comment text is ignored`
 	quote int // a backquoted `bftlint:owner=eventloop` is prose: ok
-	stale int // bftlint:owner=executor // want `unknown owner domain "executor"`
+	stale int // bftlint:owner=worker // want `unknown owner domain "worker"`
+	// Keys of deleted analyzers, and misspelled ones, annotate nothing.
+	bound int // bftlint:faultbound // want `unknown directive key "faultbound"`
+	typo  int // bftlint:ownr=eventloop // want `unknown directive key "ownr"`
 }
 
 // region mimics event-loop-owned execution state with a type-level owner:
@@ -24,13 +27,6 @@ type replica struct {
 type region struct{ n int }
 
 func (g *region) modify() { g.n++ }
-
-// segment mimics worker-owned state (the WAL writer's open file).
-//
-// bftlint:owner=worker
-type segment struct{ n int }
-
-func (s *segment) write() { s.n++ }
 
 // cache is a shared-method carve-out of an owned type.
 //
@@ -45,11 +41,6 @@ type cache struct {
 // bftlint:owner=shared
 func (c *cache) Len() int { return len(c.m) }
 
-// sync is a rendezvous: closures run serialized against every owner.
-//
-// bftlint:rendezvous
-func sync(fn func()) { fn() }
-
 // spawn mimics a worker-pool constructor: literal args run on workers.
 //
 // bftlint:runs=worker
@@ -61,13 +52,12 @@ func (r *replica) bump() { r.seq++ }
 
 // bftlint:entrypoint=worker
 func decode(r *replica, g *region, c *cache) {
-	r.inbox <- 1             // shared field: ok
-	_ = r.seq                // want `worker-context decode reaches eventloop-owned replica\.seq`
-	r.bump()                 // want `eventloop-owned replica\.seq via bump`
-	g.modify()               // want `eventloop-owned \(region\)\.modify` `eventloop-owned region\.n via modify`
-	_ = c.Len()              // owner=shared method override: ok
-	sync(func() { r.seq++ }) // rendezvous closure: exempt
-	_ = r.view               // bftlint:allow=bftowner inspection hook, externally coordinated
+	r.inbox <- 1 // shared field: ok
+	_ = r.seq    // want `worker-context decode reaches eventloop-owned replica\.seq`
+	r.bump()     // want `eventloop-owned replica\.seq via bump`
+	g.modify()   // want `eventloop-owned \(region\)\.modify` `eventloop-owned region\.n via modify`
+	_ = c.Len()  // owner=shared method override: ok
+	_ = r.view   // bftlint:allow=bftowner inspection hook, externally coordinated
 }
 
 // arm is not an entrypoint itself, but the closure it hands to spawn runs
@@ -79,8 +69,7 @@ func arm(r *replica) {
 	})
 }
 
-// bftlint:entrypoint=worker
-func flush(s *segment, r *replica) {
-	s.write() // worker touching worker state: ok
-	_ = r.seq // want `worker-context flush reaches eventloop-owned replica\.seq`
-}
+// loop names the event loop as an entry domain, which only workers are.
+//
+// bftlint:entrypoint=eventloop
+func loop(r *replica) { r.seq++ } // want `unknown entrypoint domain "eventloop"`

@@ -25,11 +25,6 @@ func (m *fetch) unmarshalBody(r *reader) {
 	m.From = r.u64()
 }
 
-// peek returns attacker bytes reinterpreted as a count.
-//
-// bftlint:untrusted
-func peek(b []byte) uint64 { return uint64(len(b)) }
-
 type table struct {
 	levels  [8][]byte
 	seen    map[uint64]bool
@@ -98,9 +93,8 @@ func (t *table) walkChecked(m *fetch) int {
 	return s
 }
 
-// laundered shows taint propagating through a local and an annotated
-// untrusted helper.
-func (t *table) laundered(m *fetch, raw []byte) []byte {
-	n := peek(raw)
+// laundered shows taint propagating through a local.
+func (t *table) laundered(m *fetch) []byte {
+	n := m.Count + 1
 	return make([]byte, n) // want `used as an allocation size`
 }

@@ -34,7 +34,9 @@ import (
 // Name is the analyzer name, used in `bftlint:allow=` suppressions.
 const Name = "bftwire"
 
-// Analyzer is the bftwire analyzer.
+// Analyzer is the bftwire analyzer. It exists for the PR 4 LastMod gap: a
+// wire field outside the digest that a Byzantine replica could vary under
+// a valid digest to wedge state transfer.
 var Analyzer = &driver.Analyzer{
 	Name: Name,
 	Doc:  "check wire-message structs for marshal/unmarshal symmetry and digest coverage of every field",

@@ -150,7 +150,6 @@ func (c *Client) Close() {
 	c.pipe.Close()
 }
 
-//bftlint:faultbound
 func (c *Client) f() int { return quorum.F(c.dir.N()) }
 
 // Invoke executes an operation on the replicated service and returns its

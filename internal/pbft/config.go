@@ -241,8 +241,6 @@ func (c *Config) window() message.Seq {
 }
 
 // F returns the fault threshold (N-1)/3.
-//
-//bftlint:faultbound
 func (c *Config) F() int { return quorum.F(c.N) }
 
 // Directory is the public-key and identity registry shared by all

@@ -83,8 +83,12 @@ func (r *Replica) initWAL() {
 // snapshot into the region/checkpoint-manager/reply-cache, then apply the
 // records in append order, executing forward as commits complete. Runs
 // muted (nothing may touch the network) and before the WAL writer exists
-// (nothing may re-log). Returns the view of a view change that was pending
-// at the crash, or 0.
+// (nothing may re-log). executeForward's live side effects are no-ops here:
+// the read-only and request queues are empty, sends are muted, and no view
+// change or recovery is in progress. The one state it leaves is a backup's
+// view-change deadline, armed as it would be live while tentative
+// executions wait to commit. Returns the view of a view change that was
+// pending at the crash, or 0.
 func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 	if snap := recov.Snap; snap != nil {
 		seq := message.Seq(snap.Seq)
@@ -151,7 +155,7 @@ func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 			if pp.Seq > r.seqno {
 				r.seqno = pp.Seq
 			}
-			r.replayForward()
+			r.executeForward()
 		case wal.KindPrepare, wal.KindCommit:
 			seq := message.Seq(rec.Seq)
 			if !r.log.InWindow(seq) {
@@ -176,7 +180,7 @@ func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 			if seq > r.seqno {
 				r.seqno = seq
 			}
-			r.replayForward()
+			r.executeForward()
 		case wal.KindView:
 			v := message.View(rec.View)
 			if v < r.view {
@@ -261,44 +265,11 @@ func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 			}
 		}
 	}
-	r.replayForward()
+	r.executeForward()
 	if r.lastExec > r.seqno {
 		r.seqno = r.lastExec
 	}
 	return pendingVC
-}
-
-// replayForward is executeForward minus the live-operation side effects
-// that make no sense mid-replay (read-only drain, view-change timer,
-// primary proposals — the queue is empty and every send is muted anyway).
-func (r *Replica) replayForward() {
-	for {
-		progress := false
-		for r.lastCommitted < r.lastExec {
-			s, ok := r.log.Peek(r.lastCommitted + 1)
-			if !ok || !r.log.CheckCommitted(s, r.primary(s.View)) {
-				break
-			}
-			r.finalizeBatch(s)
-			progress = true
-		}
-		next := r.lastExec + 1
-		s, ok := r.log.Peek(next)
-		if ok && s.PrePrepare != nil && r.haveSeparateBodies(s.PrePrepare) {
-			if r.log.CheckCommitted(s, r.primary(s.View)) {
-				r.execBatch(s, false)
-				progress = true
-			} else if r.cfg.Opt.TentativeExec && r.active &&
-				r.lastExec == r.lastCommitted &&
-				r.log.CheckPrepared(s, r.primary(s.View)) {
-				r.execBatch(s, true)
-				progress = true
-			}
-		}
-		if !progress {
-			return
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ func (r *Replica) onRequest(req *message.Request) {
 	// full retry timeout before its retransmission demotes it.
 	if req.ReadOnly() && r.cfg.Opt.ReadOnly && !req.Recovery() &&
 		r.service.IsReadOnly(req.Op) {
-		r.roQueue = append(r.roQueue, queuedRO{req: req, mark: r.lastExec})
+		r.roQueue = append(r.roQueue, queuedRO{req: req, mark: r.maxExec})
 		r.drainReadOnly()
 		return
 	}
@@ -733,6 +733,7 @@ func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 	}
 	r.clearScratch()
 	r.lastExec = seq
+	r.maxExec = max(r.maxExec, seq)
 	r.execRecords[seq] = execRecord{digest: s.Digest, tentative: tentative}
 	r.metrics.BatchesExecuted++
 	// Progress in the new view resets the exponential backoff (§2.3.5).
@@ -780,11 +781,12 @@ func (r *Replica) finalizeBatch(s *vlog.Slot) {
 
 // drainReadOnly answers queued read-only requests once the state reflects
 // only committed execution (§5.1.3). Two conditions gate each reply: the
-// state must hold no tentative (revocable) writes NOW, and everything that
-// was (tentatively) executed when the request ARRIVED must have committed —
-// a view change may roll a tentative write back and recommit it later, and
-// a read the client issued after that write's reply certificate must not
-// answer from the rolled-back state in between.
+// state must hold no tentative (revocable) writes NOW, and everything this
+// replica had ever (tentatively) executed when the request ARRIVED must
+// have committed — a view change may roll a tentative write back and
+// recommit it later, and a read the client issued after that write's reply
+// certificate must not answer from the rolled-back state in between, even
+// if it arrives after the rollback.
 func (r *Replica) drainReadOnly() {
 	if len(r.roQueue) == 0 || r.lastExec != r.lastCommitted {
 		return

@@ -1,10 +1,12 @@
 package pbft
 
 // Regression tests for the §5.1.3 read-only path: replica-side demotion of
-// mutating requests flagged read-only, and survival of queued read-only
-// requests across a view change.
+// mutating requests flagged read-only, survival of queued read-only
+// requests across a view change, and reads that arrive after a view change
+// rolled back a write the client already holds a certificate for.
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +131,117 @@ func TestReadOnlyQueueSurvivesViewChange(t *testing.T) {
 	}
 	if v := c.Replica(1).View(); v < 1 {
 		t.Fatalf("no view change happened (view %d); test exercised nothing", v)
+	}
+}
+
+// TestReadOnlyAfterRollbackSeesCertifiedWrite drives the rollback that
+// let a read-only request observe state older than a write the client had
+// already certified. The write executes tentatively everywhere (commits are
+// withheld), so the client gets its reply certificate; then a view change
+// rolls every replica back to the seq-0 snapshot and is held open. A read
+// arriving now finds lastExec == lastCommitted == 0. Marked with lastExec,
+// it was answered at once from the empty state; marked with the highest
+// sequence number ever executed, it waits until the write recommits in the
+// new view (§5.1.3).
+func TestReadOnlyAfterRollbackSeesCertifiedWrite(t *testing.T) {
+	cfg := testConfig()
+	net := simnet.New(simnet.WithSeed(cfg.Seed + 7))
+	t.Cleanup(func() { net.Close() })
+
+	// View-0 commits never arrive, and while hold is set no view-change
+	// message does either, so the view change stays pending.
+	var hold atomic.Bool
+	net.SetFilter(func(src, dst message.NodeID, p []byte) ([]byte, bool) {
+		if m, err := message.Unmarshal(p); err == nil {
+			switch m := m.(type) {
+			case *message.Commit:
+				return p, m.View != 0
+			case *message.ViewChange:
+				return p, !hold.Load()
+			}
+		}
+		return p, true
+	})
+
+	c := NewCluster(net, cfg, 4, kvservice.Factory, nil)
+	c.Start()
+	t.Cleanup(c.Stop)
+
+	clA := c.NewClient()
+	clA.RetryTimeout = 5 * time.Second
+	if got := kvservice.DecodeU64(mustInvoke(t, clA, kvservice.Incr(), false)); got != 1 {
+		t.Fatalf("tentative incr -> %d", got)
+	}
+	waitReplicas(t, c, 0, 3, "tentative execution", func(r *Replica) bool {
+		var ok bool
+		r.do(func() { ok = r.lastExec == 1 && r.lastCommitted == 0 })
+		return ok
+	})
+
+	// Every replica starts the view change, rolling its tentative write
+	// back to the seq-0 snapshot.
+	hold.Store(true)
+	for i := 0; i < c.N(); i++ {
+		r := c.Replica(i)
+		var exec message.Seq
+		r.do(func() {
+			r.startViewChange(1)
+			exec = r.lastExec
+		})
+		if exec != 0 {
+			t.Fatalf("replica %d: lastExec %d after the view change, want a rollback to 0", i, exec)
+		}
+	}
+
+	clB := c.NewClient()
+	clB.RetryTimeout = 30 * time.Second
+	clB.MaxRetries = 0
+	type invokeResult struct {
+		res []byte
+		err error
+	}
+	done := make(chan invokeResult, 1)
+	go func() {
+		res, err := clB.Invoke(kvservice.Get(), true)
+		done <- invokeResult{res, err}
+	}()
+
+	// The read must queue behind the rolled-back write, not answer from
+	// the rolled-back state.
+	deadline := time.After(10 * time.Second)
+	for queued := 0; queued < c.N(); {
+		select {
+		case r := <-done:
+			t.Fatalf("read-only Get answered before the certified write recommitted: counter=%d, err=%v",
+				kvservice.DecodeU64(r.res), r.err)
+		case <-deadline:
+			t.Fatal("read-only request never queued")
+		case <-time.After(2 * time.Millisecond):
+		}
+		queued = 0
+		for i := 0; i < c.N(); i++ {
+			r := c.Replica(i)
+			r.do(func() {
+				if len(r.roQueue) > 0 {
+					queued++
+				}
+			})
+		}
+	}
+
+	// Let the view change finish: the write recommits in view 1 and the
+	// queued read answers with it.
+	hold.Store(false)
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("queued read-only request failed: %v", r.err)
+		}
+		if got := kvservice.DecodeU64(r.res); got != 1 {
+			t.Fatalf("read-only Get after the view change: counter=%d, want 1", got)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("queued read-only request never answered after the view change")
 	}
 }
 

@@ -99,8 +99,11 @@ type execRecord struct {
 // and recommitted later.
 type queuedRO struct {
 	req *message.Request
-	// mark is lastExec at arrival; the reply may go out only once
-	// lastCommitted has caught up to it (possibly in a later view).
+	// mark is maxExec at arrival; the reply may go out only once
+	// lastCommitted has caught up to it (possibly in a later view). Unlike
+	// lastExec, maxExec does not move back when a view change rolls
+	// tentative executions back, so a request that arrives after the
+	// rollback still waits for writes a client may hold a certificate for.
 	mark message.Seq
 }
 
@@ -117,9 +120,8 @@ type Replica struct {
 	cfg Config         // bftlint:owner=shared (immutable after NewReplica)
 	id  message.NodeID // bftlint:owner=shared
 	n   int            // bftlint:owner=shared
-	// bftlint:faultbound
-	f   int        // bftlint:owner=shared
-	dir *Directory // bftlint:owner=shared (internally locked)
+	f   int            // bftlint:owner=shared
+	dir *Directory     // bftlint:owner=shared (internally locked)
 
 	ks   *crypto.KeyStore // bftlint:owner=shared (copy-on-write snapshots)
 	kp   crypto.KeyPair   // bftlint:owner=shared (immutable)
@@ -145,6 +147,7 @@ type Replica struct {
 	log           *vlog.Log
 	lastExec      message.Seq // highest executed (tentative or final)
 	lastCommitted message.Seq // highest seq with all <= it committed+executed
+	maxExec       message.Seq // highest ever executed; rollbacks leave it
 	execRecords   map[message.Seq]execRecord
 
 	// Execution state. ex executes requests, builds replies and takes

