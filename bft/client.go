@@ -37,12 +37,11 @@ func ReadOnly(o *invokeOpts) { o.readOnly = true }
 //
 // One client principal has ONE operation in flight at a time (§2.3.2 —
 // replicas order per-client requests by timestamp); concurrent calls on
-// one Client serialize. Use a ClientPool for concurrency across principals.
+// one Client serialize, and a call still waiting its turn returns when its
+// context is done. Use a ClientPool for concurrency across principals.
 type Client struct {
 	inner *pbft.Client
 	id    int
-	// sem serializes invocations (ctx-aware, unlike a mutex).
-	sem chan struct{}
 }
 
 // NewClient constructs client principal k (0 ≤ k < opts.MaxClients)
@@ -59,8 +58,7 @@ func NewClient(k int, opts Options, net Network) *Client {
 	if opts.MaxRetries > 0 {
 		cl.MaxRetries = opts.MaxRetries
 	}
-	c := &Client{inner: cl, id: k, sem: make(chan struct{}, 1)}
-	return c
+	return &Client{inner: cl, id: k}
 }
 
 // ID returns the client's principal index.
@@ -83,12 +81,6 @@ func (c *Client) Invoke(ctx context.Context, op []byte, opts ...InvokeOption) ([
 // InvokeContext is the option-free form of Invoke (the library-wide
 // invocation interface shared with bft/fs and the workload drivers).
 func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([]byte, error) {
-	select {
-	case c.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-c.sem }()
 	return c.inner.InvokeContext(ctx, op, readOnly)
 }
 

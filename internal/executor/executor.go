@@ -21,6 +21,11 @@ import (
 
 // Outbound transmits one finished reply. The replica's implementation seals
 // it through its egress stage.
+//
+// rep is lent for the one call: it is the executor's own reply, which the
+// next reply overwrites. SendReply may read it, or change it before sealing
+// it, until it returns, and must not keep rep past that; Result aliases the
+// reply cache and the service's result, so it is never written in place.
 type Outbound interface {
 	SendReply(rep *message.Reply)
 }
@@ -78,6 +83,8 @@ type Stats struct {
 type Executor struct {
 	cfg      Config
 	ckptTime time.Duration
+	// rep is the reply every send builds and lends to Config.Out.
+	rep message.Reply
 }
 
 // New returns an executor over cfg's service, checkpoint manager and reply
@@ -143,16 +150,7 @@ func (e *Executor) ResendReply(client message.NodeID, view message.View) {
 	if cr == nil {
 		return
 	}
-	e.cfg.Out.SendReply(&message.Reply{
-		View:         view,
-		Timestamp:    cr.Timestamp,
-		Client:       client,
-		Replica:      e.cfg.Self,
-		Tentative:    cr.Tentative,
-		HasResult:    true,
-		Result:       cr.Result,
-		ResultDigest: crypto.DigestOf(cr.Result),
-	})
+	e.send(view, cr.Timestamp, client, cr.Tentative, cr.Result, true)
 }
 
 // Finalize marks the cached replies of a committed batch's requests as no
@@ -187,20 +185,26 @@ func (e *Executor) Sync(fn func()) { fn() }
 // designated replier; otherwise only the digest ships.
 func (e *Executor) sendReply(req *message.Request, result []byte, tentative bool,
 	view message.View) {
-	rep := &message.Reply{
+	full := !e.cfg.DigestReplies || req.Replier == e.cfg.Self || req.Replier == message.NoNode ||
+		len(result) <= e.cfg.SmallResult
+	e.send(view, req.Timestamp, req.Client, tentative, result, full)
+}
+
+// send builds the reply in the executor's own target, the result itself
+// only when full, and lends it to Config.Out.
+func (e *Executor) send(view message.View, ts uint64, client message.NodeID,
+	tentative bool, result []byte, full bool) {
+	e.rep = message.Reply{
 		View:         view,
-		Timestamp:    req.Timestamp,
-		Client:       req.Client,
+		Timestamp:    ts,
+		Client:       client,
 		Replica:      e.cfg.Self,
 		Tentative:    tentative,
-		HasResult:    true,
-		Result:       result,
+		HasResult:    full,
 		ResultDigest: crypto.DigestOf(result),
 	}
-	if e.cfg.DigestReplies && req.Replier != e.cfg.Self && req.Replier != message.NoNode &&
-		len(result) > e.cfg.SmallResult {
-		rep.HasResult = false
-		rep.Result = nil
+	if full {
+		e.rep.Result = result
 	}
-	e.cfg.Out.SendReply(rep)
+	e.cfg.Out.SendReply(&e.rep)
 }

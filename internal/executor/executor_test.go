@@ -10,10 +10,14 @@ import (
 	"repro/internal/statemachine"
 )
 
-// captureOut records replies for inspection.
+// captureOut records replies for inspection. SendReply is lent the
+// executor's own reply for one call, so it keeps a copy.
 type captureOut struct{ reps []*message.Reply }
 
-func (c *captureOut) SendReply(rep *message.Reply) { c.reps = append(c.reps, rep) }
+func (c *captureOut) SendReply(rep *message.Reply) {
+	cp := *rep
+	c.reps = append(c.reps, &cp)
+}
 
 func (c *captureOut) replies() []*message.Reply { return c.reps }
 

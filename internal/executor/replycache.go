@@ -33,8 +33,13 @@ func NewReplyCache() *ReplyCache {
 // Get returns client's entry, or nil.
 func (c *ReplyCache) Get(client message.NodeID) *Cached { return c.m[client] }
 
-// Set records the reply for client's request at ts.
+// Set records the reply for client's request at ts. It overwrites client's
+// entry in place, so an entry Get returned earlier now holds this reply.
 func (c *ReplyCache) Set(client message.NodeID, ts uint64, result []byte, tentative bool) {
+	if cr, ok := c.m[client]; ok {
+		*cr = Cached{Timestamp: ts, Result: result, Tentative: tentative}
+		return
+	}
 	c.m[client] = &Cached{Timestamp: ts, Result: result, Tentative: tentative}
 }
 

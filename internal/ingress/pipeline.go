@@ -16,9 +16,10 @@
 // loop, a client's folds the reply into its certificate). Per-sender order
 // is the transport's delivery order.
 //
-// Prepares and commits, the all-to-all votes of the normal case, are
-// decoded into targets the stage owns and lent to the sink for one call
-// (see Sink), so receiving a vote allocates nothing.
+// Prepares and commits, the all-to-all votes of the normal case, and the
+// replies a client collects into its certificate are decoded into targets
+// the stage owns and lent to the sink for one call (see Sink), so receiving
+// a vote or a reply allocates nothing.
 package ingress
 
 import (
@@ -49,13 +50,14 @@ func (f VerifierFunc) Verify(m message.Message) (bool, uint64) { return f(m) }
 // fail authentication arrive with verified=false so the consumer can count
 // them or apply fallbacks (the unauthenticated view-change rule of §3.2.4).
 //
-// A *message.Prepare or *message.Commit is lent, not given: the stage
-// decodes every vote into one target of each type that it owns, and the
-// next Submit overwrites it. The sink may read the vote until it returns
-// and must not keep m, or anything pointing into it, past that; a consumer
-// copies the fields it needs. message.Wire(m) is the received datagram,
-// which does outlive the call. Every other type is a fresh message the
-// sink may keep.
+// A *message.Prepare, *message.Commit or *message.Reply is lent, not given:
+// the stage decodes every vote and every reply into one target of each
+// type that it owns, and the next Submit overwrites it. The sink may read
+// the message until it returns and must not keep m, or anything pointing
+// into its struct (a decoded MAC vector lives there), past that; a consumer
+// copies the fields it needs. message.Wire(m) is the received datagram, and
+// the byte fields (a reply's Result) are views of it, which do outlive the
+// call. Every other type is a fresh message the sink may keep.
 type Sink func(m message.Message, verified bool, tag uint64)
 
 // Stats are the stage's counters (atomic; safe to read live).
@@ -75,9 +77,11 @@ type Pipeline struct {
 	closed atomic.Bool
 
 	// prep and commit are the decode targets of the two all-to-all votes
-	// (§2.3.3), lent to the sink for one call; see Sink.
+	// (§2.3.3), rep that of replies (§2.3.2); each is lent to the sink for
+	// one call; see Sink.
 	prep   message.Prepare
 	commit message.Commit
+	rep    message.Reply
 
 	rejected     atomic.Uint64
 	decodeFailed atomic.Uint64
@@ -102,7 +106,7 @@ func New(workers, queueCap int, v Verifier, sink Sink) *Pipeline {
 //
 // Submit has a single caller: the goroutine the transport delivers the
 // endpoint's datagrams on (every transport delivers them on one), because
-// the vote targets it decodes into are the stage's own. The datagram must
+// the targets it decodes into are the stage's own. The datagram must
 // not change after Submit returns, as a decoded message's byte fields and
 // message.Wire alias it.
 func (p *Pipeline) Submit(raw []byte) bool {
@@ -123,8 +127,8 @@ func (p *Pipeline) Submit(raw []byte) bool {
 	return true
 }
 
-// decode decodes the two vote types into the stage's own targets and every
-// other type through message.Unmarshal.
+// decode decodes the two vote types and replies into the stage's own
+// targets and every other type through message.Unmarshal.
 func (p *Pipeline) decode(raw []byte) (message.Message, error) {
 	if len(raw) > 0 {
 		switch message.Type(raw[0]) {
@@ -132,6 +136,8 @@ func (p *Pipeline) decode(raw []byte) (message.Message, error) {
 			return &p.prep, p.prep.Decode(raw)
 		case message.TCommit:
 			return &p.commit, p.commit.Decode(raw)
+		case message.TReply:
+			return &p.rep, p.rep.Decode(raw)
 		}
 	}
 	return message.Unmarshal(raw)

@@ -1,6 +1,7 @@
 package ingress
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -132,27 +133,32 @@ func TestPipelineSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// TestPipelineLendsVotes pins the Sink contract for the two vote types:
-// every prepare is decoded into one target the stage owns (likewise every
-// commit), correct for the length of the sink call, with message.Wire
-// giving the datagram, which outlives it.
+// TestPipelineLendsVotes pins the Sink contract for the two vote types and
+// replies: every prepare is decoded into one target the stage owns
+// (likewise every commit and every reply), correct for the length of the
+// sink call, with message.Wire giving the datagram, which outlives it, and
+// a reply's Result a view of that datagram.
 func TestPipelineLendsVotes(t *testing.T) {
 	type seen struct {
-		m    message.Message
-		seq  message.Seq
-		wire []byte
+		m      message.Message
+		seq    message.Seq
+		wire   []byte
+		result []byte
 	}
 	var got []seen
 	p := New(0, 0, VerifierFunc(func(message.Message) (bool, uint64) { return true, 0 }),
 		func(m message.Message, _ bool, _ uint64) {
 			var seq message.Seq
+			var result []byte
 			switch v := m.(type) {
 			case *message.Prepare:
 				seq = v.Seq
 			case *message.Commit:
 				seq = v.Seq
+			case *message.Reply:
+				seq, result = message.Seq(v.Timestamp), v.Result
 			}
-			got = append(got, seen{m, seq, message.Wire(m)})
+			got = append(got, seen{m, seq, message.Wire(m), result})
 		})
 	defer p.Close()
 
@@ -161,6 +167,8 @@ func TestPipelineLendsVotes(t *testing.T) {
 		(&message.Commit{Seq: 2, Replica: 1}).Marshal(),
 		(&message.Prepare{Seq: 3, Replica: 2}).Marshal(),
 		(&message.Commit{Seq: 4, Replica: 2}).Marshal(),
+		(&message.Reply{Timestamp: 5, Replica: 1, HasResult: true, Result: []byte("five")}).Marshal(),
+		(&message.Reply{Timestamp: 6, Replica: 2, HasResult: true, Result: []byte("six")}).Marshal(),
 	}
 	for i, raw := range raws {
 		if !p.Submit(raw) {
@@ -172,7 +180,13 @@ func TestPipelineLendsVotes(t *testing.T) {
 			t.Fatalf("vote %d: sink saw seq %d and a wire that is not the datagram", i, s.seq)
 		}
 	}
-	if got[0].m != got[2].m || got[1].m != got[3].m {
-		t.Fatal("the stage decoded a vote into a fresh object instead of its own target")
+	if got[0].m != got[2].m || got[1].m != got[3].m || got[4].m != got[5].m {
+		t.Fatal("the stage decoded a vote or reply into a fresh object instead of its own target")
+	}
+	for i, want := range []string{"five", "six"} {
+		s, raw := got[4+i], raws[4+i]
+		if string(s.result) != want || &s.result[0] != &raw[bytes.Index(raw, []byte(want))] {
+			t.Fatalf("reply %d: Result %q is not a view of its datagram", i, s.result)
+		}
 	}
 }

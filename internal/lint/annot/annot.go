@@ -18,6 +18,7 @@ import (
 	"go/token"
 	"slices"
 	"strings"
+	"unicode"
 )
 
 // Directive is one parsed bftlint comment.
@@ -41,15 +42,18 @@ func Known(key string) bool { return slices.Contains(Keys, key) }
 // prefix is what a directive comment starts with after the comment marker.
 const prefix = "bftlint:"
 
-// parseLine parses one comment's text (without the // or /* markers).
+// parseLine parses one comment's text (without the // or /* markers). The
+// prefix must open the text, after at most one space: a wrapped line of
+// prose in a doc comment's indented list that happens to start with it is
+// not a directive.
 func parseLine(text string, pos token.Pos) (Directive, bool) {
-	text = strings.TrimSpace(text)
+	text = strings.TrimPrefix(text, " ")
 	if !strings.HasPrefix(text, prefix) {
 		return Directive{}, false
 	}
 	body := text[len(prefix):]
 	// Anything after the first whitespace is commentary.
-	if i := strings.IndexAny(body, " \t"); i >= 0 {
+	if i := strings.IndexFunc(body, unicode.IsSpace); i >= 0 {
 		body = body[:i]
 	}
 	if body == "" {

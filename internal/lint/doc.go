@@ -36,7 +36,10 @@
 // (annot.Keys), an unknown domain, and a bftlint:KEY token that follows
 // other comment text, since the grammar never reads it. Prose that names a
 // directive quotes it in backquotes, and an indented code block (like the
-// examples above) is never read as a directive either.
+// examples above) is never read as a directive either. Nor is a line
+// indented by more than one space, such as the wrapped continuation of a
+// list item that happens to start with bftlint:KEY: it is prose, and no
+// finding.
 //
 // Keys and where they may appear:
 //

@@ -1,7 +1,8 @@
 // Package ownerfix exercises bftowner: goroutine-ownership annotations and
 // call-graph reachability from entrypoints, runs= closure checking,
 // method-level owner overrides, allow= suppression, and the directive
-// hygiene checks (unknown keys and domains, directives after text).
+// hygiene checks (unknown keys and domains, directives after text, prose
+// that is no directive).
 package ownerfix
 
 // replica mimics the event-loop-owned protocol core. Field-level
@@ -50,13 +51,21 @@ func spawn(fn func()) { go fn() }
 // reported at the entrypoint's call site with the chain.
 func (r *replica) bump() { r.seq++ }
 
+// prose is not a directive: a wrapped line of a doc comment's list
+//   - may start with the prefix, as this item's next line does when it
+//     bftlint:owner=eventloop names the domain in passing,
+//
+// so prose has no owner, and an entrypoint reading it is no finding.
+type prose struct{ n int }
+
 // bftlint:entrypoint=worker
-func decode(r *replica, g *region, c *cache) {
+func decode(r *replica, g *region, c *cache, p *prose) {
 	r.inbox <- 1 // shared field: ok
 	_ = r.seq    // want `worker-context decode reaches eventloop-owned replica\.seq`
 	r.bump()     // want `eventloop-owned replica\.seq via bump`
 	g.modify()   // want `eventloop-owned \(region\)\.modify` `eventloop-owned region\.n via modify`
 	_ = c.Len()  // owner=shared method override: ok
+	_ = p.n      // prose annotates nothing: ok
 	_ = r.view   // bftlint:allow=bftowner inspection hook, externally coordinated
 }
 

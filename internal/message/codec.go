@@ -32,9 +32,10 @@
 // pre-prepare's inline requests and digests, the view-change and new-view
 // sets, state-transfer part lists, new-key key lists) and, above
 // crypto.SmallGroup replicas, the MAC vector of an authenticator; smaller
-// vectors live inside the trailer. Prepare.Decode and Commit.Decode decode
-// the two all-to-all votes into a target the caller owns and reuses, and
-// allocate nothing for groups of up to crypto.SmallGroup. Remembering the
+// vectors live inside the trailer. Prepare.Decode, Commit.Decode and
+// Reply.Decode decode the two all-to-all votes and the replies a client
+// collects into a target the caller owns and reuses, and allocate nothing
+// for groups of up to crypto.SmallGroup. Remembering the
 // datagram (Wire) and, for requests and pre-prepares, the digest allocates
 // nothing.
 package message

@@ -166,6 +166,14 @@ func (m *Reply) unmarshalBody(r *reader) {
 	m.ResultDigest = r.digest()
 }
 
+// Decode decodes the reply in b into m, replacing everything m held; see
+// Prepare.Decode. A client receives n replies per operation and decodes
+// each into one target it owns.
+func (m *Reply) Decode(b []byte) error {
+	*m = Reply{}
+	return unmarshalInto(m, b)
+}
+
 // ---------------------------------------------------------------------------
 // Three-phase protocol
 // ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ import (
 // on a by-value copy, and across a client-style retransmission rewrite
 // (Replier changed, trailer replaced).
 //
-// Prepares and commits are also decoded into one reused target each, the
-// way a receiver decodes every vote it gets, after filling the target with
-// a different vote first: what the target holds must be exactly what a
-// fresh Unmarshal returns.
+// Prepares, commits and replies are also decoded into one reused target
+// each, the way a replica decodes every vote and a client every reply it
+// gets, after filling the target with a different message first: what the
+// target holds must be exactly what a fresh Unmarshal returns.
 func FuzzUnmarshalRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Request{Client: ClientIDBase, Timestamp: 9, Replier: NoNode,
@@ -40,11 +40,14 @@ func FuzzUnmarshalRoundTrip(f *testing.F) {
 		f.Add((&Prepare{View: 1, Seq: 2, Digest: crypto.Digest{3}, Replica: 1, Auth: a}).Marshal())
 		f.Add((&Commit{View: 4, Seq: 5, Digest: crypto.Digest{6}, Replica: 2, Auth: a}).Marshal())
 	}
-	var prep Prepare
-	var commit Commit
+	for _, a := range fuzzTrailers {
+		f.Add((&Reply{View: 2, Timestamp: 5, Client: ClientIDBase + 1, Replica: 3,
+			Tentative: true, ResultDigest: crypto.Digest{4}, Auth: a}).Marshal())
+	}
+	var targets reusedTargets
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Unmarshal(b)
-		checkReusedVoteDecode(t, &prep, &commit, b, m, err)
+		checkReusedDecode(t, &targets, b, m, err)
 		if err != nil {
 			return
 		}
@@ -128,29 +131,45 @@ var fuzzTrailers = []Auth{
 	{Kind: AuthSig, Sig: []byte("signature")},
 }
 
-// checkReusedVoteDecode decodes b into the reused prepare and commit
-// targets, each first filled with a different vote, and compares the
-// result with Unmarshal's (m, err).
-func checkReusedVoteDecode(t *testing.T, prep *Prepare, commit *Commit, b []byte, m Message, err error) {
+// reusedTargets are the decode targets a receiver reuses across messages.
+type reusedTargets struct {
+	prep   Prepare
+	commit Commit
+	rep    Reply
+}
+
+// checkReusedDecode decodes b into the reused target of its type, first
+// filled with a different message, and compares the result with
+// Unmarshal's (m, err).
+func checkReusedDecode(t *testing.T, rt *reusedTargets, b []byte, m Message, err error) {
 	t.Helper()
 	if len(b) == 0 {
 		return
 	}
+	dirtyAuth := fuzzTrailers[len(b)%len(fuzzTrailers)]
 	var target Message
 	var decodeErr error
 	switch Type(b[0]) {
 	case TPrepare:
-		dirty := &Prepare{View: 99, Seq: 98, Digest: crypto.Digest{97}, Replica: 96, Auth: fuzzTrailers[len(b)%len(fuzzTrailers)]}
-		if err := prep.Decode(dirty.Marshal()); err != nil {
+		dirty := &Prepare{View: 99, Seq: 98, Digest: crypto.Digest{97}, Replica: 96, Auth: dirtyAuth}
+		if err := rt.prep.Decode(dirty.Marshal()); err != nil {
 			t.Fatalf("decoding a well-formed prepare: %v", err)
 		}
-		target, decodeErr = prep, prep.Decode(b)
+		target, decodeErr = &rt.prep, rt.prep.Decode(b)
 	case TCommit:
-		dirty := &Commit{View: 99, Seq: 98, Digest: crypto.Digest{97}, Replica: 96, Auth: fuzzTrailers[len(b)%len(fuzzTrailers)]}
-		if err := commit.Decode(dirty.Marshal()); err != nil {
+		dirty := &Commit{View: 99, Seq: 98, Digest: crypto.Digest{97}, Replica: 96, Auth: dirtyAuth}
+		if err := rt.commit.Decode(dirty.Marshal()); err != nil {
 			t.Fatalf("decoding a well-formed commit: %v", err)
 		}
-		target, decodeErr = commit, commit.Decode(b)
+		target, decodeErr = &rt.commit, rt.commit.Decode(b)
+	case TReply:
+		dirty := &Reply{View: 99, Timestamp: 98, Client: ClientIDBase + 97, Replica: 96,
+			Tentative: true, HasResult: true, Result: []byte("stale result"),
+			ResultDigest: crypto.Digest{95}, Auth: dirtyAuth}
+		if err := rt.rep.Decode(dirty.Marshal()); err != nil {
+			t.Fatalf("decoding a well-formed reply: %v", err)
+		}
+		target, decodeErr = &rt.rep, rt.rep.Decode(b)
 	default:
 		return
 	}

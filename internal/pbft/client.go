@@ -22,6 +22,12 @@ var ErrClientClosed = errors.New("pbft: client closed")
 // the primary (retransmitting to everyone on timeout), and assembles reply
 // certificates — weak (f+1) for ordinary replies, quorum (2f+1) for
 // tentative and read-only replies.
+//
+// A client principal has one invocation in flight at a time (§2.3.2:
+// replicas order one client's requests by timestamp); concurrent calls
+// serialize. Every invocation reuses the client's request, retry timer and
+// reply tallies instead of allocating them, but a result is never reused:
+// it is a view of the reply datagram and stays the caller's.
 type Client struct {
 	id   message.NodeID
 	dir  *Directory
@@ -42,14 +48,21 @@ type Client struct {
 	// MaxRetries bounds retransmissions before Invoke fails.
 	MaxRetries int
 
+	// sem is a one-slot semaphore (ctx-aware, unlike a mutex) held by the
+	// invocation in flight, which alone uses req, timer and nextReplier.
+	sem         chan struct{}
+	req         message.Request
+	timer       *time.Timer
+	nextReplier uint64
+
 	mu        sync.Mutex
 	timestamp uint64
 	view      message.View // latest view observed in replies
-	pending   *pendingInvoke
-	closed    bool
-
-	replierMu   sync.Mutex
-	nextReplier uint64
+	// inv holds the reply tallies every invocation reuses; pending is inv
+	// while an invocation waits for its certificate, nil otherwise.
+	inv     *pendingInvoke
+	pending *pendingInvoke
+	closed  bool
 }
 
 // replyVote is one replica's latest reply to the pending request; the zero
@@ -78,14 +91,25 @@ type pendingInvoke struct {
 }
 
 // newPendingInvoke sizes the per-replica tallies for a group of n.
-func newPendingInvoke(ts uint64, need, n int, readOnly bool) *pendingInvoke {
+func newPendingInvoke(n int) *pendingInvoke {
 	return &pendingInvoke{
-		timestamp: ts,
-		need:      need,
-		votes:     make([]replyVote, n),
-		results:   make([]replyResult, n),
-		done:      make(chan []byte, 1),
-		readOnly:  readOnly,
+		votes:   make([]replyVote, n),
+		results: make([]replyResult, n),
+		done:    make(chan []byte, 1),
+	}
+}
+
+// reset readies the tallies for the invocation at ts. It drops the last
+// invocation's votes and results, and the datagram views they hold, and a
+// certificate the last invocation completed after its caller stopped
+// waiting, which must not answer this one.
+func (p *pendingInvoke) reset(ts uint64, need int, readOnly bool) {
+	p.timestamp, p.need, p.readOnly = ts, need, readOnly
+	clear(p.votes)
+	clear(p.results)
+	select {
+	case <-p.done:
+	default:
 	}
 }
 
@@ -120,8 +144,12 @@ func NewClient(id message.NodeID, dir *Directory, net Network, mode Mode, opt Op
 		kp:           crypto.GenerateKeyPair(crypto.DeriveKey("client-identity", uint64(id))),
 		RetryTimeout: 150 * time.Millisecond,
 		MaxRetries:   10,
+		sem:          make(chan struct{}, 1),
+		timer:        time.NewTimer(time.Hour),
+		inv:          newPendingInvoke(dir.N()),
 		nextReplier:  uint64(id), // stagger start across clients
 	}
+	c.timer.Stop()
 	dir.Register(id, c.kp.Public)
 	for i := 0; i < dir.N(); i++ {
 		c.ks.InstallInitial(uint32(i))
@@ -166,13 +194,21 @@ func (c *Client) Invoke(op []byte, readOnly bool) ([]byte, error) {
 // InvokeContext is Invoke with cancellation: the retry loop checks ctx
 // between transmissions and while waiting for a reply certificate, so an
 // in-flight invocation returns promptly with ctx.Err() when the caller
-// cancels or a deadline passes. The client stays usable afterwards — the
-// abandoned timestamp is simply never reused, and any certificate that
-// completes late is discarded like any other stale reply.
+// cancels or a deadline passes, and a call still waiting for the one in
+// flight returns as soon as ctx is done. The client stays usable
+// afterwards — the abandoned timestamp is simply never reused, and any
+// certificate that completes late is discarded like any other stale reply.
 func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	select {
+	case c.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-c.sem }()
+
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -187,15 +223,19 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 	if useRO {
 		need = quorum.Strong(c.f())
 	}
-	p := newPendingInvoke(ts, need, c.dir.N(), useRO)
+	p := c.inv
+	p.reset(ts, need, useRO)
 	c.pending = p
 	c.mu.Unlock()
+	defer c.finish()
 
-	replier := c.pickReplier()
-	req := &message.Request{
+	// The egress stage seals req into a wire buffer of its own and keeps
+	// no reference to it, so one request serves every transmission.
+	req := &c.req
+	*req = message.Request{
 		Client:    c.id,
 		Timestamp: ts,
-		Replier:   replier,
+		Replier:   c.pickReplier(),
 		Op:        op,
 	}
 	if useRO {
@@ -216,46 +256,42 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 
 	timeout := c.RetryTimeout
 	maxBackoff := 8 * c.RetryTimeout // cap the exponential backoff (§5.2)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	c.timer.Reset(timeout)
 	for attempt := 0; attempt <= c.MaxRetries; attempt++ {
 		select {
 		case res := <-p.done:
-			c.mu.Lock()
-			c.pending = nil
-			c.mu.Unlock()
 			return res, nil
 		case <-ctx.Done():
-			c.mu.Lock()
-			c.pending = nil
-			c.mu.Unlock()
 			return nil, ctx.Err()
-		case <-timer.C:
+		case <-c.timer.C:
 		}
 		// Retransmit to all replicas; ask everyone for the full result and
 		// demote read-only to read-write (§5.1.3, §5.2).
-		retry := &message.Request{
-			Client:    c.id,
-			Timestamp: ts,
-			Replier:   message.NoNode,
-			Op:        op,
-		}
+		req.Replier, req.Flags = message.NoNode, 0
 		c.mu.Lock()
 		if p.readOnly {
 			p.demote(quorum.Weak(c.f()))
 		}
 		c.mu.Unlock()
-		c.sendRequest(retry, message.NoNode)
+		c.sendRequest(req, message.NoNode)
 		timeout *= 2 // randomized exponential backoff, deterministic here
 		if timeout > maxBackoff {
 			timeout = maxBackoff
 		}
-		timer.Reset(timeout)
+		c.timer.Reset(timeout)
 	}
+	return nil, errors.New("pbft: request timed out without a reply certificate")
+}
+
+// finish ends the invocation in flight: later replies find nothing
+// pending, the timer holds no tick for the next invocation (Stop guarantees
+// that since Go 1.23), and the request lets go of the caller's operation.
+func (c *Client) finish() {
 	c.mu.Lock()
 	c.pending = nil
 	c.mu.Unlock()
-	return nil, errors.New("pbft: request timed out without a reply certificate")
+	c.timer.Stop()
+	c.req = message.Request{}
 }
 
 // pickReplier chooses the designated replier round-robin (load balancing,
@@ -263,8 +299,6 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 // over any window of n requests every replica returns exactly one full
 // result. (An earlier LCG here skewed replier load through modulo bias.)
 func (c *Client) pickReplier() message.NodeID {
-	c.replierMu.Lock()
-	defer c.replierMu.Unlock()
 	id := message.NodeID(c.nextReplier % uint64(c.dir.N()))
 	c.nextReplier++
 	return id
@@ -295,10 +329,17 @@ func (c *Client) verifyInbound(m message.Message) (bool, uint64) {
 	return c.verifyReply(rep), 0
 }
 
-// onReply folds one authenticated reply into the pending certificate.
+// onReply folds one authenticated reply into the pending certificate. rep
+// is lent by the ingress stage for the call; the tallies keep its Result,
+// a view of the datagram, and copy everything else.
 func (c *Client) onReply(rep *message.Reply) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.foldReply(rep)
+}
+
+// foldReply is onReply with c.mu held.
+func (c *Client) foldReply(rep *message.Reply) {
 	if rep.View > c.view {
 		c.view = rep.View // track the current primary (§2.3.2)
 	}

@@ -2,9 +2,13 @@ package pbft
 
 import (
 	"bytes"
+	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/crypto"
+	"repro/internal/kvservice"
 	"repro/internal/message"
 	"repro/internal/quorum"
 )
@@ -79,7 +83,8 @@ func TestReplyCertificateTally(t *testing.T) {
 			if tc.readOnly {
 				need = quorum.Strong(quorum.F(n))
 			}
-			p := newPendingInvoke(7, need, n, tc.readOnly)
+			p := newPendingInvoke(n)
+			p.reset(7, need, tc.readOnly)
 			c := &Client{dir: NewDirectory(n), pending: p}
 			done := p.done
 			p.done = nil // a nil channel never takes the result
@@ -125,4 +130,102 @@ func TestReplyCertificateTally(t *testing.T) {
 func digestOf(s string) []byte {
 	d := crypto.DigestOf([]byte(s))
 	return d[:]
+}
+
+// TestReplyPathAllocationBudget pins the steady state of the reply path on
+// a warmed simnet cluster of n = 4. A read-only Invoke allocates, at each
+// replica, only the request it decodes and the result the service returns,
+// plus the wire buffers the simulator keeps, one per sealed datagram: the
+// client's multicast and the n replies (a real transport hands them back
+// for reuse). The client's request, retry timer and tallies, the reply
+// each replica builds, its reply cache and read-only queue, and the
+// client's decode of every reply cost nothing.
+func TestReplyPathAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	cfg := testConfig()
+	cfg.StatusInterval = time.Hour // no status traffic while measuring
+	c := newTestCluster(t, 4, cfg, nil)
+	cl := c.NewClient()
+	mustInvoke(t, cl, kvservice.Incr(), false)
+	op := kvservice.Get()
+	for i := 0; i < 50; i++ {
+		mustInvoke(t, cl, op, true)
+	}
+	const n = 4
+	const budget = n + n + 1 + n // request decodes, results, kept wire buffers
+	// The slowest replica's reply may land after the last run ends, so the
+	// floored average can read one below the budget.
+	got := testing.AllocsPerRun(500, func() {
+		if v := kvservice.DecodeU64(mustInvoke(t, cl, op, true)); v != 1 {
+			t.Fatalf("read-only get returned %d, want 1", v)
+		}
+	})
+	if got > budget {
+		t.Errorf("%v allocations per read-only invoke, want at most %d", got, budget)
+	} else {
+		t.Logf("%v allocations per read-only invoke (budget %d)", got, budget)
+	}
+}
+
+// TestInvokeAfterCancelGetsOwnResult cancels an invocation whose reply
+// certificate completes after its caller stopped waiting but before the
+// invocation ended, then invokes again on the same client, which reuses
+// its tallies: the second call must return its own result, not the
+// certificate the first one left behind.
+func TestInvokeAfterCancelGetsOwnResult(t *testing.T) {
+	c := newTestCluster(t, 4, testConfig(), nil)
+	cl := c.NewClient()
+	var hold atomic.Bool           // the replicas never hear a cancelled call
+	held := make(chan struct{}, 1) // its request was sent, so it waits for replies
+	c.Net.SetFilter(func(src, _ message.NodeID, p []byte) ([]byte, bool) {
+		if hold.Load() && src == cl.ID() {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			return p, false
+		}
+		return p, true
+	})
+	stale := []byte("stale certificate")
+	cancelled := 0
+	for round := uint64(1); round <= 5; round++ {
+		hold.Store(true)
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := cl.InvokeContext(ctx, kvservice.Incr(), false)
+			errc <- err
+		}()
+		<-held
+		// Cancel and complete a weak certificate under the client's lock:
+		// the invocation, woken by ctx, ends only after the lock is
+		// released, so the certificate completes after its caller gave up.
+		cl.mu.Lock()
+		cancel()
+		ts := cl.pending.timestamp
+		for r := message.NodeID(0); r < 2; r++ {
+			cl.foldReply(&message.Reply{Timestamp: ts, Replica: r, HasResult: true,
+				Result: stale, ResultDigest: crypto.DigestOf(stale)})
+		}
+		cl.mu.Unlock()
+		// The certificate can still win if the invocation reached its
+		// select only after both were ready.
+		if err := <-errc; err == context.Canceled {
+			cancelled++
+		}
+		hold.Store(false)
+		res := mustInvoke(t, cl, kvservice.Incr(), false)
+		if bytes.Equal(res, stale) {
+			t.Fatalf("round %d: the call after a cancelled one returned the cancelled call's certificate", round)
+		}
+		if got := kvservice.DecodeU64(res); got != round {
+			t.Fatalf("round %d: incr returned %d, want %d", round, got, round)
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no invocation saw its cancellation, so no certificate was left behind")
+	}
 }

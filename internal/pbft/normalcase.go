@@ -791,18 +791,22 @@ func (r *Replica) drainReadOnly() {
 	if len(r.roQueue) == 0 || r.lastExec != r.lastCommitted {
 		return
 	}
+	// Filter in place, so the queue keeps its array across drains; the
+	// cleared tail pins no answered request.
 	q := r.roQueue
-	r.roQueue = nil
+	keep := q[:0]
 	for _, e := range q {
 		if e.mark > r.lastCommitted {
 			// The tentative prefix observed at arrival has not recommitted
 			// yet; keep waiting (the client's retry demotes to read-write if
 			// this drags on, §5.1.3).
-			r.roQueue = append(r.roQueue, e)
+			keep = append(keep, e)
 			continue
 		}
 		r.ex.ExecReadOnly(e.req, r.view)
 	}
+	clear(q[len(keep):])
+	r.roQueue = keep
 }
 
 // ---------------------------------------------------------------------------

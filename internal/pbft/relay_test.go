@@ -81,8 +81,12 @@ func TestSeparateRequestsAreNotRelayed(t *testing.T) {
 
 // TestBackupsRelayMissedInlineRequest is the relay case of §4.1: the
 // primary misses every client transmission of an inline-sized request, so
-// the backups, which see it on the client's retransmission, relay it once
-// each and it executes without a view change.
+// the backups, which see it on the client's retransmission, relay it and it
+// executes without a view change. Which backups relay depends on arrival
+// order: one whose pre-prepare for the request arrives before the
+// retransmission has nothing left to relay. So the test asserts what §4.1
+// guarantees: some backup relays, none relays twice, and the request runs
+// in view 0.
 func TestBackupsRelayMissedInlineRequest(t *testing.T) {
 	c := newTestCluster(t, 4, testConfig(), nil)
 	tp := tapRequests(c, func(int) bool { return true })
@@ -90,14 +94,17 @@ func TestBackupsRelayMissedInlineRequest(t *testing.T) {
 	if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Incr(), false)); got != 1 {
 		t.Fatalf("incr returned %d, want 1", got)
 	}
-	// A reply certificate needs only some of the replicas; the others see
-	// the retransmission, and relay it, before the pre-prepare that
-	// follows it.
 	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "every replica to execute the request", nil)
+	relays := 0
 	for id := message.NodeID(1); id < 4; id++ {
-		if got := tp.relaysFrom(id); got != 1 {
-			t.Errorf("backup %d relayed the request %d times, want 1", id, got)
+		got := tp.relaysFrom(id)
+		if got > 1 {
+			t.Errorf("backup %d relayed the request %d times, want at most 1", id, got)
 		}
+		relays += got
+	}
+	if relays == 0 {
+		t.Error("no backup relayed the request, yet the primary never received it from the client")
 	}
 	requireView(t, c, 0)
 }

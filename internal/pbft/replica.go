@@ -242,12 +242,19 @@ type inbound struct {
 }
 
 // inboundOf builds the inbox element for one verdict of the ingress stage.
-// The stage lends its prepare and commit targets for the length of the sink
-// call only, so a vote is carried by its datagram, which outlives the call.
+// The stage lends its prepare, commit and reply targets for the length of
+// the sink call only, so a vote is carried by its datagram, which outlives
+// the call. A reply reaches a replica only as an answer to its own §4.3.2
+// recovery request, rarely, so it is copied: decoded again from its
+// datagram into a message of its own, trailer included.
 func inboundOf(m message.Message, ok bool, gen uint64) inbound {
 	switch m.(type) {
 	case *message.Prepare, *message.Commit:
 		return inbound{raw: message.Wire(m), ok: ok, gen: gen}
+	case *message.Reply:
+		rep := new(message.Reply)
+		_ = rep.Decode(message.Wire(m)) // the stage decoded these bytes already
+		return inbound{m: rep, ok: ok, gen: gen}
 	}
 	return inbound{m: m, ok: ok, gen: gen}
 }

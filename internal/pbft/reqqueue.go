@@ -17,10 +17,14 @@ import (
 // The queue also maintains a running byte total of the queued operations so
 // the batch assembler can apply its byte cap and the adaptive policy can
 // read queue pressure without walking the list.
+//
+// Nodes that leave the list wait in free, unlinked, for the next Push, so a
+// queue that has once held k clients queues them again without allocating.
 type requestQueue struct {
 	head, tail *reqNode
 	byClient   map[message.NodeID]*reqNode
 	bytes      int
+	free       []*reqNode
 }
 
 // reqNode is one queued request: the client principal, the digest of its
@@ -70,7 +74,13 @@ func (q *requestQueue) Push(client message.NodeID, d crypto.Digest, size int) {
 		}
 		q.unlink(old)
 	}
-	n := &reqNode{client: client, digest: d, size: size}
+	var n *reqNode
+	if k := len(q.free); k > 0 {
+		n, q.free = q.free[k-1], q.free[:k-1]
+	} else {
+		n = new(reqNode)
+	}
+	*n = reqNode{client: client, digest: d, size: size}
 	q.byClient[client] = n
 	q.bytes += size
 	if q.tail == nil {
@@ -132,4 +142,5 @@ func (q *requestQueue) unlink(n *reqNode) {
 	n.prev, n.next = nil, nil
 	delete(q.byClient, n.client)
 	q.bytes -= n.size
+	q.free = append(q.free, n)
 }
