@@ -15,8 +15,8 @@
 // Wire buffers come from a pool and are handed to the transport through
 // transport.Multicaster when the substrate implements it: the transport
 // coalesces the n datagrams of one multicast and releases the buffer for
-// reuse once the bytes are out. Substrates that retain payload references
-// (the simulator) never release, and the buffer falls to the GC.
+// reuse once the bytes are out. Both substrates release before the send
+// returns, so in steady state a send takes its buffer from the pool.
 package egress
 
 import (
@@ -58,8 +58,9 @@ type wireBuf struct{ b []byte }
 
 var (
 	// wirePool holds buffers the transport released. When it is empty a
-	// fresh buffer is attached to a recycled holder, so a substrate that
-	// never releases (the simulator) costs one allocation per send.
+	// fresh buffer is attached to a recycled holder; a transport without
+	// the Multicaster extension never releases, and costs one allocation
+	// per send.
 	wirePool = sync.Pool{New: func() any {
 		w := holderPool.Get().(*wireBuf)
 		w.b = make([]byte, 0, 512)

@@ -134,12 +134,11 @@ func digestOf(s string) []byte {
 
 // TestReplyPathAllocationBudget pins the steady state of the reply path on
 // a warmed simnet cluster of n = 4. A read-only Invoke allocates, at each
-// replica, only the request it decodes and the result the service returns,
-// plus the wire buffers the simulator keeps, one per sealed datagram: the
-// client's multicast and the n replies (a real transport hands them back
-// for reuse). The client's request, retry timer and tallies, the reply
-// each replica builds, its reply cache and read-only queue, and the
-// client's decode of every reply cost nothing.
+// replica, only the request it decodes and the result the service returns.
+// The client's request, retry timer and tallies, the reply each replica
+// builds, its reply cache and read-only queue, the client's decode of
+// every reply, and the wire buffers (simnet releases them like udpnet)
+// cost nothing.
 func TestReplyPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
@@ -154,7 +153,7 @@ func TestReplyPathAllocationBudget(t *testing.T) {
 		mustInvoke(t, cl, op, true)
 	}
 	const n = 4
-	const budget = n + n + 1 + n // request decodes, results, kept wire buffers
+	const budget = n + n // request decodes, results
 	// The slowest replica's reply may land after the last run ends, so the
 	// floored average can read one below the budget.
 	got := testing.AllocsPerRun(500, func() {

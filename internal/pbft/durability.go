@@ -289,7 +289,7 @@ func (r *Replica) walRequest(req *message.Request) {
 	r.wal.Append(wal.Record{
 		Kind: wal.KindRequest,
 		From: uint32(req.Client),
-		Body: req.Marshal(),
+		Body: walBody(req),
 	})
 }
 
@@ -319,8 +319,18 @@ func (r *Replica) walPrePrepare(pp *message.PrePrepare) {
 		Seq:  uint64(pp.Seq),
 		View: uint64(pp.View),
 		From: uint32(pp.Replica),
-		Body: pp.Marshal(),
+		Body: walBody(pp),
 	})
+}
+
+// walBody is the logged encoding of m: the datagram it was decoded from,
+// or a fresh encoding for a message built locally. The codec is strict,
+// so both are the same bytes.
+func walBody(m message.Message) []byte {
+	if b := message.Wire(m); b != nil {
+		return b
+	}
+	return m.Marshal()
 }
 
 // walVote logs one prepare or commit vote recorded in a slot — our own

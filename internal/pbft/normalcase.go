@@ -158,6 +158,7 @@ func (r *Replica) issueReady(deadline bool) {
 		r.metrics.RequestsProposed += uint64(len(batch))
 		r.metrics.BatchBytesTotal += uint64(size)
 		r.issueBatch(batch)
+		clear(batch) // the scratch must not keep proposed requests alive
 	}
 	r.disarmBatchWait()
 }
@@ -262,8 +263,10 @@ func (r *Replica) onBatchWait() {
 // takeBatch pops up to target requests off the queue, stopping early rather
 // than pushing a non-empty batch past batchBytes. A single request larger
 // than batchBytes is proposed alone — the cap bounds batch assembly, it is
-// not an admission limit.
+// not an admission limit. The batch is the event loop's scratch slice,
+// valid until the next call; the caller clears it once the batch is issued.
 func (r *Replica) takeBatch(target int) (batch []*message.Request, size int) {
+	batch = r.batchScratch[:0]
 	for len(batch) < target && r.queue.Len() > 0 {
 		if _, _, sz, ok := r.queue.Front(); ok && len(batch) > 0 && size+sz > batchBytes {
 			break // byte cap: flush what we have; the next batch takes it
@@ -285,6 +288,7 @@ func (r *Replica) takeBatch(target int) (batch []*message.Request, size int) {
 		batch = append(batch, req)
 		size += sz
 	}
+	r.batchScratch = batch
 	return batch, size
 }
 
@@ -328,8 +332,21 @@ func (r *Replica) issueBatch(batch []*message.Request) {
 
 // buildPrePrepare splits a batch into inline requests and digests of
 // separately-transmitted ones, and attaches the non-deterministic choice.
+// Both lists are sized once, from a first pass that counts them.
 func (r *Replica) buildPrePrepare(v message.View, seq message.Seq, batch []*message.Request) *message.PrePrepare {
 	pp := &message.PrePrepare{View: v, Seq: seq, Replica: r.id, NonDet: r.service.ProposeNonDet()}
+	inline := 0
+	for _, req := range batch {
+		if !r.cfg.Opt.separate(len(req.Op)) {
+			inline++
+		}
+	}
+	if inline > 0 {
+		pp.Inline = make([]message.Request, 0, inline)
+	}
+	if separate := len(batch) - inline; separate > 0 {
+		pp.Digests = make([]crypto.Digest, 0, separate)
+	}
 	for _, req := range batch {
 		if r.cfg.Opt.separate(len(req.Op)) {
 			pp.Digests = append(pp.Digests, req.Digest())

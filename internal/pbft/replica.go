@@ -179,12 +179,14 @@ type Replica struct {
 	waitingPP map[message.Seq]*message.PrePrepare
 
 	// Scratch the event loop reuses: the inbound votes it decodes
-	// (decodeVote), its own outbound votes (ownPrepare, ownCommit), and a
-	// batch's requests and executor entries (batchRequests, execBatch).
+	// (decodeVote), its own outbound votes (ownPrepare, ownCommit), the
+	// batch it proposes (takeBatch), and a batch's requests and executor
+	// entries (batchRequests, execBatch).
 	prepIn       message.Prepare
 	commitIn     message.Commit
 	prepOut      message.Prepare
 	commitOut    message.Commit
+	batchScratch []*message.Request
 	reqScratch   []*message.Request
 	entryScratch []executor.Entry
 

@@ -7,10 +7,18 @@
 // central scheduler goroutine applies a per-link latency model
 // (base + jitter + bytes/bandwidth) and delivers into bounded per-endpoint
 // queues, so overload produces drops exactly like a UDP socket buffer.
+//
+// Ownership follows udpnet: every send copies its payload once into a
+// 64 KiB slab owned by the sending endpoint and keeps nothing of the
+// caller's buffer after it returns, so the Owned forms release it at once.
+// The receivers of a multicast share that one copy, a view clipped to its
+// length, and simnet never writes a slab region again once it has handed
+// it out. A view a receiver keeps pins its whole slab, as with udpnet.
+// Delayed datagrams wait by value in a heap the scheduler owns, so a send
+// allocates nothing in steady state.
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -73,6 +81,10 @@ type Network struct {
 // at a full queue is dropped and counted in Stats.MsgsOverflow.
 const queueCap = 8192
 
+// sendSlab is the size of the slabs an endpoint copies its outgoing
+// datagrams into, the size of udpnet's receive slabs.
+const sendSlab = 64 << 10
+
 type linkKey struct{ src, dst message.NodeID }
 
 type delivery struct {
@@ -82,23 +94,54 @@ type delivery struct {
 	seq     uint64 // tie-break for stable ordering
 }
 
-type deliveryQueue []*delivery
+// deliveryQueue is a binary min-heap of deliveries by (at, seq), held by
+// value: container/heap's interface would box every push.
+type deliveryQueue []delivery
 
-func (q deliveryQueue) Len() int { return len(q) }
-func (q deliveryQueue) Less(i, j int) bool {
+func (q deliveryQueue) less(i, j int) bool {
 	if q[i].at.Equal(q[j].at) {
 		return q[i].seq < q[j].seq
 	}
 	return q[i].at.Before(q[j].at)
 }
-func (q deliveryQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *deliveryQueue) Push(x interface{}) { *q = append(*q, x.(*delivery)) }
-func (q *deliveryQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	d := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+
+func (q *deliveryQueue) push(d delivery) {
+	*q = append(*q, d)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest delivery; the queue must not be
+// empty.
+func (q *deliveryQueue) pop() delivery {
+	h := *q
+	d := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = delivery{} // the backing array must not pin the payload
+	h = h[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
 	return d
 }
 
@@ -108,6 +151,29 @@ type endpoint struct {
 	queue chan []byte
 	stop  chan struct{}
 	once  sync.Once
+
+	slabMu sync.Mutex
+	slab   []byte // unused tail of the current send slab; the first is lazy
+}
+
+// own copies payload into the endpoint's send slab and returns the copy,
+// its capacity clipped to its length so that an append reallocates rather
+// than writing into the next datagram. A datagram larger than a slab gets
+// a buffer of its own.
+func (ep *endpoint) own(payload []byte) []byte {
+	n := len(payload)
+	if n > sendSlab {
+		return append([]byte(nil), payload...)
+	}
+	ep.slabMu.Lock()
+	if len(ep.slab) < n {
+		ep.slab = make([]byte, sendSlab)
+	}
+	p := ep.slab[:n:n]
+	ep.slab = ep.slab[n:]
+	ep.slabMu.Unlock()
+	copy(p, payload)
+	return p
 }
 
 // Option configures a Network.
@@ -286,10 +352,14 @@ func (n *Network) Stats() Stats {
 
 var seqCounter uint64
 
-func (n *Network) send(src, dst message.NodeID, payload []byte) {
+// send delivers one datagram from ep to dst. It keeps only its own copy
+// of payload.
+func (n *Network) send(ep *endpoint, dst message.NodeID, payload []byte) {
 	if n.closed.Load() {
 		return
 	}
+	src := ep.id
+	payload = ep.own(payload)
 	atomic.AddUint64(&n.stats.MsgsSent, 1)
 	atomic.AddUint64(&n.stats.BytesSent, uint64(len(payload)))
 
@@ -344,14 +414,14 @@ func (n *Network) send(src, dst message.NodeID, payload []byte) {
 			n.deliver(dst, payload)
 			continue
 		}
-		d := &delivery{
+		d := delivery{
 			at:      time.Now().Add(delay),
 			dst:     dst,
 			payload: payload,
 			seq:     atomic.AddUint64(&seqCounter, 1),
 		}
 		n.qMu.Lock()
-		heap.Push(&n.q, d)
+		n.q.push(d)
 		n.qMu.Unlock()
 		select {
 		case n.wake <- struct{}{}:
@@ -385,11 +455,14 @@ func (n *Network) deliverEp(ep *endpoint, payload []byte) {
 // observable behavior (stats, filters, loss/dup/jitter draws, delivery
 // order) is identical to looping send over dsts — the PRNG is consumed in
 // the same per-destination order — so a simulation does not depend on which
-// of the two surfaces a sender uses.
-func (n *Network) multicast(src message.NodeID, dsts []message.NodeID, payload []byte) {
+// of the two surfaces a sender uses. Every destination gets the same one
+// copy of payload.
+func (n *Network) multicast(ep *endpoint, dsts []message.NodeID, payload []byte) {
 	if n.closed.Load() {
 		return
 	}
+	src := ep.id
+	payload = ep.own(payload)
 	type hop struct {
 		ep      *endpoint
 		cfg     LinkConfig
@@ -464,7 +537,8 @@ func (n *Network) multicast(src message.NodeID, dsts []message.NodeID, payload [
 	n.rngMu.Unlock()
 
 	now := time.Now()
-	var delayed []*delivery
+	var delayedBuf [2 * len(hopBuf)]delivery // a duplicate is a second delivery
+	delayed := delayedBuf[:0]
 	for i, h := range hops {
 		if fates[i].loss {
 			dropped++
@@ -483,7 +557,7 @@ func (n *Network) multicast(src message.NodeID, dsts []message.NodeID, payload [
 				n.deliverEp(h.ep, h.payload)
 				continue
 			}
-			delayed = append(delayed, &delivery{
+			delayed = append(delayed, delivery{
 				at:      now.Add(delay),
 				dst:     h.ep.id,
 				payload: h.payload,
@@ -498,7 +572,7 @@ func (n *Network) multicast(src message.NodeID, dsts []message.NodeID, payload [
 		// One heap round and one scheduler wake for the whole batch.
 		n.qMu.Lock()
 		for _, d := range delayed {
-			heap.Push(&n.q, d)
+			n.q.push(d)
 		}
 		n.qMu.Unlock()
 		select {
@@ -514,13 +588,14 @@ func (n *Network) run() {
 	defer timer.Stop()
 	for {
 		n.qMu.Lock()
-		var next *delivery
-		if len(n.q) > 0 {
-			next = n.q[0]
+		pending := len(n.q) > 0
+		var next time.Time
+		if pending {
+			next = n.q[0].at
 		}
 		n.qMu.Unlock()
 
-		if next == nil {
+		if !pending {
 			select {
 			case <-n.wake:
 				continue
@@ -529,10 +604,10 @@ func (n *Network) run() {
 			}
 		}
 
-		wait := time.Until(next.at)
+		wait := time.Until(next)
 		if wait <= 0 {
 			n.qMu.Lock()
-			d := heap.Pop(&n.q).(*delivery)
+			d := n.q.pop()
 			n.qMu.Unlock()
 			n.deliver(d.dst, d.payload)
 			continue
@@ -562,27 +637,35 @@ var _ transport.Network = (*Network)(nil)
 // Self implements transport.Transport.
 func (ep *endpoint) Self() message.NodeID { return ep.id }
 
-// Send implements transport.Transport.
+// Send implements transport.Transport. It keeps nothing of payload after
+// it returns.
 func (ep *endpoint) Send(dst message.NodeID, payload []byte) {
-	ep.net.send(ep.id, dst, payload)
+	ep.net.send(ep, dst, payload)
 }
 
-// Multicast implements transport.Transport.
+// Multicast implements transport.Transport. It keeps nothing of payload
+// after it returns.
 func (ep *endpoint) Multicast(dsts []message.NodeID, payload []byte) {
-	ep.net.multicast(ep.id, dsts, payload)
+	ep.net.multicast(ep, dsts, payload)
 }
 
 // MulticastOwned implements transport.Multicaster: the whole destination
-// set is submitted in one coalesced round. The simulator's delivery queues
-// retain payload references (zero-copy), so release is never called and the
-// buffer falls to the garbage collector, per the Multicaster contract.
-func (ep *endpoint) MulticastOwned(dsts []message.NodeID, payload []byte, _ func([]byte)) {
-	ep.net.multicast(ep.id, dsts, payload)
+// set is submitted in one coalesced round over one copy of payload, and
+// payload is released before the call returns, so the egress stage can
+// recycle it.
+func (ep *endpoint) MulticastOwned(dsts []message.NodeID, payload []byte, release func([]byte)) {
+	ep.net.multicast(ep, dsts, payload)
+	if release != nil {
+		release(payload)
+	}
 }
 
 // SendOwned implements transport.Multicaster (single-destination form).
-func (ep *endpoint) SendOwned(dst message.NodeID, payload []byte, _ func([]byte)) {
-	ep.net.send(ep.id, dst, payload)
+func (ep *endpoint) SendOwned(dst message.NodeID, payload []byte, release func([]byte)) {
+	ep.net.send(ep, dst, payload)
+	if release != nil {
+		release(payload)
+	}
 }
 
 // Close implements transport.Transport.

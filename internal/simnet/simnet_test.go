@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"repro/internal/transport"
 	"sync"
 	"sync/atomic"
@@ -321,4 +322,153 @@ func TestConcurrentSendersNoRace(t *testing.T) {
 	}
 	wg.Wait()
 	c.wait(t, senders*each, 5*time.Second)
+}
+
+// TestSenderBufferReusableAfterSend checks that every send surface keeps
+// nothing of the caller's buffer, as udpnet does: the sender overwrites the
+// buffer as soon as the call returns, and every receiver and a recording
+// filter still see the bytes that were sent. An Owned form releases the
+// buffer exactly once before it returns.
+func TestSenderBufferReusableAfterSend(t *testing.T) {
+	for _, latency := range []time.Duration{0, time.Millisecond} {
+		for _, form := range []string{"Send", "Multicast", "SendOwned", "MulticastOwned"} {
+			t.Run(fmt.Sprintf("%s/%v", form, latency), func(t *testing.T) {
+				n := New(WithSeed(1), WithDefaults(LinkConfig{Latency: latency}))
+				defer n.Close()
+				var mu sync.Mutex
+				var filtered [][]byte
+				n.SetFilter(func(_, _ message.NodeID, p []byte) ([]byte, bool) {
+					mu.Lock()
+					filtered = append(filtered, p)
+					mu.Unlock()
+					return p, true
+				})
+				a := n.Attach(0, func([]byte) {})
+				mc := a.(transport.Multicaster)
+				cs := []*collector{newCollector(), newCollector(), newCollector()}
+				for i, c := range cs {
+					n.Attach(message.NodeID(i+1), c.handler)
+				}
+				dsts := []message.NodeID{0, 1, 2, 3}
+				if form == "Send" || form == "SendOwned" {
+					cs = cs[:1]
+				}
+
+				const rounds = 10
+				buf := make([]byte, 100)
+				for r := 0; r < rounds; r++ {
+					for i := range buf {
+						buf[i] = byte(r)
+					}
+					released := 0
+					release := func(p []byte) {
+						if &p[0] != &buf[0] {
+							t.Error("release got a buffer other than the one sent")
+						}
+						released++
+					}
+					switch form {
+					case "Send":
+						a.Send(1, buf)
+					case "Multicast":
+						a.Multicast(dsts, buf)
+					case "SendOwned":
+						mc.SendOwned(1, buf, release)
+					case "MulticastOwned":
+						mc.MulticastOwned(dsts, buf, release)
+					}
+					if form == "SendOwned" || form == "MulticastOwned" {
+						if released != 1 {
+							t.Fatalf("round %d: release ran %d times before the call returned, want 1", r, released)
+						}
+					}
+					for i := range buf {
+						buf[i] = 0xFF
+					}
+				}
+
+				// roundOf is the round whose bytes p carries, or -1.
+				roundOf := func(p []byte) int {
+					if len(p) != len(buf) {
+						return -1
+					}
+					for _, b := range p[1:] {
+						if b != p[0] {
+							return -1
+						}
+					}
+					if p[0] >= rounds {
+						return -1
+					}
+					return int(p[0])
+				}
+				for i, c := range cs {
+					c.wait(t, rounds, time.Second)
+					c.mu.Lock()
+					for r, p := range c.got {
+						if roundOf(p) != r {
+							t.Errorf("receiver %d, datagram %d: got % x, want %d bytes of %d", i+1, r, p[:4], len(buf), r)
+						}
+					}
+					c.mu.Unlock()
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(filtered) != rounds*len(cs) {
+					t.Fatalf("filter saw %d datagrams, want %d", len(filtered), rounds*len(cs))
+				}
+				for i, p := range filtered {
+					if roundOf(p) != i/len(cs) {
+						t.Errorf("filtered datagram %d: got % x, want %d bytes of %d", i, p[:4], len(buf), i/len(cs))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSimnetAllocationBudget pins what sending costs once the endpoint's
+// send slab and the scheduler's delivery heap have warmed: nothing per
+// call, delivered at once or delayed. Slab refills are amortized over the
+// hundreds of datagrams one slab holds.
+func TestSimnetAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, latency := range []time.Duration{0, time.Millisecond} {
+		n := New(WithSeed(1), WithDefaults(LinkConfig{Latency: latency}))
+		var delivered atomic.Int64
+		a := n.Attach(0, func([]byte) {})
+		for id := message.NodeID(1); id <= 3; id++ {
+			n.Attach(id, func([]byte) { delivered.Add(1) })
+		}
+		dsts := []message.NodeID{1, 2, 3}
+		payload := make([]byte, 200)
+		step := func() {
+			a.Multicast(dsts, payload)
+			a.Send(1, payload)
+		}
+		drain := func(want int64) {
+			deadline := time.Now().Add(5 * time.Second)
+			for delivered.Load() < want {
+				if time.Now().After(deadline) {
+					t.Fatalf("latency %v: %d of %d datagrams delivered", latency, delivered.Load(), want)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		const runs = 1000
+		for i := 0; i < 2*runs; i++ {
+			step()
+		}
+		drain(2 * runs * 4)
+		got := testing.AllocsPerRun(runs, step)
+		drain((3*runs + 1) * 4)
+		n.Close()
+		if got != 0 {
+			t.Errorf("latency %v: %v allocs per multicast and send, want 0", latency, got)
+		} else {
+			t.Logf("latency %v: %v allocs per multicast and send", latency, got)
+		}
+	}
 }

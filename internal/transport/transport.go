@@ -24,10 +24,12 @@ import "repro/internal/message"
 //
 // The handler owns payload: the network never writes it afterwards, so a
 // decoded message may keep views of it for as long as it likes (see
-// internal/message). udpnet hands out a view of a receive slab, with its
-// capacity clipped to the datagram, and never writes that region again.
-// simnet may hand one buffer to every receiver of a multicast, so handlers
-// only read what they are given.
+// internal/message). Both substrates hand out a view of a 64 KiB slab, with
+// its capacity clipped to the datagram, and never write that region again:
+// udpnet's receive slab, or the sending endpoint's slab in simnet, which
+// gives every receiver of a multicast the same view, so handlers only read
+// what they are given. A kept view pins its whole slab. (simnet gives a
+// datagram larger than a slab a buffer of its own.)
 type Handler func(payload []byte)
 
 // Transport is the sending half an endpoint uses.
@@ -54,10 +56,9 @@ type Transport interface {
 //
 // Ownership: the caller must not touch payload again until release(payload)
 // runs; the transport calls release once it no longer references the bytes,
-// letting the caller recycle pooled wire buffers. A substrate that retains
-// payload indefinitely (the simulator's zero-copy delivery queues) may
-// never call release — the buffer then simply falls to the garbage
-// collector, which is always safe. release may be nil.
+// letting the caller recycle pooled wire buffers. Both substrates copy the
+// datagram out (into the kernel, or into simnet's send slab) and call
+// release before the send returns. release may be nil.
 type Multicaster interface {
 	// MulticastOwned behaves like Transport.Multicast with the ownership
 	// contract above.

@@ -187,6 +187,9 @@ type Log struct {
 	// executedBelow tracks request digests whose execution is reflected at
 	// or below the last stable checkpoint (clearable at GC).
 	reqSeq map[crypto.Digest]message.Seq
+	// pinned is AdvanceLow's scratch set of the digests live slots still
+	// reference, emptied at every call.
+	pinned map[crypto.Digest]struct{}
 }
 
 // New creates a log for n=3f+1 replicas with the given window size.
@@ -198,6 +201,7 @@ func New(n int, logSize message.Seq) *Log {
 		ring:     make([]Slot, logSize),
 		requests: make(map[crypto.Digest]*message.Request),
 		reqSeq:   make(map[crypto.Digest]message.Seq),
+		pinned:   make(map[crypto.Digest]struct{}),
 	}
 }
 
@@ -273,28 +277,26 @@ func (l *Log) CheckCommitted(s *Slot, primary message.NodeID) bool {
 }
 
 // AdvanceLow moves the low water mark to stable (a new stable checkpoint)
-// and discards slots at or below it (§2.3.4). It returns the sequence
-// numbers discarded.
+// and discards slots at or below it (§2.3.4).
 //
 // Request bodies executed at or below the checkpoint are garbage collected
 // unless still referenced above it: a client retransmission can cause the
 // primary to assign one request to a second, higher sequence number, and
 // the body must survive until that slot executes (its execution dedupes on
 // the timestamp, but the batch cannot be processed without the body).
-func (l *Log) AdvanceLow(stable message.Seq) []message.Seq {
+func (l *Log) AdvanceLow(stable message.Seq) {
 	if stable <= l.low {
-		return nil
+		return
 	}
-	var dropped []message.Seq
 	for seq := l.low + 1; seq <= stable && seq <= l.High(); seq++ {
 		if s, ok := l.Peek(seq); ok {
-			dropped = append(dropped, seq)
 			s.drop()
 		}
 	}
 	l.low = stable
 	// Pin digests referenced by surviving slots' batches.
-	pinned := make(map[crypto.Digest]struct{})
+	pinned := l.pinned
+	clear(pinned) // left over from the previous advance
 	l.Slots(func(s *Slot) {
 		if s.PrePrepare == nil {
 			return
@@ -315,7 +317,6 @@ func (l *Log) AdvanceLow(stable message.Seq) []message.Seq {
 			delete(l.reqSeq, d)
 		}
 	}
-	return dropped
 }
 
 // Reset clears every slot (used when a recovering replica discards

@@ -199,9 +199,14 @@ func TestAdvanceLowDiscardsSlots(t *testing.T) {
 	for seq := message.Seq(1); seq <= 10; seq++ {
 		l.Slot(seq)
 	}
-	dropped := l.AdvanceLow(5)
-	if len(dropped) != 5 {
-		t.Fatalf("dropped %d slots, want 5", len(dropped))
+	l.AdvanceLow(5)
+	if got := l.SlotCount(); got != 5 {
+		t.Fatalf("%d slots live after AdvanceLow(5), want 5", got)
+	}
+	for seq := message.Seq(1); seq <= 5; seq++ {
+		if l.ring[seq%16].Seq == seq {
+			t.Fatalf("discarded slot %d still occupies its ring entry", seq)
+		}
 	}
 	if _, ok := l.Peek(3); ok {
 		t.Fatal("discarded slot still present")
@@ -209,8 +214,9 @@ func TestAdvanceLowDiscardsSlots(t *testing.T) {
 	if _, ok := l.Peek(6); !ok {
 		t.Fatal("retained slot missing")
 	}
-	if l.AdvanceLow(5) != nil {
-		t.Fatal("re-advancing to same mark dropped slots")
+	l.AdvanceLow(5)
+	if got := l.SlotCount(); got != 5 {
+		t.Fatalf("re-advancing to the same mark left %d slots, want 5", got)
 	}
 }
 

@@ -116,15 +116,18 @@ func (rec *Record) unmarshalBody(r *reader) {
 // frame layout: [u32 payload len][u32 crc32(payload)][payload].
 const frameHeader = 8
 
-// appendFrame encodes rec as one CRC-framed entry onto dst.
+// appendFrame encodes rec as one CRC-framed entry onto dst: it reserves
+// the header, appends the body in place, then fills in the body's length
+// and checksum.
 func appendFrame(dst []byte, rec *Record) []byte {
-	w := newWriter(64 + len(rec.Body))
-	rec.marshalBody(w)
+	start := len(dst)
 	var hdr [frameHeader]byte
-	putU32(hdr[0:], uint32(len(w.b)))
-	putU32(hdr[4:], crc32.ChecksumIEEE(w.b))
-	dst = append(dst, hdr[:]...)
-	return append(dst, w.b...)
+	w := writer{b: append(dst, hdr[:]...)}
+	rec.marshalBody(&w)
+	body := w.b[start+frameHeader:]
+	putU32(w.b[start:], uint32(len(body)))
+	putU32(w.b[start+4:], crc32.ChecksumIEEE(body))
+	return w.b
 }
 
 // parseFrame decodes one frame from b. It returns the record, the total
