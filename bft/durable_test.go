@@ -43,13 +43,7 @@ func TestPublicAPIDurableRestart(t *testing.T) {
 	}
 
 	r := cluster.Restart(1)
-	deadline := time.Now().Add(15 * time.Second)
-	for r.LastExecuted() < ops+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted replica stuck at %d", r.LastExecuted())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "the restarted replica to catch up", func() bool { return r.LastExecuted() >= ops+1 })
 
 	res, err := client.Invoke(ctxb(), kv.Get(), bft.ReadOnly)
 	if err != nil || kv.DecodeU64(res) != ops+1 {
@@ -98,13 +92,7 @@ func TestRestartAfterProactiveRecovery(t *testing.T) {
 	// Proactively recover replica 2: every replica refreshes keys (peers
 	// rotate the keys they chose for the recovering one, §4.3.2).
 	cluster.Recover(2)
-	deadline := time.Now().Add(15 * time.Second)
-	for cluster.Replica(2).Recovering() {
-		if time.Now().After(deadline) {
-			t.Fatal("recovery never completed")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor(t, "recovery", func() bool { return !cluster.Replica(2).Recovering() })
 	incr("post-recovery")
 
 	// Kill -9 a DIFFERENT replica and restart it: its keystore state at
@@ -114,14 +102,9 @@ func TestRestartAfterProactiveRecovery(t *testing.T) {
 		incr("victim down")
 	}
 	r := cluster.Restart(0)
-	deadline = time.Now().Add(15 * time.Second)
-	for r.LastExecuted() < cluster.Replica(1).LastExecuted() {
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted replica stuck at %d, group at %d",
-				r.LastExecuted(), cluster.Replica(1).LastExecuted())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor(t, "the restarted replica to catch up", func() bool {
+		return r.LastExecuted() >= cluster.Replica(1).LastExecuted()
+	})
 	incr("post-restart")
 }
 

@@ -1,7 +1,7 @@
 // Package kv is the public face of the library's demo service: a counter,
 // a register file, and a blob area replicated by bft. It is the service
-// the examples, the quickstart, and the micro-benchmark shapes (§8.1's
-// 0/0, a/0, 0/b operations) run on — import it together with repro/bft:
+// the bft package's Examples and the micro-benchmark shapes (§8.1's 0/0,
+// a/0, 0/b operations) run on — import it together with repro/bft:
 //
 //	cluster := bft.NewCluster(bft.Options{Replicas: 4}, kv.Factory)
 //	...
