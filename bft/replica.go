@@ -62,8 +62,10 @@ func (r *Replica) LastExecuted() uint64 { return uint64(r.inner.LastExecuted()) 
 // LowWaterMark returns the sequence number of the last stable checkpoint.
 func (r *Replica) LowWaterMark() uint64 { return uint64(r.inner.LowWaterMark()) }
 
-// StateDigest returns the digest of the replica's full service state;
-// correct replicas that have executed the same prefix agree on it.
+// StateDigest returns the root digest of the replica's partition tree as
+// of its last checkpoint: writes since that checkpoint are not reflected
+// until the next one is taken. Correct replicas that have taken the same
+// checkpoint agree on it.
 func (r *Replica) StateDigest() Digest { return r.inner.StateDigest() }
 
 // Metrics returns a snapshot of the replica's protocol and engine

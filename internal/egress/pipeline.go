@@ -4,19 +4,18 @@
 // to the transport. It mirrors internal/ingress, which decodes and verifies
 // on the receive side.
 //
-// The caller is the replica's event loop or a client's invoking goroutine. Sealing there keeps the send path one step,
-// as in the thesis's replica loop (§6.1): the vector of n MACs of §5.2 is
-// computed and the datagrams leave in call order, with no queue between
-// them. A key refresh can therefore never land between sealing and
-// transmission. The sealer only reads the message body and the
-// copy-on-write key-store snapshots; the trailer goes into the wire buffer,
-// never back into the message object.
+// The caller is the replica's event loop or a client's invoking goroutine.
+// Sealing there keeps the send path one step, as in the thesis's replica
+// loop (§6.1): the vector of n MACs of §5.2 is computed and the datagrams
+// leave in call order, with no queue between them. A key refresh can
+// therefore never land between sealing and transmission. The sealer only
+// reads the message body and the copy-on-write key-store snapshots; the
+// trailer goes into the wire buffer, never back into the message object.
 //
-// Wire buffers come from a pool and are handed to the transport through
-// transport.Multicaster when the substrate implements it: the transport
-// coalesces the n datagrams of one multicast and releases the buffer for
-// reuse once the bytes are out. Both substrates release before the send
-// returns, so in steady state a send takes its buffer from the pool.
+// Wire buffers come from a pool. A transport keeps nothing of a payload
+// once Send or Multicast returns (the transport.Transport contract), so the
+// stage puts the buffer back in the pool right after the call, and in
+// steady state a send allocates no wire buffer.
 package egress
 
 import (
@@ -52,39 +51,12 @@ type Sealer interface {
 	Seal(buf []byte, kind Kind, dst message.NodeID, m message.Message) (wire []byte, gen uint64)
 }
 
-// wireBuf holds one wire buffer. Both pools store *wireBuf, so moving a
-// buffer in or out of a pool boxes nothing.
+// wireBuf holds one wire buffer. The pool stores *wireBuf, so moving a
+// buffer in or out of it boxes nothing.
 type wireBuf struct{ b []byte }
 
-var (
-	// wirePool holds buffers the transport released. When it is empty a
-	// fresh buffer is attached to a recycled holder; a transport without
-	// the Multicaster extension never releases, and costs one allocation
-	// per send.
-	wirePool = sync.Pool{New: func() any {
-		w := holderPool.Get().(*wireBuf)
-		w.b = make([]byte, 0, 512)
-		return w
-	}}
-	// holderPool holds the empty holders of buffers in flight.
-	holderPool = sync.Pool{New: func() any { return new(wireBuf) }}
-)
-
-// takeWire removes a buffer from the pool, recycling its holder.
-func takeWire() []byte {
-	w := wirePool.Get().(*wireBuf)
-	b := w.b
-	w.b = nil
-	holderPool.Put(w)
-	return b[:0]
-}
-
-// releaseWire returns a transport-released buffer to the pool.
-func releaseWire(b []byte) {
-	w := holderPool.Get().(*wireBuf)
-	w.b = b
-	wirePool.Put(w)
-}
+// wirePool holds wire buffers between sends.
+var wirePool = sync.Pool{New: func() any { return &wireBuf{b: make([]byte, 0, 512)} }}
 
 // Stats are the stage's counters (atomic; safe to read live).
 type Stats struct {
@@ -97,7 +69,6 @@ type Stats struct {
 type Pipeline struct {
 	seal  Sealer
 	trans transport.Transport
-	mc    transport.Multicaster // trans, if it implements the extension
 
 	closed   atomic.Bool
 	rejected atomic.Uint64
@@ -106,9 +77,7 @@ type Pipeline struct {
 // New returns a stage that seals with s and transmits through t. workers
 // and queueCap are unused: the stage has no pool and no queue of its own.
 func New(workers, queueCap int, s Sealer, t transport.Transport) *Pipeline {
-	p := &Pipeline{seal: s, trans: t}
-	p.mc, _ = t.(transport.Multicaster)
-	return p
+	return &Pipeline{seal: s, trans: t}
 }
 
 // Multicast seals m per kind and transmits it to every id in dsts before
@@ -121,12 +90,10 @@ func (p *Pipeline) Multicast(dsts []message.NodeID, m message.Message, kind Kind
 	if p.refuse() {
 		return false
 	}
-	wire, _ := p.seal.Seal(takeWire(), kind, message.NoNode, m)
-	if p.mc == nil {
-		p.trans.Multicast(dsts, wire)
-		return true
-	}
-	p.mc.MulticastOwned(dsts, wire, releaseWire)
+	w := wirePool.Get().(*wireBuf)
+	w.b, _ = p.seal.Seal(w.b[:0], kind, message.NoNode, m)
+	p.trans.Multicast(dsts, w.b)
+	wirePool.Put(w)
 	return true
 }
 
@@ -138,12 +105,10 @@ func (p *Pipeline) Send(dst message.NodeID, m message.Message, kind Kind) bool {
 	if p.refuse() {
 		return false
 	}
-	wire, _ := p.seal.Seal(takeWire(), kind, dst, m)
-	if p.mc == nil {
-		p.trans.Send(dst, wire)
-		return true
-	}
-	p.mc.SendOwned(dst, wire, releaseWire)
+	w := wirePool.Get().(*wireBuf)
+	w.b, _ = p.seal.Seal(w.b[:0], kind, dst, m)
+	p.trans.Send(dst, w.b)
+	wirePool.Put(w)
 	return true
 }
 
@@ -159,7 +124,8 @@ func (p *Pipeline) SendRaw(dst message.NodeID, wire []byte) bool {
 	return true
 }
 
-// MulticastRaw transmits already-encoded bytes to every id in dsts.
+// MulticastRaw transmits already-encoded bytes to every id in dsts. Like
+// SendRaw, it leaves wire with the caller.
 //
 // bftlint:send
 func (p *Pipeline) MulticastRaw(dsts []message.NodeID, wire []byte) bool {

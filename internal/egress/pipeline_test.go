@@ -38,28 +38,13 @@ func (t *fakeTransport) count() int {
 	return len(t.wires)
 }
 
-// ownedTransport additionally implements transport.Multicaster, releasing
-// every buffer immediately (udpnet's behavior).
-type ownedTransport struct {
-	fakeTransport
-	released atomic.Uint64
-}
+// discardTransport counts datagrams and keeps nothing, allocating nothing.
+type discardTransport struct{ sent int }
 
-func (t *ownedTransport) MulticastOwned(dsts []message.NodeID, p []byte, release func([]byte)) {
-	t.Multicast(dsts, p)
-	if release != nil {
-		release(p)
-		t.released.Add(1)
-	}
-}
-
-func (t *ownedTransport) SendOwned(dst message.NodeID, p []byte, release func([]byte)) {
-	t.Send(dst, p)
-	if release != nil {
-		release(p)
-		t.released.Add(1)
-	}
-}
+func (t *discardTransport) Self() message.NodeID               { return 0 }
+func (t *discardTransport) Send(message.NodeID, []byte)        { t.sent++ }
+func (t *discardTransport) Multicast([]message.NodeID, []byte) { t.sent++ }
+func (t *discardTransport) Close()                             {}
 
 // fakeSealer encodes a Commit's sequence number as the wire bytes.
 type fakeSealer struct{ seals atomic.Uint64 }
@@ -102,51 +87,63 @@ func TestEgressOrderPreserved(t *testing.T) {
 func TestEgressRawBypassesSealer(t *testing.T) {
 	// Raw sends carry pre-encoded bytes: the sealer must never run, the
 	// bytes arrive untouched, ordered with sealed traffic, and the caller's
-	// buffer is never released into the stage's pool.
-	ot := &ownedTransport{}
+	// buffer never enters the stage's pool.
+	ft := &fakeTransport{}
 	s := &fakeSealer{}
-	p := New(2, 0, s, ot)
+	p := New(2, 0, s, ft)
 	defer p.Close()
 	raw := []byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0}
 	p.Send(1, commitMsg(7), Vector)
 	p.SendRaw(2, raw)
 	p.MulticastRaw([]message.NodeID{1, 2, 3}, raw)
-	ot.mu.Lock()
-	defer ot.mu.Unlock()
-	if len(ot.wires) != 3 {
-		t.Fatalf("transport saw %d datagrams, want 3", len(ot.wires))
+	ft.mu.Lock()
+	if len(ft.wires) != 3 {
+		t.Fatalf("transport saw %d datagrams, want 3", len(ft.wires))
 	}
-	if binary.LittleEndian.Uint64(ot.wires[0]) != 7 {
-		t.Fatalf("sealed send out of order: % x", ot.wires[0])
+	if binary.LittleEndian.Uint64(ft.wires[0]) != 7 {
+		t.Fatalf("sealed send out of order: % x", ft.wires[0])
 	}
 	for i := 1; i < 3; i++ {
-		if string(ot.wires[i]) != string(raw) {
-			t.Fatalf("raw bytes modified in flight: % x", ot.wires[i])
+		if string(ft.wires[i]) != string(raw) {
+			t.Fatalf("raw bytes modified in flight: % x", ft.wires[i])
 		}
 	}
+	ft.mu.Unlock()
 	if s.seals.Load() != 1 {
 		t.Fatalf("sealer ran %d times, want 1", s.seals.Load())
 	}
-	if got := ot.released.Load(); got != 1 {
-		t.Fatalf("released %d buffers, want only the sealed one", got)
+	// Drain what this goroutine can reach of the pool: the sealed send's
+	// buffer, and raw if a raw send had put it there.
+	for i := 0; i < 8; i++ {
+		if w := wirePool.Get().(*wireBuf); cap(w.b) > 0 && &w.b[:1][0] == &raw[0] {
+			t.Fatal("a raw send put the caller's buffer in the pool")
+		}
 	}
 }
 
-func TestEgressUsesOwnedSurface(t *testing.T) {
-	// A transport implementing Multicaster receives buffers through the
-	// owned surface and its releases recycle them.
-	ot := &ownedTransport{}
-	p := New(1, 0, &fakeSealer{}, ot)
+// TestWireBufferAllocationBudget checks that the stage reuses its wire
+// buffer through a plain Transport: once warmed, a sealed multicast or
+// send allocates nothing.
+func TestWireBufferAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	dt := &discardTransport{}
+	p := New(0, 0, &fakeSealer{}, dt)
 	defer p.Close()
-	const n = 20
-	for i := 0; i < n; i++ {
-		p.Multicast([]message.NodeID{1, 2, 3}, commitMsg(uint64(i)), Vector)
+	dsts := []message.NodeID{1, 2, 3}
+	m := commitMsg(1)
+	for i := 0; i < 10; i++ {
+		p.Multicast(dsts, m, Vector)
 	}
-	if got := ot.count(); got != n {
-		t.Fatalf("transport saw %d multicasts, want %d", got, n)
+	if got := testing.AllocsPerRun(200, func() { p.Multicast(dsts, m, Vector) }); got != 0 {
+		t.Errorf("%v allocs per sealed multicast, want 0", got)
 	}
-	if got := ot.released.Load(); got != n {
-		t.Fatalf("released %d buffers, want %d", got, n)
+	if got := testing.AllocsPerRun(200, func() { p.Send(1, m, Point) }); got != 0 {
+		t.Errorf("%v allocs per sealed send, want 0", got)
+	}
+	if dt.sent != 10+2*201 {
+		t.Fatalf("transport saw %d datagrams, want %d", dt.sent, 10+2*201)
 	}
 }
 

@@ -137,7 +137,7 @@ func digestOf(s string) []byte {
 // replica, only the request it decodes and the result the service returns.
 // The client's request, retry timer and tallies, the reply each replica
 // builds, its reply cache and read-only queue, the client's decode of
-// every reply, and the wire buffers (simnet releases them like udpnet)
+// every reply, and the wire buffers (egress reuses them after each send)
 // cost nothing.
 func TestReplyPathAllocationBudget(t *testing.T) {
 	if raceEnabled {

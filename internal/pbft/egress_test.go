@@ -16,8 +16,7 @@ import (
 	"repro/internal/simnet"
 )
 
-// captureTransport records every datagram handed to it and releases owned
-// buffers at once, as udpnet does.
+// captureTransport records a copy of every datagram handed to it.
 type captureTransport struct {
 	mu    sync.Mutex
 	wires [][]byte
@@ -31,14 +30,6 @@ func (t *captureTransport) Send(_ message.NodeID, p []byte) {
 	t.mu.Unlock()
 }
 func (t *captureTransport) Multicast(_ []message.NodeID, p []byte) { t.Send(message.NoNode, p) }
-func (t *captureTransport) SendOwned(dst message.NodeID, p []byte, release func([]byte)) {
-	t.Send(dst, p)
-	release(p)
-}
-func (t *captureTransport) MulticastOwned(dsts []message.NodeID, p []byte, release func([]byte)) {
-	t.Multicast(dsts, p)
-	release(p)
-}
 
 // last returns the most recent datagram.
 func (t *captureTransport) last() []byte {
@@ -47,19 +38,13 @@ func (t *captureTransport) last() []byte {
 	return t.wires[len(t.wires)-1]
 }
 
-// discardTransport drops every datagram and releases owned buffers at once.
+// discardTransport drops every datagram.
 type discardTransport struct{}
 
 func (discardTransport) Self() message.NodeID               { return 0 }
 func (discardTransport) Close()                             {}
 func (discardTransport) Send(message.NodeID, []byte)        {}
 func (discardTransport) Multicast([]message.NodeID, []byte) {}
-func (discardTransport) SendOwned(_ message.NodeID, p []byte, release func([]byte)) {
-	release(p)
-}
-func (discardTransport) MulticastOwned(_ []message.NodeID, p []byte, release func([]byte)) {
-	release(p)
-}
 
 // replicaStage is an egress stage sealing as replica r does, over t.
 func replicaStage(r *Replica, t *captureTransport) *egress.Pipeline {
@@ -181,9 +166,9 @@ func TestEgressSendAfterRefreshVerifies(t *testing.T) {
 }
 
 // TestEgressAllocationBudget pins what sealing and sending a prepare costs
-// in allocations: nothing, through a transport that discards and releases
-// its buffers and through the simulator, which copies the datagram into
-// its send slab and releases the wire buffer before returning.
+// in allocations: nothing, through a transport that discards datagrams and
+// through the simulator, which copies the datagram into its send slab; in
+// both the stage reuses its wire buffer.
 func TestEgressAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
@@ -207,7 +192,7 @@ func TestEgressAllocationBudget(t *testing.T) {
 		out  *egress.Pipeline
 		max  float64
 	}{
-		{"releasing transport", egress.New(0, 0, seal, discardTransport{}), 0},
+		{"discarding transport", egress.New(0, 0, seal, discardTransport{}), 0},
 		{"simnet", sim, 0},
 	} {
 		got := testing.AllocsPerRun(200, func() { c.out.Multicast(dsts, prep, egress.Vector) })

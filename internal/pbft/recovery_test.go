@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -111,6 +112,71 @@ func TestRecoveryDetectsCorruptState(t *testing.T) {
 	// State must match the group again after repair and catch-up.
 	c.waitFrontier(t, nil, 5*time.Second, "repaired state", func() bool {
 		return counterAt(c, 2) == counterAt(c, 0)
+	})
+}
+
+// TestRecoveryRepairsUnwrittenPage pins recovery's state check (§5.3.3,
+// startStateCheck). A checkpoint re-digests only the pages the service
+// wrote since the last one, so a page corrupted behind the library's back
+// and never written again keeps its old, correct digest: checkpoints and
+// state transfer cannot see the damage, and only the full recomputation
+// recovery runs finds and re-fetches it.
+func TestRecoveryRepairsUnwrittenPage(t *testing.T) {
+	cfg := testConfig()
+	cfg.CheckpointInterval = 4
+	cfg.LogWindow = 8
+	c := newTestCluster(t, 4, cfg, nil)
+	cl := c.NewClient()
+	for i := 0; i < 8; i++ {
+		mustInvoke(t, cl, kvservice.Incr(), false)
+	}
+	c.waitFrontier(t, nil, 5*time.Second, "stable checkpoint", func() bool {
+		return c.Replica(2).LowWaterMark() > 0
+	})
+
+	// Page 1 holds registers; Incr writes only the counter on page 0.
+	const page = 1
+	pageAt := func(i int) []byte {
+		r := c.Replica(i)
+		var b []byte
+		r.do(func() { b = bytes.Clone(r.region.Page(page)) })
+		return b
+	}
+	c.Replica(2).CorruptStatePage(page)
+	if bytes.Equal(pageAt(2), pageAt(0)) {
+		t.Fatal("corruption left the page unchanged")
+	}
+	c.Replica(2).Recover()
+	c.waitFrontier(t, nil, 10*time.Second, "recovery", func() bool {
+		return !c.Replica(2).Recovering()
+	})
+	c.waitFrontier(t, nil, 5*time.Second, "the corrupted page to be repaired", func() bool {
+		return bytes.Equal(pageAt(2), pageAt(0))
+	})
+	var treeErr error
+	r2 := c.Replica(2)
+	r2.do(func() { treeErr = r2.ckpt.VerifyTree() })
+	if treeErr != nil {
+		t.Fatalf("recovered replica's partition tree: %v", treeErr)
+	}
+
+	// StateDigest is the partition tree's root as of the last checkpoint;
+	// after the next stable one the recovered replica agrees with its peers.
+	low := r2.LowWaterMark()
+	for i := 0; i < 2*int(cfg.CheckpointInterval); i++ {
+		mustInvoke(t, cl, kvservice.Incr(), false)
+	}
+	c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "equal state digests after the next stable checkpoint", func() bool {
+		if r2.LowWaterMark() <= low {
+			return false
+		}
+		d := r2.StateDigest()
+		for _, i := range []int{0, 1, 3} {
+			if c.Replica(i).StateDigest() != d {
+				return false
+			}
+		}
+		return true
 	})
 }
 

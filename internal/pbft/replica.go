@@ -62,14 +62,12 @@ type Metrics struct {
 	CkptDigestTime time.Duration
 	// Batching observability (§5.1.4, normalcase.go): BatchesProposed /
 	// RequestsProposed count pre-prepares this primary issued and the
-	// requests they carried; BatchFillAvg is their ratio at snapshot time.
-	// BatchBytesTotal sums the op bytes proposed. BatchWaitFires counts
-	// accumulate deadlines that expired and flushed a partial batch.
-	// QueueDepth and BatchTarget sample the request queue length and the
-	// adaptive fill target at snapshot time.
+	// requests they carried. BatchBytesTotal sums the op bytes proposed.
+	// BatchWaitFires counts accumulate deadlines that expired and flushed a
+	// partial batch. QueueDepth and BatchTarget sample the request queue
+	// length and the adaptive fill target at snapshot time.
 	BatchesProposed  uint64
 	RequestsProposed uint64
-	BatchFillAvg     float64
 	BatchBytesTotal  uint64
 	BatchWaitFires   uint64
 	QueueDepth       uint64
@@ -394,9 +392,6 @@ func (r *Replica) Metrics() Metrics {
 		m = r.metrics
 		m.QueueDepth = uint64(r.queue.Len())
 		m.BatchTarget = uint64(r.batchTarget)
-		if m.BatchesProposed > 0 {
-			m.BatchFillAvg = float64(m.RequestsProposed) / float64(m.BatchesProposed)
-		}
 		s := r.ex.Stats()
 		m.PagesCopied = s.PagesCopied
 		m.PagesDigested = s.PagesDigested
@@ -434,7 +429,8 @@ func (r *Replica) LowWaterMark() message.Seq {
 	return s
 }
 
-// StateDigest returns the live state root digest.
+// StateDigest returns the partition tree's root digest as of the last
+// checkpoint taken; later writes show only once the next one is taken.
 func (r *Replica) StateDigest() crypto.Digest {
 	var d crypto.Digest
 	r.do(func() { d = r.ckpt.RootDigest() })

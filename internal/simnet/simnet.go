@@ -3,19 +3,20 @@
 // delayed, dropped, duplicated, or reordered, and an adversary hook may
 // inspect, modify, or suppress traffic between any pair of principals.
 //
-// The paper's testbed was a switched 10 Mbit/s Ethernet carrying UDP; here a
-// central scheduler goroutine applies a per-link latency model
-// (base + jitter + bytes/bandwidth) and delivers into bounded per-endpoint
-// queues, so overload produces drops exactly like a UDP socket buffer.
+// The paper's testbed was a switched 10 Mbit/s Ethernet carrying UDP; here
+// every link follows one latency model (base + jitter + bytes/bandwidth),
+// a central scheduler goroutine delivers delayed datagrams, and deliveries
+// land in bounded per-endpoint queues, so overload produces drops exactly
+// like a UDP socket buffer. Send is the one-destination case of Multicast:
+// both go through one function that prices every hop.
 //
 // Ownership follows udpnet: every send copies its payload once into a
 // 64 KiB slab owned by the sending endpoint and keeps nothing of the
-// caller's buffer after it returns, so the Owned forms release it at once.
-// The receivers of a multicast share that one copy, a view clipped to its
-// length, and simnet never writes a slab region again once it has handed
-// it out. A view a receiver keeps pins its whole slab, as with udpnet.
-// Delayed datagrams wait by value in a heap the scheduler owns, so a send
-// allocates nothing in steady state.
+// caller's buffer after it returns. The receivers of a multicast share
+// that one copy, a view clipped to its length, and simnet never writes a
+// slab region again once it has handed it out. A view a receiver keeps
+// pins its whole slab, as with udpnet. Delayed datagrams wait by value in
+// a heap the scheduler owns, so a send allocates nothing in steady state.
 package simnet
 
 import (
@@ -29,8 +30,7 @@ import (
 	"repro/internal/transport"
 )
 
-// LinkConfig sets the delay/loss model for one direction of one link (or the
-// network default).
+// LinkConfig sets the delay/loss model every link follows.
 type LinkConfig struct {
 	// Latency is the fixed one-way propagation delay.
 	Latency time.Duration
@@ -62,7 +62,6 @@ type Network struct {
 	mu        sync.RWMutex
 	endpoints map[message.NodeID]*endpoint
 	defaults  LinkConfig
-	overrides map[linkKey]LinkConfig
 	blocked   map[linkKey]bool
 	filter    Filter
 	rng       *rand.Rand
@@ -193,7 +192,6 @@ func WithSeed(seed int64) Option {
 func New(opts ...Option) *Network {
 	n := &Network{
 		endpoints: make(map[message.NodeID]*endpoint),
-		overrides: make(map[linkKey]LinkConfig),
 		blocked:   make(map[linkKey]bool),
 		rng:       rand.New(rand.NewSource(1)),
 		wake:      make(chan struct{}, 1),
@@ -255,19 +253,11 @@ func (n *Network) Attach(id message.NodeID, h transport.Handler) transport.Trans
 	return ep
 }
 
-// SetDefaults replaces the default link model at runtime (links with a
-// SetLink override keep it). In-flight datagrams already scheduled under
-// the old model are unaffected.
+// SetDefaults replaces the link model at runtime. In-flight datagrams
+// already scheduled under the old model are unaffected.
 func (n *Network) SetDefaults(cfg LinkConfig) {
 	n.mu.Lock()
 	n.defaults = cfg
-	n.mu.Unlock()
-}
-
-// SetLink overrides the model for the directed link src->dst.
-func (n *Network) SetLink(src, dst message.NodeID, cfg LinkConfig) {
-	n.mu.Lock()
-	n.overrides[linkKey{src, dst}] = cfg
 	n.mu.Unlock()
 }
 
@@ -282,13 +272,6 @@ func (n *Network) SetFilter(f Filter) {
 func (n *Network) Block(src, dst message.NodeID) {
 	n.mu.Lock()
 	n.blocked[linkKey{src, dst}] = true
-	n.mu.Unlock()
-}
-
-// Unblock restores the directed link src->dst.
-func (n *Network) Unblock(src, dst message.NodeID) {
-	n.mu.Lock()
-	delete(n.blocked, linkKey{src, dst})
 	n.mu.Unlock()
 }
 
@@ -352,84 +335,6 @@ func (n *Network) Stats() Stats {
 
 var seqCounter uint64
 
-// send delivers one datagram from ep to dst. It keeps only its own copy
-// of payload.
-func (n *Network) send(ep *endpoint, dst message.NodeID, payload []byte) {
-	if n.closed.Load() {
-		return
-	}
-	src := ep.id
-	payload = ep.own(payload)
-	atomic.AddUint64(&n.stats.MsgsSent, 1)
-	atomic.AddUint64(&n.stats.BytesSent, uint64(len(payload)))
-
-	n.mu.RLock()
-	blocked := n.blocked[linkKey{src, dst}]
-	cfg, hasOverride := n.overrides[linkKey{src, dst}]
-	if !hasOverride {
-		cfg = n.defaults
-	}
-	filter := n.filter
-	_, dstExists := n.endpoints[dst]
-	n.mu.RUnlock()
-
-	if blocked || !dstExists {
-		atomic.AddUint64(&n.stats.MsgsDropped, 1)
-		return
-	}
-	if filter != nil {
-		var deliver bool
-		payload, deliver = filter(src, dst, payload)
-		if !deliver {
-			atomic.AddUint64(&n.stats.MsgsDropped, 1)
-			return
-		}
-	}
-
-	n.rngMu.Lock()
-	loss := cfg.LossRate > 0 && n.rng.Float64() < cfg.LossRate
-	dup := cfg.DupRate > 0 && n.rng.Float64() < cfg.DupRate
-	var jitter time.Duration
-	if cfg.Jitter > 0 {
-		jitter = time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
-	}
-	n.rngMu.Unlock()
-
-	if loss {
-		atomic.AddUint64(&n.stats.MsgsDropped, 1)
-		return
-	}
-
-	delay := cfg.Latency + jitter
-	if cfg.BytesPerSec > 0 {
-		delay += time.Duration(float64(len(payload)) / cfg.BytesPerSec * float64(time.Second))
-	}
-
-	copies := 1
-	if dup {
-		copies = 2
-	}
-	for c := 0; c < copies; c++ {
-		if delay <= 0 {
-			n.deliver(dst, payload)
-			continue
-		}
-		d := delivery{
-			at:      time.Now().Add(delay),
-			dst:     dst,
-			payload: payload,
-			seq:     atomic.AddUint64(&seqCounter, 1),
-		}
-		n.qMu.Lock()
-		n.q.push(d)
-		n.qMu.Unlock()
-		select {
-		case n.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
 func (n *Network) deliver(dst message.NodeID, payload []byte) {
 	n.mu.RLock()
 	ep := n.endpoints[dst]
@@ -449,27 +354,27 @@ func (n *Network) deliverEp(ep *endpoint, payload []byte) {
 	}
 }
 
-// multicast is the coalesced fan-out behind transport.Multicaster: one
-// submission delivers payload to every destination, taking each network
-// lock once for the whole set instead of once per destination. Its
-// observable behavior (stats, filters, loss/dup/jitter draws, delivery
-// order) is identical to looping send over dsts — the PRNG is consumed in
-// the same per-destination order — so a simulation does not depend on which
-// of the two surfaces a sender uses. Every destination gets the same one
-// copy of payload.
-func (n *Network) multicast(ep *endpoint, dsts []message.NodeID, payload []byte) {
+// send transmits one copy of payload from ep to every id in dsts, skipping
+// ep itself when skipSelf is set. It is the network's one link model: each
+// hop is counted, checked against blocks, shown to the filter, and drawn
+// loss, duplication and jitter from the PRNG in destination order, then
+// delivered at once or scheduled after its delay. Each network lock is
+// taken once for the whole set. Every destination gets the same one copy
+// of payload, and send keeps nothing of the caller's buffer.
+func (n *Network) send(ep *endpoint, dsts []message.NodeID, payload []byte, skipSelf bool) {
 	if n.closed.Load() {
 		return
 	}
 	src := ep.id
 	payload = ep.own(payload)
 	type hop struct {
-		ep      *endpoint
-		cfg     LinkConfig
-		payload []byte
+		ep        *endpoint
+		payload   []byte
+		loss, dup bool
+		delay     time.Duration
 	}
-	// Small groups (every BFT multicast) plan on the stack; per-multicast
-	// heap traffic would eat the coalescing win.
+	// Small groups (every BFT multicast) plan on the stack, so a send
+	// allocates nothing.
 	var hopBuf [16]hop
 	hops := hopBuf[:0]
 	if len(dsts) > len(hopBuf) {
@@ -479,9 +384,10 @@ func (n *Network) multicast(ep *endpoint, dsts []message.NodeID, payload []byte)
 
 	// One read-lock round: link decisions for every destination.
 	n.mu.RLock()
+	cfg := n.defaults
 	filter := n.filter
 	for _, dst := range dsts {
-		if dst == src {
+		if skipSelf && dst == src {
 			continue
 		}
 		atomic.AddUint64(&n.stats.MsgsSent, 1)
@@ -491,11 +397,7 @@ func (n *Network) multicast(ep *endpoint, dsts []message.NodeID, payload []byte)
 			dropped++
 			continue
 		}
-		cfg, ok := n.overrides[linkKey{src, dst}]
-		if !ok {
-			cfg = n.defaults
-		}
-		hops = append(hops, hop{ep: ep, cfg: cfg, payload: payload})
+		hops = append(hops, hop{ep: ep, payload: payload})
 	}
 	n.mu.RUnlock()
 
@@ -515,70 +417,63 @@ func (n *Network) multicast(ep *endpoint, dsts []message.NodeID, payload []byte)
 	}
 
 	// One PRNG round for the whole set.
-	type fate struct {
-		loss, dup bool
-		jitter    time.Duration
-	}
-	var fateBuf [16]fate
-	fates := fateBuf[:]
-	if len(hops) > len(fateBuf) {
-		fates = make([]fate, len(hops))
-	} else {
-		fates = fates[:len(hops)]
-	}
 	n.rngMu.Lock()
-	for i, h := range hops {
-		fates[i].loss = h.cfg.LossRate > 0 && n.rng.Float64() < h.cfg.LossRate
-		fates[i].dup = h.cfg.DupRate > 0 && n.rng.Float64() < h.cfg.DupRate
-		if h.cfg.Jitter > 0 {
-			fates[i].jitter = time.Duration(n.rng.Int63n(int64(h.cfg.Jitter)))
+	for i := range hops {
+		h := &hops[i]
+		h.loss = cfg.LossRate > 0 && n.rng.Float64() < cfg.LossRate
+		h.dup = cfg.DupRate > 0 && n.rng.Float64() < cfg.DupRate
+		if cfg.Jitter > 0 {
+			h.delay = time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
 		}
 	}
 	n.rngMu.Unlock()
 
-	now := time.Now()
-	var delayedBuf [2 * len(hopBuf)]delivery // a duplicate is a second delivery
-	delayed := delayedBuf[:0]
-	for i, h := range hops {
-		if fates[i].loss {
+	delayed := false
+	for i := range hops {
+		h := &hops[i]
+		if h.loss {
 			dropped++
 			continue
 		}
-		delay := h.cfg.Latency + fates[i].jitter
-		if h.cfg.BytesPerSec > 0 {
-			delay += time.Duration(float64(len(h.payload)) / h.cfg.BytesPerSec * float64(time.Second))
+		h.delay += cfg.Latency
+		if cfg.BytesPerSec > 0 {
+			h.delay += time.Duration(float64(len(h.payload)) / cfg.BytesPerSec * float64(time.Second))
 		}
-		copies := 1
-		if fates[i].dup {
-			copies = 2
+		if h.delay > 0 {
+			delayed = true
+			continue
 		}
-		for c := 0; c < copies; c++ {
-			if delay <= 0 {
-				n.deliverEp(h.ep, h.payload)
-				continue
-			}
-			delayed = append(delayed, delivery{
-				at:      now.Add(delay),
-				dst:     h.ep.id,
-				payload: h.payload,
-				seq:     atomic.AddUint64(&seqCounter, 1),
-			})
+		n.deliverEp(h.ep, h.payload)
+		if h.dup {
+			n.deliverEp(h.ep, h.payload)
 		}
 	}
 	if dropped > 0 {
 		atomic.AddUint64(&n.stats.MsgsDropped, dropped)
 	}
-	if len(delayed) > 0 {
-		// One heap round and one scheduler wake for the whole batch.
-		n.qMu.Lock()
-		for _, d := range delayed {
+	if !delayed {
+		return
+	}
+	// One heap round and one scheduler wake for the whole set; a duplicate
+	// is a second delivery.
+	now := time.Now()
+	n.qMu.Lock()
+	for _, h := range hops {
+		if h.loss || h.delay <= 0 {
+			continue
+		}
+		d := delivery{at: now.Add(h.delay), dst: h.ep.id, payload: h.payload}
+		d.seq = atomic.AddUint64(&seqCounter, 1)
+		n.q.push(d)
+		if h.dup {
+			d.seq = atomic.AddUint64(&seqCounter, 1)
 			n.q.push(d)
 		}
-		n.qMu.Unlock()
-		select {
-		case n.wake <- struct{}{}:
-		default:
-		}
+	}
+	n.qMu.Unlock()
+	select {
+	case n.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -631,41 +526,23 @@ func (n *Network) run() {
 // --- endpoint (transport.Transport implementation) ---
 
 var _ transport.Transport = (*endpoint)(nil)
-var _ transport.Multicaster = (*endpoint)(nil)
 var _ transport.Network = (*Network)(nil)
 
 // Self implements transport.Transport.
 func (ep *endpoint) Self() message.NodeID { return ep.id }
 
-// Send implements transport.Transport. It keeps nothing of payload after
-// it returns.
+// Send implements transport.Transport. A datagram to the sender itself is
+// delivered like any other. Send keeps nothing of payload after it
+// returns.
 func (ep *endpoint) Send(dst message.NodeID, payload []byte) {
-	ep.net.send(ep, dst, payload)
+	dsts := [1]message.NodeID{dst}
+	ep.net.send(ep, dsts[:], payload, false)
 }
 
-// Multicast implements transport.Transport. It keeps nothing of payload
-// after it returns.
+// Multicast implements transport.Transport, skipping the sender itself. It
+// keeps nothing of payload after it returns.
 func (ep *endpoint) Multicast(dsts []message.NodeID, payload []byte) {
-	ep.net.multicast(ep, dsts, payload)
-}
-
-// MulticastOwned implements transport.Multicaster: the whole destination
-// set is submitted in one coalesced round over one copy of payload, and
-// payload is released before the call returns, so the egress stage can
-// recycle it.
-func (ep *endpoint) MulticastOwned(dsts []message.NodeID, payload []byte, release func([]byte)) {
-	ep.net.multicast(ep, dsts, payload)
-	if release != nil {
-		release(payload)
-	}
-}
-
-// SendOwned implements transport.Multicaster (single-destination form).
-func (ep *endpoint) SendOwned(dst message.NodeID, payload []byte, release func([]byte)) {
-	ep.net.send(ep, dst, payload)
-	if release != nil {
-		release(payload)
-	}
+	ep.net.send(ep, dsts, payload, true)
 }
 
 // Close implements transport.Transport.

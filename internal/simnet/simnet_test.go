@@ -153,7 +153,7 @@ func TestBlockAndUnblock(t *testing.T) {
 	if c.count() != 0 {
 		t.Fatal("blocked link delivered")
 	}
-	n.Unblock(0, 1)
+	n.Heal()
 	a.Send(1, []byte("y"))
 	c.wait(t, 1, time.Second)
 }
@@ -225,29 +225,6 @@ func TestFilterModifiesAndDrops(t *testing.T) {
 	n.SetFilter(nil)
 	a.Send(1, []byte("plain"))
 	c.wait(t, 1, time.Second)
-}
-
-func TestPerLinkOverride(t *testing.T) {
-	n := New(WithSeed(1))
-	defer n.Close()
-	fast, slow := newCollector(), newCollector()
-	a := n.Attach(0, func([]byte) {})
-	n.Attach(1, fast.handler)
-	n.Attach(2, slow.handler)
-	n.SetLink(0, 2, LinkConfig{Latency: 50 * time.Millisecond})
-	start := time.Now()
-	a.Send(1, []byte("f"))
-	a.Send(2, []byte("s"))
-	fast.wait(t, 1, time.Second)
-	fastAt := time.Since(start)
-	slow.wait(t, 1, time.Second)
-	slowAt := time.Since(start)
-	if fastAt > 20*time.Millisecond {
-		t.Fatalf("fast path took %v", fastAt)
-	}
-	if slowAt < 40*time.Millisecond {
-		t.Fatalf("slow path took only %v", slowAt)
-	}
 }
 
 func TestBandwidthModel(t *testing.T) {
@@ -324,14 +301,13 @@ func TestConcurrentSendersNoRace(t *testing.T) {
 	c.wait(t, senders*each, 5*time.Second)
 }
 
-// TestSenderBufferReusableAfterSend checks that every send surface keeps
+// TestSenderBufferReusableAfterSend checks that Send and Multicast keep
 // nothing of the caller's buffer, as udpnet does: the sender overwrites the
 // buffer as soon as the call returns, and every receiver and a recording
-// filter still see the bytes that were sent. An Owned form releases the
-// buffer exactly once before it returns.
+// filter still see the bytes that were sent.
 func TestSenderBufferReusableAfterSend(t *testing.T) {
 	for _, latency := range []time.Duration{0, time.Millisecond} {
-		for _, form := range []string{"Send", "Multicast", "SendOwned", "MulticastOwned"} {
+		for _, form := range []string{"Send", "Multicast"} {
 			t.Run(fmt.Sprintf("%s/%v", form, latency), func(t *testing.T) {
 				n := New(WithSeed(1), WithDefaults(LinkConfig{Latency: latency}))
 				defer n.Close()
@@ -344,13 +320,12 @@ func TestSenderBufferReusableAfterSend(t *testing.T) {
 					return p, true
 				})
 				a := n.Attach(0, func([]byte) {})
-				mc := a.(transport.Multicaster)
 				cs := []*collector{newCollector(), newCollector(), newCollector()}
 				for i, c := range cs {
 					n.Attach(message.NodeID(i+1), c.handler)
 				}
 				dsts := []message.NodeID{0, 1, 2, 3}
-				if form == "Send" || form == "SendOwned" {
+				if form == "Send" {
 					cs = cs[:1]
 				}
 
@@ -360,27 +335,10 @@ func TestSenderBufferReusableAfterSend(t *testing.T) {
 					for i := range buf {
 						buf[i] = byte(r)
 					}
-					released := 0
-					release := func(p []byte) {
-						if &p[0] != &buf[0] {
-							t.Error("release got a buffer other than the one sent")
-						}
-						released++
-					}
-					switch form {
-					case "Send":
+					if form == "Send" {
 						a.Send(1, buf)
-					case "Multicast":
+					} else {
 						a.Multicast(dsts, buf)
-					case "SendOwned":
-						mc.SendOwned(1, buf, release)
-					case "MulticastOwned":
-						mc.MulticastOwned(dsts, buf, release)
-					}
-					if form == "SendOwned" || form == "MulticastOwned" {
-						if released != 1 {
-							t.Fatalf("round %d: release ran %d times before the call returned, want 1", r, released)
-						}
 					}
 					for i := range buf {
 						buf[i] = 0xFF
@@ -470,5 +428,114 @@ func TestSimnetAllocationBudget(t *testing.T) {
 		} else {
 			t.Logf("latency %v: %v allocs per multicast and send", latency, got)
 		}
+	}
+}
+
+// TestSendLoopMatchesMulticast pins that a multicast is priced exactly
+// like a loop of sends to the same destinations: two networks with the
+// same seed and link model, one driven by Send and one by Multicast,
+// deliver the same datagrams, duplicates included, to every receiver in
+// the same order, call the filter with the same arguments in the same
+// order, and count the same Stats.
+func TestSendLoopMatchesMulticast(t *testing.T) {
+	type call struct {
+		src, dst message.NodeID
+		round    byte
+	}
+	type outcome struct {
+		got      [][]byte
+		filtered []call
+		stats    Stats
+	}
+	dsts := []message.NodeID{1, 2, 3, 4}
+	const rounds = 200
+	run := func(multicast bool) outcome {
+		n := New(WithSeed(7), WithDefaults(LinkConfig{LossRate: 0.2, DupRate: 0.3}))
+		defer n.Close()
+		var out outcome
+		var mu sync.Mutex
+		n.SetFilter(func(src, dst message.NodeID, p []byte) ([]byte, bool) {
+			mu.Lock()
+			out.filtered = append(out.filtered, call{src, dst, p[0]})
+			mu.Unlock()
+			// Drop a deterministic tenth of the traffic in the filter.
+			return p, (int(p[0])+int(dst))%10 != 0
+		})
+		a := n.Attach(0, func([]byte) {})
+		cs := make([]*collector, len(dsts))
+		for i, d := range dsts {
+			cs[i] = newCollector()
+			n.Attach(d, cs[i].handler)
+		}
+		for r := 0; r < rounds; r++ {
+			payload := []byte{byte(r), 0xAB}
+			if multicast {
+				a.Multicast(dsts, payload)
+			} else {
+				for _, d := range dsts {
+					a.Send(d, payload)
+				}
+			}
+		}
+		out.stats = n.Stats()
+		// A lossless, unfiltered end marker flushes each receiver's queue:
+		// once it arrives, everything sent before it has been handled.
+		n.SetFilter(nil)
+		n.SetDefaults(LinkConfig{})
+		for i, d := range dsts {
+			a.Send(d, []byte{0xFF, 0xFF, 0xFF})
+			for {
+				cs[i].wait(t, 1, 5*time.Second)
+				cs[i].mu.Lock()
+				last := cs[i].got[len(cs[i].got)-1]
+				cs[i].mu.Unlock()
+				if len(last) == 3 {
+					break
+				}
+			}
+		}
+		for _, c := range cs {
+			c.mu.Lock()
+			c.got = c.got[:len(c.got)-1]
+			var all []byte
+			for _, p := range c.got {
+				all = append(all, p...)
+			}
+			out.got = append(out.got, all)
+			c.mu.Unlock()
+		}
+		return out
+	}
+	sends, mcast := run(false), run(true)
+	if sends.stats != mcast.stats {
+		t.Fatalf("stats differ: send loop %+v, multicast %+v", sends.stats, mcast.stats)
+	}
+	if sends.stats.MsgsSent != rounds*uint64(len(dsts)) || sends.stats.MsgsDropped == 0 {
+		t.Fatalf("stats %+v: want %d sent and some dropped", sends.stats, rounds*len(dsts))
+	}
+	if len(sends.filtered) != len(mcast.filtered) {
+		t.Fatalf("filter saw %d datagrams from the send loop, %d from multicast", len(sends.filtered), len(mcast.filtered))
+	}
+	for i := range sends.filtered {
+		if sends.filtered[i] != mcast.filtered[i] {
+			t.Fatalf("filter call %d: send loop %+v, multicast %+v", i, sends.filtered[i], mcast.filtered[i])
+		}
+	}
+	delivered, dups := 0, 0
+	for i, d := range dsts {
+		if string(sends.got[i]) != string(mcast.got[i]) {
+			t.Fatalf("receiver %d: send loop delivered % x, multicast % x", d, sends.got[i], mcast.got[i])
+		}
+		seen := make(map[byte]bool)
+		for j := 0; j < len(sends.got[i]); j += 2 {
+			delivered++
+			if seen[sends.got[i][j]] {
+				dups++
+			}
+			seen[sends.got[i][j]] = true
+		}
+	}
+	if dups == 0 || delivered == 0 {
+		t.Fatalf("%d delivered, %d duplicates: the link model was not exercised", delivered, dups)
 	}
 }

@@ -33,6 +33,12 @@ import "repro/internal/message"
 type Handler func(payload []byte)
 
 // Transport is the sending half an endpoint uses.
+//
+// Send and Multicast keep nothing of payload after they return: the caller
+// may overwrite or recycle the buffer at once, and an implementation that
+// wants the bytes later copies them. udpnet's writes copy into the kernel;
+// simnet copies each datagram once into the sending endpoint's slab. The
+// egress stage relies on this to reuse its wire buffers.
 type Transport interface {
 	// Self returns this endpoint's principal id.
 	Self() message.NodeID
@@ -40,7 +46,8 @@ type Transport interface {
 	//
 	// bftlint:send
 	Send(dst message.NodeID, payload []byte)
-	// Multicast transmits one datagram to every id in dsts.
+	// Multicast transmits one datagram to every id in dsts other than
+	// Self.
 	//
 	// bftlint:send
 	Multicast(dsts []message.NodeID, payload []byte)
@@ -48,25 +55,17 @@ type Transport interface {
 	Close()
 }
 
-// Multicaster is an optional Transport extension for the egress stage:
-// a batched, ownership-transferring send surface. A substrate that
-// implements it can coalesce the n per-replica datagrams of one multicast
-// into a single submission (one lock round in the simulator, one tight
-// syscall loop over one buffer in udpnet) instead of n independent sends.
-//
-// Ownership: the caller must not touch payload again until release(payload)
-// runs; the transport calls release once it no longer references the bytes,
-// letting the caller recycle pooled wire buffers. Both substrates copy the
-// datagram out (into the kernel, or into simnet's send slab) and call
-// release before the send returns. release may be nil.
+// Multicaster was a Transport extension that handed a send's buffer to the
+// substrate with a release callback. Since Send and Multicast keep nothing
+// of payload, it adds nothing: no substrate implements it and the egress
+// stage never looks for it. Only the benchmark's traffic tap still names
+// it; ROADMAP D4 deletes it along with the tap.
 type Multicaster interface {
-	// MulticastOwned behaves like Transport.Multicast with the ownership
-	// contract above.
+	// MulticastOwned is Transport.Multicast followed by release(payload).
 	//
 	// bftlint:send
 	MulticastOwned(dsts []message.NodeID, payload []byte, release func([]byte))
-	// SendOwned behaves like Transport.Send with the ownership contract
-	// above.
+	// SendOwned is Transport.Send followed by release(payload).
 	//
 	// bftlint:send
 	SendOwned(dst message.NodeID, payload []byte, release func([]byte))

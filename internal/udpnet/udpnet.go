@@ -105,7 +105,6 @@ type Endpoint struct {
 }
 
 var _ transport.Transport = (*Endpoint)(nil)
-var _ transport.Multicaster = (*Endpoint)(nil)
 
 // Listen binds the principal's socket and starts delivering inbound
 // datagrams to h.
@@ -156,7 +155,8 @@ func Listen(self message.NodeID, book *AddressBook, h transport.Handler) (*Endpo
 // Self implements transport.Transport.
 func (ep *Endpoint) Self() message.NodeID { return ep.self }
 
-// Send implements transport.Transport.
+// Send implements transport.Transport. The write is a synchronous copy
+// into the kernel, so Send keeps nothing of payload after it returns.
 func (ep *Endpoint) Send(dst message.NodeID, payload []byte) {
 	if len(payload) > MaxDatagram {
 		return
@@ -173,25 +173,6 @@ func (ep *Endpoint) Multicast(dsts []message.NodeID, payload []byte) {
 		if d != ep.self {
 			ep.Send(d, payload)
 		}
-	}
-}
-
-// MulticastOwned implements transport.Multicaster: the n datagrams of one
-// multicast leave in one tight loop over a single buffer, and the buffer is
-// released as soon as the kernel has copied the last datagram out (UDP
-// writes are synchronous copies), so the egress stage can recycle it.
-func (ep *Endpoint) MulticastOwned(dsts []message.NodeID, payload []byte, release func([]byte)) {
-	ep.Multicast(dsts, payload)
-	if release != nil {
-		release(payload)
-	}
-}
-
-// SendOwned implements transport.Multicaster (single-destination form).
-func (ep *Endpoint) SendOwned(dst message.NodeID, payload []byte, release func([]byte)) {
-	ep.Send(dst, payload)
-	if release != nil {
-		release(payload)
 	}
 }
 
