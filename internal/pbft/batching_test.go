@@ -18,20 +18,23 @@ func TestRequestQueueSemantics(t *testing.T) {
 	q.Push(a1.Client, a1.Digest(), len(a1.Op))
 	q.Push(b1.Client, b1.Digest(), len(b1.Op))
 	q.Push(c1.Client, c1.Digest(), len(c1.Op))
-	if q.Len() != 3 || q.Bytes() != 60 {
-		t.Fatalf("len=%d bytes=%d, want 3/60", q.Len(), q.Bytes())
+	if _, _, size, _ := q.Front(); q.Len() != 3 || size != 10 {
+		t.Fatalf("len=%d front size=%d, want 3/10", q.Len(), size)
 	}
 
-	// Replacing a client's request moves it to the tail (§5.5: newest wins).
+	// Replacing a client's request moves it to the tail (§5.5: newest wins),
+	// carrying the new request's size.
 	a2 := mk(1, 2, 15)
 	q.Push(a2.Client, a2.Digest(), len(a2.Op))
-	if q.Len() != 3 || q.Bytes() != 65 {
-		t.Fatalf("after replace: len=%d bytes=%d, want 3/65", q.Len(), q.Bytes())
+	if _, _, size, _ := q.Front(); q.Len() != 3 || size != 20 || q.tail.client != a2.Client || q.tail.size != 15 {
+		t.Fatalf("after replace: len=%d front size=%d tail=%d/%d, want 3/20 and client %d/15",
+			q.Len(), size, q.tail.client, q.tail.size, a2.Client)
 	}
 	// Re-pushing the same digest is a no-op (position preserved).
 	q.Push(a2.Client, a2.Digest(), len(a2.Op))
-	if q.Len() != 3 || q.Bytes() != 65 {
-		t.Fatalf("after same-digest push: len=%d bytes=%d, want 3/65", q.Len(), q.Bytes())
+	if _, _, size, _ := q.Front(); q.Len() != 3 || size != 20 || q.tail.client != a2.Client || q.tail.size != 15 {
+		t.Fatalf("after same-digest push: len=%d front size=%d tail=%d/%d, want 3/20 and client %d/15",
+			q.Len(), size, q.tail.client, q.tail.size, a2.Client)
 	}
 
 	// Remove with a stale digest is a no-op; with the live one it drops.
@@ -44,17 +47,17 @@ func TestRequestQueueSemantics(t *testing.T) {
 		t.Fatal("Remove left the entry")
 	}
 
-	// Pop order is FIFO over the survivors: b then c.
-	cli, _, _, ok := q.Pop()
-	if !ok || cli != b1.Client {
-		t.Fatalf("pop 1: %v %v", cli, ok)
+	// Pop order is FIFO over the survivors: b then c, each with its size.
+	cli, _, size, ok := q.Pop()
+	if !ok || cli != b1.Client || size != 20 {
+		t.Fatalf("pop 1: %v %d %v", cli, size, ok)
 	}
-	cli, _, _, ok = q.Pop()
-	if !ok || cli != c1.Client {
-		t.Fatalf("pop 2: %v %v", cli, ok)
+	cli, _, size, ok = q.Pop()
+	if !ok || cli != c1.Client || size != 30 {
+		t.Fatalf("pop 2: %v %d %v", cli, size, ok)
 	}
-	if _, _, _, ok := q.Pop(); ok || q.Len() != 0 || q.Bytes() != 0 {
-		t.Fatalf("queue not empty after draining: len=%d bytes=%d", q.Len(), q.Bytes())
+	if _, _, _, ok := q.Pop(); ok || q.Len() != 0 {
+		t.Fatalf("queue not empty after draining: len=%d", q.Len())
 	}
 }
 
@@ -89,83 +92,11 @@ func TestOversizedRequestProposesAlone(t *testing.T) {
 	})
 }
 
-func TestAdaptiveBatchConverges(t *testing.T) {
-	// The AIMD fill target must grow toward batchRequests while a deep queue
-	// persists and shrink back to 1 once the queue drains.
-	cfg := testConfig()
-	c := newTestCluster(t, 4, cfg, nil)
-	r := c.Replica(0)
-	r.do(func() {
-		for i := 0; i < 128; i++ {
-			req := &message.Request{Client: message.ClientIDBase + message.NodeID(100+i), Timestamp: 1, Op: make([]byte, 8)}
-			r.log.StoreRequest(req)
-			r.enqueueRequest(req)
-		}
-		// Sustained backlog: desired = ceil(128/8) = 16 ≥ cap, so the target
-		// climbs by 1 per proposal up to batchRequests.
-		for i := 0; i < 2*batchRequests; i++ {
-			r.fillTarget()
-		}
-		if got := r.batchTarget; got != batchRequests {
-			t.Errorf("target under load = %d, want cap %d", got, batchRequests)
-		}
-		// Drain the queue: the target must decay multiplicatively to 1.
-		for r.queue.Len() > 0 {
-			r.queue.Pop()
-		}
-		for i := 0; i < 8; i++ {
-			r.fillTarget()
-		}
-		if got := r.batchTarget; got != 1 {
-			t.Errorf("target after drain = %d, want 1", got)
-		}
-	})
-}
-
-func TestAdaptiveRampsUnderWindowPressure(t *testing.T) {
-	// Mid-load regression (seen at 10 open-loop clients): the backlog is
-	// shorter than the agreement window, but the window itself is saturated.
-	// Dividing the queue by the WHOLE window pins desired at 1 and adaptive
-	// degenerates to serial agreement; the target must instead size batches
-	// for the outstanding demand (queued + in flight) over the free slots
-	// and ramp.
-	cfg := testConfig()
-	c := newTestCluster(t, 4, cfg, nil)
-	r := c.Replica(0)
-	r.do(func() {
-		w := int(r.cfg.window())
-		for i := 0; i < w-2; i++ { // queue deep enough to matter, < window
-			req := &message.Request{Client: message.ClientIDBase + message.NodeID(200+i), Timestamp: 1, Op: make([]byte, 8)}
-			r.log.StoreRequest(req)
-			r.enqueueRequest(req)
-		}
-		// Saturate the window: every slot in flight, none executed.
-		saved := r.seqno
-		r.seqno = r.lastExec + message.Seq(w)
-		for i := 0; i < w; i++ {
-			r.fillTarget()
-		}
-		if got := r.batchTarget; got < 2 {
-			t.Errorf("fill target stuck at %d with a saturated window and %d queued; adaptive degenerates to serial", got, w-2)
-		}
-		// One free slot must absorb the whole outstanding demand (w-2
-		// queued + w-1 in flight) once ramped.
-		r.seqno = r.lastExec + message.Seq(w) - 1
-		for i := 0; i < 2*w; i++ {
-			r.fillTarget()
-		}
-		if got := r.batchTarget; got != 2*w-3 {
-			t.Errorf("fill target = %d, want the outstanding demand %d over the one free slot", got, 2*w-3)
-		}
-		r.seqno = saved
-	})
-}
-
 // driveUntil runs r's event loop by hand inside r.do, handing each inbound
 // verdict to onInbound as run does, until cond holds or timeout passes, and
-// reports whether cond held. Timer and tick events wait until it returns,
-// so cond may act on a state it observes (an armed accumulate deadline,
-// say) before any timer changes it.
+// reports whether cond held. Tick events wait until it returns, so cond
+// may act on a state it observes (a full window, say) before any timer
+// changes it.
 func driveUntil(r *Replica, timeout time.Duration, cond func() bool) bool {
 	var ok bool
 	r.do(func() {
@@ -183,123 +114,117 @@ func driveUntil(r *Replica, timeout time.Duration, cond func() bool) bool {
 	return ok
 }
 
-// holdOneRequest brings primary 0 of c to the accumulate state: request A is
-// proposed but cannot commit (the primary's links to the backups are
-// blocked), the fill target is raised to its cap, and request B, arriving
-// while A is in flight, waits in the queue behind an armed batchWait
-// deadline. then runs on the event loop at that moment. It returns the two
-// invocations' results; it fails the test if B is never held.
-func holdOneRequest(t *testing.T, c *Cluster, then func()) (resA, resB chan error) {
-	t.Helper()
-	r := c.Replica(0)
-	for i := 1; i < c.N(); i++ {
-		c.Net.Block(0, message.NodeID(i))
-	}
-	invoke := func() chan error {
-		cl := c.NewClient()
-		cl.MaxRetries = 25
-		res := make(chan error, 1)
-		go func() {
-			_, err := cl.Invoke(kvservice.Incr(), false)
-			res <- err
-		}()
-		return res
-	}
-	resA = invoke()
-	if !driveUntil(r, 5*time.Second, func() bool {
-		if r.seqno <= r.lastExec {
-			return false
-		}
-		// A is in flight. One queued request is below this target, so the
-		// next arrival accumulates instead of proposing.
-		r.batchTarget = batchRequests
-		return true
-	}) {
-		t.Fatal("request A was never proposed")
-	}
-	resB = invoke()
-	if !driveUntil(r, 5*time.Second, func() bool {
-		if !r0held(r) {
-			return false
-		}
-		if then != nil {
-			then()
-		}
-		return true
-	}) {
-		t.Fatal("request B was not held behind the accumulate deadline with A in flight and the fill target above the queue")
-	}
-	return resA, resB
-}
+// TestWindowFullBatching fills primary 0's agreement window with W
+// single-request batches that cannot commit (its links to the backups are
+// blocked), queues k more requests behind the full window, and then lets
+// the window slide. With Batching on the k requests ride one pre-prepare,
+// sequence number W+1; with it off each rides its own. In the view-change
+// row the primary is isolated instead, while the k requests wait, and every
+// request executes exactly once in the new view.
+func TestWindowFullBatching(t *testing.T) {
+	const k = 3
+	for _, tc := range []struct {
+		name       string
+		batching   bool
+		viewChange bool
+	}{
+		{name: "batching on", batching: true},
+		{name: "batching off", batching: false},
+		{name: "view change", batching: true, viewChange: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Opt.Batching = tc.batching
+			if !tc.viewChange {
+				// The blocked links must not cost the primary its view.
+				cfg.ViewChangeTimeout = 10 * time.Second
+			}
+			c := newTestCluster(t, 4, cfg, nil)
+			r := c.Replica(0)
+			w := int(r.cfg.window())
+			for i := 1; i < c.N(); i++ {
+				c.Net.Block(0, message.NodeID(i))
+			}
+			var results []chan error
+			invoke := func() *Client {
+				cl := c.NewClient()
+				cl.MaxRetries = 25
+				res := make(chan error, 1)
+				results = append(results, res)
+				go func() {
+					_, err := cl.Invoke(kvservice.Incr(), false)
+					res <- err
+				}()
+				return cl
+			}
 
-func TestBatchWaitFlushesPartialBatch(t *testing.T) {
-	// A request queued below the fill target while a batch is in flight is
-	// held, the batchWait timer fires and proposes it, and it executes.
-	c := newTestCluster(t, 4, testConfig(), nil)
-	r := c.Replica(0)
-	resA, resB := holdOneRequest(t, c, nil)
+			for i := 0; i < w; i++ {
+				invoke()
+			}
+			if !driveUntil(r, 5*time.Second, func() bool { return r.seqno == r.lastExec+message.Seq(w) }) {
+				t.Fatalf("the primary never filled its window of %d batches", w)
+			}
+			queued := make([]message.NodeID, k)
+			for i := range queued {
+				queued[i] = invoke().ID()
+			}
+			if !driveUntil(r, 5*time.Second, func() bool {
+				for _, id := range queued {
+					if _, ok := r.queue.Digest(id); !ok {
+						return false
+					}
+				}
+				return r.seqno == message.Seq(w)
+			}) {
+				t.Fatalf("%d requests never queued behind the full window", k)
+			}
 
-	c.waitFrontier(t, nil, 5*time.Second, "the accumulate deadline to fire", func() bool {
-		return r.Metrics().BatchWaitFires > 0
-	})
-	var proposed message.Seq
-	r.do(func() { proposed = r.seqno })
-	if proposed != 2 {
-		t.Fatalf("primary proposed through seq %d after the deadline fired, want 2 (A, then B alone)", proposed)
-	}
-	c.Net.Heal()
-	if err := <-resA; err != nil {
-		t.Fatalf("op A: %v", err)
-	}
-	if err := <-resB; err != nil {
-		t.Fatalf("op B: %v", err)
-	}
-	cl := c.NewClient()
-	if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true)); got != 2 {
-		t.Fatalf("counter = %d, want 2", got)
-	}
-}
+			if tc.viewChange {
+				c.Net.Isolate(0)
+			} else {
+				c.Net.Heal()
+			}
+			for i, res := range results {
+				if err := <-res; err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
 
-func TestBatchWaitPartialBatchSurvivesViewChange(t *testing.T) {
-	// A request held behind an armed accumulate deadline on a primary that
-	// then loses its view must execute exactly once in the new view. The
-	// primary is isolated while B is still held, so neither A's pre-prepare
-	// nor B's ever reaches a backup; client retransmission must carry both
-	// to the new view's primary.
-	c := newTestCluster(t, 4, testConfig(), nil)
-	resA, resB := holdOneRequest(t, c, func() { c.Net.Isolate(0) })
-
-	if err := <-resA; err != nil {
-		t.Fatalf("op A lost across the view change: %v", err)
+			if tc.viewChange {
+				c.waitFrontier(t, []int{1, 2, 3}, 5*time.Second, "the backups to leave view 0", func() bool {
+					return c.Replica(1).View() > 0
+				})
+			} else {
+				c.waitFrontier(t, []int{0, 1, 2, 3}, 5*time.Second, "every replica to execute the last batch", nil)
+				var seqno message.Seq
+				r.do(func() { seqno = r.seqno })
+				m := r.Metrics()
+				wantBatches := uint64(w + k)
+				if tc.batching {
+					wantBatches = uint64(w + 1)
+				}
+				if seqno != message.Seq(wantBatches) || m.BatchesProposed != wantBatches || m.RequestsProposed != uint64(w+k) {
+					t.Fatalf("primary proposed %d requests in %d batches through seq %d, want %d in %d",
+						m.RequestsProposed, m.BatchesProposed, seqno, w+k, wantBatches)
+				}
+			}
+			cl := c.NewClient()
+			cl.MaxRetries = 25
+			if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true)); got != uint64(w+k) {
+				t.Fatalf("counter = %d, want exactly %d", got, w+k)
+			}
+		})
 	}
-	if err := <-resB; err != nil {
-		t.Fatalf("op B lost across the view change: %v", err)
-	}
-	if v := c.Replica(1).View(); v == 0 {
-		t.Fatal("ops completed with the old primary isolated, yet no view change happened")
-	}
-	// Exactly-once: both increments applied, neither duplicated.
-	cl := c.NewClient()
-	cl.MaxRetries = 25
-	if got := kvservice.DecodeU64(mustInvoke(t, cl, kvservice.Get(), true)); got != 2 {
-		t.Fatalf("counter = %d after view change, want exactly 2", got)
-	}
-}
-
-// r0held reports whether the replica currently holds a queued request behind
-// an armed accumulate deadline (event-loop context only).
-func r0held(r *Replica) bool {
-	return r.queue.Len() > 0 && !r.batchDeadline.IsZero()
 }
 
 func TestAgreementWindowClampedToLogWindow(t *testing.T) {
-	// With L = 4, below agreementWindow, the window in force is L. Eight
+	// With L = 2, below agreementWindow, the window in force is L. Eight
 	// closed-loop clients keep the primary's window full across many
-	// checkpoint intervals (K = 2); the primary never runs more than L
+	// checkpoint intervals (K = 1); the primary never runs more than L
 	// batches past its execution frontier, and every operation completes.
 	cfg := testConfig()
-	cfg.CheckpointInterval = 2
-	cfg.LogWindow = 4
+	cfg.CheckpointInterval = 1
+	cfg.LogWindow = 2
 	c := newTestCluster(t, 4, cfg, nil)
 	r := c.Replica(0)
 	if w := r.cfg.window(); w != cfg.LogWindow {

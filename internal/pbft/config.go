@@ -61,8 +61,10 @@ type Options struct {
 	// single round trip (§5.1.3).
 	ReadOnly bool
 	// Batching: assign one sequence number to a batch of requests under
-	// load (§5.1.4), with the adaptive fill target and accumulate deadline
-	// of normalcase.go.
+	// load (§5.1.4). The primary proposes while fewer than W batches are in
+	// flight; once the window is full, requests queue, and the next batch
+	// takes everything queued up to the caps below. Off, every batch holds
+	// one request.
 	Batching bool
 	// SeparateRequests: requests larger than inlineThreshold travel
 	// directly from client to all replicas and only their digests ride in
@@ -85,21 +87,17 @@ func DefaultOptions() Options {
 // §8.3.3 ablates the optimizations above, not these values.
 const (
 	// batchRequests bounds requests per batch (the thesis implementation's
-	// 16-digest limit). The adaptive fill target stays in [1, batchRequests].
+	// 16-digest limit) when Options.Batching is on.
 	batchRequests = 16
 	// batchBytes bounds the total operation bytes one batch may carry. A
 	// single request larger than the cap still proposes — alone.
 	batchBytes = 64 << 10
-	// batchWait is the accumulate deadline: with agreement already in
-	// flight, the primary holds a batch below the fill target open for up
-	// to this long so later arrivals ride the same sequence number. With
-	// nothing in flight a request proposes at once, so latency at low load
-	// is unchanged.
-	batchWait = time.Millisecond
 	// agreementWindow bounds the batches between the execution frontier
 	// and the newest pre-prepare (the sliding window W of §5.1.4). The
-	// window in force is Config.window, which also stays within L.
-	agreementWindow = 8
+	// window in force is Config.window, which also stays within L. It is
+	// the only thing that sizes batches: a smaller W leaves more requests
+	// queued behind a full window, so each batch carries more of them.
+	agreementWindow = 4
 	// inlineThreshold is the request size above which separate request
 	// transmission applies (thesis: 255 bytes).
 	inlineThreshold = 255
@@ -233,9 +231,7 @@ func (c *Config) Validate() {
 }
 
 // window returns the agreement window W in force: agreementWindow, clamped
-// to the water-mark window L. Pre-prepares beyond L are refused anyway, and
-// a W above L would overstate the free slots the fill target divides the
-// outstanding demand by.
+// to the water-mark window L, beyond which pre-prepares are refused anyway.
 func (c *Config) window() message.Seq {
 	return min(agreementWindow, c.LogWindow)
 }

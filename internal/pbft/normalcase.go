@@ -111,46 +111,23 @@ func (r *Replica) lastReplied(client message.NodeID) (uint64, bool) {
 // Primary: batching and pre-prepare issue (§5.1.4, §5.1.5)
 // ---------------------------------------------------------------------------
 
-// tryIssuePrePrepares drains the request queue into pre-prepares. It re-fires
-// on every event that can create room or work: request arrival, execution
-// progress (executeForward), and checkpoint stability (makeStable), keeping
-// up to W batches in flight under load.
+// tryIssuePrePrepares drains the request queue into pre-prepares under the
+// sliding window of §5.1.4: while fewer than W batches are in flight
+// (o - e < W) and the high water mark allows, the next batch takes what is
+// queued, up to batchRequests requests (one with Batching off) and
+// batchBytes bytes. It re-fires on every event that can create room or
+// work: request arrival, execution progress (executeForward), and
+// checkpoint stability (makeStable).
 func (r *Replica) tryIssuePrePrepares() {
-	r.issueReady(false)
-}
-
-// issueReady is the proposal loop. deadline is true when called from the
-// batchWait timer: the accumulate window expired, so flush one partial batch
-// even if it is below the fill target. Batches are capped three ways
-// (§5.1.4): by count (the adaptive fill target, ≤ batchRequests), by bytes
-// (batchBytes), and by time (batchWait — armed only while another batch is
-// in flight, so an idle system proposes immediately and low-load latency is
-// unchanged).
-func (r *Replica) issueReady(deadline bool) {
-	if r.cfg.Behavior == SilentPrimary {
+	if r.cfg.Behavior == SilentPrimary || !r.isPrimary() || !r.active || r.vc.pending {
 		return
 	}
-	if !r.isPrimary() || !r.active || r.vc.pending {
-		r.disarmBatchWait()
-		return
+	limit := 1
+	if r.cfg.Opt.Batching {
+		limit = batchRequests
 	}
-	for r.queue.Len() > 0 {
-		// Sliding window: o - e < W (§5.1.4).
-		if r.seqno >= r.lastExec+r.cfg.window() ||
-			r.seqno >= r.log.High() {
-			// No agreement (or water-mark) room: the queue waits for
-			// commit/execute progress to re-fire the loop; holding the
-			// accumulate timer armed would only burn a spurious flush.
-			r.disarmBatchWait()
-			return
-		}
-		target := r.fillTarget()
-		if !deadline && r.shouldAccumulate(target) {
-			r.armBatchWait()
-			return
-		}
-		deadline = false // an expired deadline flushes at most one partial batch
-		batch, size := r.takeBatch(target)
+	for r.queue.Len() > 0 && r.seqno < r.lastExec+r.cfg.window() && r.seqno < r.log.High() {
+		batch, size := r.takeBatch(limit)
 		if len(batch) == 0 {
 			break
 		}
@@ -160,114 +137,16 @@ func (r *Replica) issueReady(deadline bool) {
 		r.issueBatch(batch)
 		clear(batch) // the scratch must not keep proposed requests alive
 	}
-	r.disarmBatchWait()
 }
 
-// fillTarget returns the batch-size target for the next proposal: 1 with
-// batching off. With batching on it AIMD-tracks the size needed to fit the
-// outstanding demand — queued requests plus work already in agreement —
-// into the window's FREE slots: light load converges to 1 (latency),
-// sustained concurrency grows toward batchRequests (throughput), clamped to
-// [1, batchRequests].
-func (r *Replica) fillTarget() int {
-	if !r.cfg.Opt.Batching {
-		return 1
-	}
-	// Size batches so the OUTSTANDING demand — queued requests plus batches
-	// already in agreement — fits in the window slots still free. Queue
-	// depth alone is the mid-load failure mode: at ~10 closed-loop clients
-	// the window hovers just below full, every arrival sees queue≈1,
-	// ceil(queue/W) sits at 1, and adaptive degenerates to serial agreement
-	// right where batching should start paying (measured once at 10
-	// open-loop clients: adaptive 1091 ops/s vs serial 1117 with fill avg
-	// pinned at 1.0). In-flight work is the steady-state concurrency
-	// signal: those clients re-request the moment they are answered, so a
-	// target that ignores them starves the next wave.
-	inflight := int(r.seqno - r.lastExec)
-	free := int(r.cfg.window()) - inflight
-	if free < 1 {
-		free = 1
-	}
-	desired := (r.queue.Len() + inflight + free - 1) / free
-	switch {
-	case desired > r.batchTarget:
-		r.batchTarget++ // additive increase under growing backlog
-	case desired < r.batchTarget:
-		if r.queue.Len() == 0 {
-			r.batchTarget /= 2 // load gone: collapse toward single-request latency
-		} else {
-			// Still loaded: desired jitters per arrival (a mid-load replica
-			// sees queue≈1 between window-full episodes), and halving on
-			// every dip thrashes the target back to 1 — the second half of
-			// the fill-avg-pinned-at-1.0 regression. Back off one step.
-			r.batchTarget--
-		}
-	}
-	if r.batchTarget < 1 {
-		r.batchTarget = 1
-	}
-	if r.batchTarget > batchRequests {
-		r.batchTarget = batchRequests
-	}
-	return r.batchTarget
-}
-
-// shouldAccumulate reports whether the proposal loop should hold the queued
-// requests for up to batchWait hoping to fill the batch further. Never when
-// nothing is in flight (the first request after idle must not eat the wait),
-// and never once the queue already meets the fill target or the byte cap.
-func (r *Replica) shouldAccumulate(target int) bool {
-	if !r.cfg.Opt.Batching {
-		return false
-	}
-	if r.seqno <= r.lastExec {
-		return false // idle pipeline: propose immediately
-	}
-	if r.queue.Len() >= target {
-		return false
-	}
-	if r.queue.Bytes() >= batchBytes {
-		return false
-	}
-	return true
-}
-
-// armBatchWait starts the accumulate deadline if not already running.
-func (r *Replica) armBatchWait() {
-	if !r.batchDeadline.IsZero() {
-		return
-	}
-	r.batchDeadline = time.Now().Add(batchWait)
-	r.batchTimer.Reset(batchWait)
-}
-
-// disarmBatchWait cancels the accumulate deadline.
-func (r *Replica) disarmBatchWait() {
-	if r.batchDeadline.IsZero() {
-		return
-	}
-	r.batchDeadline = time.Time{}
-	r.batchTimer.Stop()
-}
-
-// onBatchWait handles the accumulate timer firing: flush the partial batch.
-func (r *Replica) onBatchWait() {
-	if r.batchDeadline.IsZero() {
-		return // stale fire: the batch was already flushed or disarmed
-	}
-	r.batchDeadline = time.Time{}
-	r.metrics.BatchWaitFires++
-	r.issueReady(true)
-}
-
-// takeBatch pops up to target requests off the queue, stopping early rather
+// takeBatch pops up to limit requests off the queue, stopping early rather
 // than pushing a non-empty batch past batchBytes. A single request larger
 // than batchBytes is proposed alone — the cap bounds batch assembly, it is
 // not an admission limit. The batch is the event loop's scratch slice,
 // valid until the next call; the caller clears it once the batch is issued.
-func (r *Replica) takeBatch(target int) (batch []*message.Request, size int) {
+func (r *Replica) takeBatch(limit int) (batch []*message.Request, size int) {
 	batch = r.batchScratch[:0]
-	for len(batch) < target && r.queue.Len() > 0 {
+	for len(batch) < limit && r.queue.Len() > 0 {
 		if _, _, sz, ok := r.queue.Front(); ok && len(batch) > 0 && size+sz > batchBytes {
 			break // byte cap: flush what we have; the next batch takes it
 		}

@@ -63,15 +63,14 @@ type Metrics struct {
 	// Batching observability (§5.1.4, normalcase.go): BatchesProposed /
 	// RequestsProposed count pre-prepares this primary issued and the
 	// requests they carried. BatchBytesTotal sums the op bytes proposed.
-	// BatchWaitFires counts accumulate deadlines that expired and flushed a
-	// partial batch. QueueDepth and BatchTarget sample the request queue
-	// length and the adaptive fill target at snapshot time.
+	// QueueDepth samples the request queue length at snapshot time.
 	BatchesProposed  uint64
 	RequestsProposed uint64
 	BatchBytesTotal  uint64
-	BatchWaitFires   uint64
 	QueueDepth       uint64
-	BatchTarget      uint64
+	// BatchWaitFires is always zero: the primary proposes under the
+	// sliding window alone, with no accumulate deadline to fire.
+	BatchWaitFires uint64
 	// Durability observability (durability.go, internal/wal): WALAppends /
 	// WALFsyncs / WALBytes count records enqueued, group commits issued, and
 	// frame bytes written; their ratio is the fsync batching factor.
@@ -162,16 +161,11 @@ type Replica struct {
 	ckptVotes    map[message.Seq]map[message.NodeID]crypto.Digest
 	pendingCkpts map[message.Seq]crypto.Digest // taken tentatively, msg unsent
 
-	// Request queue (FIFO, one entry per client — §5.5 fairness) and the
-	// primary's batch-assembly state (normalcase.go): batchTarget is the
-	// adaptive fill target (AIMD between 1 and batchRequests); batchDeadline
-	// is the live accumulate deadline (zero = not armed) backed by
-	// batchTimer, whose channel the event loop selects on.
-	queue         requestQueue
-	batchTarget   int
-	batchDeadline time.Time
-	batchTimer    *time.Timer
-	roQueue       []queuedRO // read-only requests awaiting quiescence
+	// Request queue (FIFO, one entry per client — §5.5 fairness): on the
+	// primary, the requests waiting for a slot in the agreement window; on
+	// a backup, the requests it waits to see ordered (§2.3.5).
+	queue   requestQueue
+	roQueue []queuedRO // read-only requests awaiting quiescence
 
 	// Pre-prepares waiting for separately-transmitted request bodies.
 	waitingPP map[message.Seq]*message.PrePrepare
@@ -282,13 +276,10 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 		ckptVotes:    make(map[message.Seq]map[message.NodeID]crypto.Digest),
 		pendingCkpts: make(map[message.Seq]crypto.Digest),
 		queue:        newRequestQueue(),
-		batchTarget:  1,
 		waitingPP:    make(map[message.Seq]*message.PrePrepare),
 		rng:          rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(cfg.ID))),
 		vcTimeout:    cfg.ViewChangeTimeout,
 	}
-	r.batchTimer = time.NewTimer(time.Hour)
-	r.batchTimer.Stop()
 	r.region = statemachine.NewRegion(cfg.StateSize, cfg.PageSize)
 	r.service = svc(r.region)
 	r.ckpt = checkpoint.NewManager(r.region, treeFanout)
@@ -391,7 +382,6 @@ func (r *Replica) Metrics() Metrics {
 	r.do(func() {
 		m = r.metrics
 		m.QueueDepth = uint64(r.queue.Len())
-		m.BatchTarget = uint64(r.batchTarget)
 		s := r.ex.Stats()
 		m.PagesCopied = s.PagesCopied
 		m.PagesDigested = s.PagesDigested
@@ -468,11 +458,6 @@ func (r *Replica) run() {
 		select {
 		case im := <-r.inbox:
 			r.onInbound(im)
-		case <-r.batchTimer.C:
-			if r.cfg.Behavior == Crashed {
-				continue
-			}
-			r.onBatchWait()
 		case <-ticker.C:
 			if r.cfg.Behavior == Crashed {
 				continue

@@ -8,27 +8,21 @@ import (
 // requestQueue is the primary-side (and backup waiting-set) request queue of
 // §2.3.5/§5.5: FIFO over clients, at most one entry — the newest request —
 // per client. It is an intrusive doubly-linked list indexed by client, so
-// enqueue, replace, and dequeue-by-client are all O(1); the previous slice
-// representation rescanned the whole queue on every enqueueRequest /
-// dequeueExecuted, which at hundreds of queued clients made queue
-// maintenance itself a hot-path cost (every executed request paid one scan
-// per batch entry).
-//
-// The queue also maintains a running byte total of the queued operations so
-// the batch assembler can apply its byte cap and the adaptive policy can
-// read queue pressure without walking the list.
+// enqueue, replace, and dequeue-by-client are all O(1) however many clients
+// are backed up behind the primary. Each entry carries its operation size,
+// which the batch assembler reads through Front and Pop to apply its byte
+// cap.
 //
 // Nodes that leave the list wait in free, unlinked, for the next Push, so a
 // queue that has once held k clients queues them again without allocating.
 type requestQueue struct {
 	head, tail *reqNode
 	byClient   map[message.NodeID]*reqNode
-	bytes      int
 	free       []*reqNode
 }
 
 // reqNode is one queued request: the client principal, the digest of its
-// newest request, and the operation size used for byte accounting.
+// newest request, and the operation size the byte cap reads.
 type reqNode struct {
 	client     message.NodeID
 	digest     crypto.Digest
@@ -42,9 +36,6 @@ func newRequestQueue() requestQueue {
 
 // Len returns the number of queued requests (= clients with a queued entry).
 func (q *requestQueue) Len() int { return len(q.byClient) }
-
-// Bytes returns the total op bytes queued.
-func (q *requestQueue) Bytes() int { return q.bytes }
 
 // Digest returns the queued digest for a client, if any.
 func (q *requestQueue) Digest(client message.NodeID) (crypto.Digest, bool) {
@@ -82,7 +73,6 @@ func (q *requestQueue) Push(client message.NodeID, d crypto.Digest, size int) {
 	}
 	*n = reqNode{client: client, digest: d, size: size}
 	q.byClient[client] = n
-	q.bytes += size
 	if q.tail == nil {
 		q.head, q.tail = n, n
 		return
@@ -141,6 +131,5 @@ func (q *requestQueue) unlink(n *reqNode) {
 	}
 	n.prev, n.next = nil, nil
 	delete(q.byClient, n.client)
-	q.bytes -= n.size
 	q.free = append(q.free, n)
 }

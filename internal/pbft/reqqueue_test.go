@@ -52,29 +52,36 @@ func TestRequestQueueReusesNodes(t *testing.T) {
 	cli, dig := queuedClient, queuedDigest
 
 	for i := 0; i < 4; i++ {
-		q.Push(cli(i), dig(i, 1), 10)
+		q.Push(cli(i), dig(i, 1), 10+i)
 		checkQueueLinks(t, &q, "push")
 	}
-	q.Push(cli(1), dig(1, 2), 10) // replace: the old node is freed, then reused
+	q.Push(cli(1), dig(1, 2), 21) // replace: the old node is freed, then reused
 	checkQueueLinks(t, &q, "replace")
-	if c, _, _, _ := q.Pop(); c != cli(0) {
-		t.Fatalf("popped client %d, want %d", c, cli(0))
+	if c, _, size, _ := q.Pop(); c != cli(0) || size != 10 {
+		t.Fatalf("popped client %d size %d, want %d/10", c, size, cli(0))
 	}
 	checkQueueLinks(t, &q, "pop")
 	q.Remove(cli(3), dig(3, 1))
 	checkQueueLinks(t, &q, "remove")
 	q.RemoveClient(cli(2))
 	checkQueueLinks(t, &q, "remove client")
-	q.Push(cli(5), dig(5, 1), 10)
+	q.Push(cli(5), dig(5, 1), 15)
 	checkQueueLinks(t, &q, "push onto reused node")
-	for _, want := range []message.NodeID{cli(1), cli(5)} {
-		if c, _, _, ok := q.Pop(); !ok || c != want {
-			t.Fatalf("popped client %d, want %d", c, want)
+	if c, _, size, ok := q.Front(); !ok || c != cli(1) || size != 21 {
+		t.Fatalf("front client %d size %d, want %d/21", c, size, cli(1))
+	}
+	// A reused node carries the size of the request pushed onto it.
+	for _, want := range []struct {
+		c    message.NodeID
+		size int
+	}{{cli(1), 21}, {cli(5), 15}} {
+		if c, _, size, ok := q.Pop(); !ok || c != want.c || size != want.size {
+			t.Fatalf("popped client %d size %d, want %d/%d", c, size, want.c, want.size)
 		}
 		checkQueueLinks(t, &q, "drain")
 	}
-	if q.Len() != 0 || q.Bytes() != 0 || q.head != nil || q.tail != nil {
-		t.Fatalf("drained queue: len=%d bytes=%d", q.Len(), q.Bytes())
+	if q.Len() != 0 || q.head != nil || q.tail != nil {
+		t.Fatalf("drained queue: len=%d", q.Len())
 	}
 }
 
